@@ -1,9 +1,11 @@
 """Field functionals fed to the Monte Carlo harnesses.
 
 A functional is a pure vectorised evaluator over nonnegative fields: it
-accepts arrays shaped ``(..., n)`` and returns ``(...)``.  `ExpField` is
-recognised by the bridge sampler, which integrates it in closed form over
-each sojourn.
+accepts arrays shaped ``(..., n)`` and returns ``(...)``.  A functional may
+also provide ``sojourn_integral(field, y, tau, m_y)``, the per-row value of
+``(1/m_y) * int_0^tau F(field + u e_y / m_y) du`` over a stay of length
+``tau`` at state ``y``; the bridge sampler uses it in place of quadrature.
+`ExpField` does, in closed form.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ class ExpField:
 
     def __call__(self, field):
         return np.exp(-(np.asarray(field) @ self.weights))
+
+    def sojourn_integral(self, field, y, tau, m_y):
+        """F(field) * (1 - exp(-chi_y tau)) / (chi_y m_y); tau / m_y at chi_y = 0."""
+        rate = self.chi[y]
+        stay = (1.0 - np.exp(-rate * tau)) / (rate * m_y) if rate > 0 else tau / m_y
+        return self(field) * stay
 
 
 class ProductField:

@@ -3,11 +3,13 @@
 Two identities are verified, exactly where closed forms exist and
 statistically otherwise.  The bridge identity compares the twisted
 expectation of ``z_x z̄_y F(z z̄)`` with the twisted-and-bridge expectation
-of ``F(l + z z̄)``; the occupation identity is its diagonal form for the
-squared-field law, where the left side is the size-biased expectation
-``E[rho_x F(rho)]``.  Monte Carlo rows share the Gaussian draws between the
-two sides (common random numbers) and score the paired difference, with
-imaginary parts of real quantities folded into the same z-score.
+of ``F(l + z z̄)``; the occupation identity is its diagonal form x = y for
+the squared-field law, where ``z_x z̄_x = rho_x`` makes the left side the
+size-biased expectation ``E[rho_x F(rho)]``.  Monte Carlo rows share the
+Gaussian draws between the two sides (common random numbers) and score the
+paired difference, with imaginary parts of real quantities folded into the
+same z-score.  Each suite draws its twisted-field sample once and builds
+every Monte Carlo row on it.
 
 All thresholds: exact rows at an absolute tolerance (default 1e-10), MC
 rows at 4 standard errors; wide enough that a suite of dozens of rows has
@@ -27,10 +29,12 @@ from .chain import DualPair, build_dual, energy_quadratic, energy_report, nchain
 from .functionals import BumpField, ExpField, MonomialField, ProductField
 from .paths import bridge_values
 from .reporting import (
+    Z_MAX,
     VerificationReport,
     exact_report,
     info_report,
     mc_report,
+    mc_vs_exact,
     score as _score,
     weighted_ratio as _ratio,
 )
@@ -57,12 +61,9 @@ __all__ = [
     "q_suite",
     "trace_suite",
     "verify_bridge_identity",
-    "verify_occupation_identity",
     "verify_positivity",
     "verify_trace",
 ]
-
-Z_MAX = 4.0
 
 
 def _mc_compare(name, lhs_num, rhs_num, den, z_max=Z_MAX):
@@ -78,11 +79,18 @@ def _mc_compare(name, lhs_num, rhs_num, den, z_max=Z_MAX):
     return mc_report(name, rl.real, sel_re, rr.real, ser_re, z_max=z_max, z=z)
 
 
-def _mc_vs_exact(name, num, den, target, z_max=Z_MAX):
-    """One weighted-ratio estimate bracketed against an exact value."""
-    r, se_re, se_im = _ratio(num, den)
-    z = max(_score(r.real - target, se_re), _score(r.imag, se_im))
-    return mc_report(name, r.real, se_re, float(target), 0.0, z_max=z_max, z=z)
+def _bridge_mc(dp, x, y, func, z, w, seed, name, z_max):
+    """MC bridge-identity row on the twisted draws ``(z, w)``.
+
+    The bridge paths run on ``seed`` with one path per draw, the draw's
+    squared field as the path's offset.
+    """
+    t0 = time.perf_counter()
+    rho = np.abs(z) ** 2
+    lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
+    rhs_num = w * bridge_values(dp, x, y, func, w.size, seed, offsets=rho)
+    rep = _mc_compare(name, lhs_num, rhs_num, w, z_max=z_max)
+    return rep.with_seconds(time.perf_counter() - t0)
 
 
 def _resolve_functional(dp: DualPair, functional, chi):
@@ -113,9 +121,11 @@ def verify_bridge_identity(
     """Twisted field correlation against the bridge-shifted functional.
 
     Exact mode (constant or exponential F): both sides reduce to
-    ``G_chi(x, y) * Phi(chi)``, computed along the two determinant routes.
-    MC mode: weighted-sample estimates of both sides with shared field
-    draws and an independent path stream per side pairing.
+    ``G_chi(x, y) * Phi(chi)``, computed along the two determinant routes;
+    at x = y and chi = 0 each side is the diagonal Green value.  MC mode:
+    weighted-sample estimates of both sides with shared field draws and an
+    independent path stream per side pairing.  With x = y this is the
+    occupation identity.
     """
     t0 = time.perf_counter()
     func, chiv = _resolve_functional(dp, functional, chi)
@@ -129,53 +139,8 @@ def verify_bridge_identity(
         rhs = green(dp, chiv)[x, y] * mgf(dp, chiv)
         rep = exact_report(label, lhs, rhs, tol=tol)
     else:
-        tm = build_twisted(dp)
-        z, w = sample_twisted_batch(tm, count, seed)
-        rho = np.abs(z) ** 2
-        lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
-        bvals = bridge_values(dp, x, y, func, count, seed, offsets=rho)
-        rhs_num = w * bvals
-        rep = _mc_compare(label, lhs_num, rhs_num, w, z_max=z_max)
-    return rep.with_seconds(time.perf_counter() - t0)
-
-
-def verify_occupation_identity(
-    dp: DualPair,
-    x: int,
-    functional=None,
-    chi=None,
-    count: int = 100_000,
-    seed: int = 0,
-    mode: str = "auto",
-    z_max: float = Z_MAX,
-    tol: float = 1e-10,
-    name: str | None = None,
-) -> VerificationReport:
-    """Size-biased squared-field expectation against the diagonal bridge.
-
-    Exact mode: both sides equal ``G_chi(x, x) * Phi(chi)``; at chi = 0 each
-    side is the diagonal Green value.  MC mode as in the bridge identity
-    with the left integrand ``rho_x F(rho)``.
-    """
-    t0 = time.perf_counter()
-    func, chiv = _resolve_functional(dp, functional, chi)
-    if mode == "auto":
-        mode = "exact" if chiv is not None else "mc"
-    label = name or f"occupation_identity[x={x}]"
-    if mode == "exact":
-        if chiv is None:
-            raise ValueError("exact mode needs a constant or exponential functional")
-        lhs = green(dp, chiv)[x, x] * (partition(dp, chiv) / partition(dp))
-        rhs = green(dp, chiv)[x, x] * mgf(dp, chiv)
-        rep = exact_report(label, lhs, rhs, tol=tol)
-    else:
-        tm = build_twisted(dp)
-        z, w = sample_twisted_batch(tm, count, seed)
-        rho = np.abs(z) ** 2
-        lhs_num = w * rho[:, x] * func(rho)
-        bvals = bridge_values(dp, x, x, func, count, seed, offsets=rho)
-        rhs_num = w * bvals
-        rep = _mc_compare(label, lhs_num, rhs_num, w, z_max=z_max)
+        z, w = sample_twisted_batch(build_twisted(dp), count, seed)
+        rep = _bridge_mc(dp, x, y, func, z, w, seed, label, z_max)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -194,11 +159,11 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: f
     rng = rng_stream(seed, "positivity-battery")
     n = dp.n
 
-    rows.append(_mc_vs_exact("positivity_constant", w.copy(), w, 1.0, z_max))
+    rows.append(mc_vs_exact("positivity_constant", w.copy(), w, 1.0, z_max))
     for t in range(2):
         chi = rng.uniform(0.0, 1.5, n)
         f = ExpField(chi, dp.m)
-        rows.append(_mc_vs_exact(f"positivity_exp{t}_vs_mgf", w * f(rho), w, mgf(dp, chi), z_max))
+        rows.append(mc_vs_exact(f"positivity_exp{t}_vs_mgf", w * f(rho), w, mgf(dp, chi), z_max))
 
     bump = BumpField(rng.uniform(0.0, 1.0, n), width=0.75)
     est, se_re, se_im = _ratio(w * bump(rho), w)
@@ -210,7 +175,7 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: f
     for pts, tag in ((pts_single, "single"), (pts_pair, "pair")):
         f = MonomialField(np.bincount(pts, minlength=n))
         rows.append(
-            _mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", w * f(rho), w, q_moment(dp, pts), z_max)
+            mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", w * f(rho), w, q_moment(dp, pts), z_max)
         )
 
     cm = complete_monotonicity_check(dp, grid=cm_grid(n, 2, 1.0), max_order=3, powers=(2,))
@@ -318,31 +283,18 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e
     x = int(rng.integers(n))
     y = int(rng.integers(n))
     chi = rng.uniform(0.0, 1.0, n)
-    rows = [
+    z, w = sample_twisted_batch(build_twisted(dp), count, seed)
+    return [
         verify_bridge_identity(dp, x, y, tol=tol, name=f"bridge_f1_exact[{x},{y}]"),
         verify_bridge_identity(dp, x, y, chi=chi, tol=tol, name=f"bridge_exp_exact[{x},{y}]"),
-        verify_bridge_identity(
-            dp, x, y, functional=ExpField(chi, dp.m), count=count, seed=seed,
-            mode="mc", z_max=z_max, name=f"bridge_exp_mc[{x},{y}]",
-        ),
-        verify_bridge_identity(
-            dp, x, y, functional=ProductField(), count=count, seed=seed,
-            mode="mc", z_max=z_max, name=f"bridge_product_mc[{x},{y}]",
-        ),
-        verify_occupation_identity(dp, x, tol=tol, name=f"occupation_f1_exact[{x}]"),
-        verify_occupation_identity(dp, x, chi=chi, tol=tol, name=f"occupation_exp_exact[{x}]"),
-        verify_occupation_identity(
-            dp, x, functional=ProductField(), count=count, seed=seed,
-            mode="mc", z_max=z_max, name=f"occupation_product_mc[{x}]",
-        ),
+        _bridge_mc(dp, x, y, ExpField(chi, dp.m), z, w, seed, f"bridge_exp_mc[{x},{y}]", z_max),
+        _bridge_mc(dp, x, y, ProductField(), z, w, seed, f"bridge_product_mc[{x},{y}]", z_max),
+        verify_bridge_identity(dp, x, x, tol=tol, name=f"occupation_f1_exact[{x}]"),
+        verify_bridge_identity(dp, x, x, chi=chi, tol=tol, name=f"occupation_exp_exact[{x}]"),
+        _bridge_mc(dp, x, x, ProductField(), z, w, seed, f"occupation_product_mc[{x}]", z_max),
+        # the twisted field correlation itself must bracket the Green density
+        mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y], z_max),
     ]
-    # the twisted field correlation itself must bracket the Green density
-    tm = build_twisted(dp)
-    z, w = sample_twisted_batch(tm, count, seed)
-    rows.append(
-        _mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y], z_max)
-    )
-    return rows
 
 
 def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e-10, z_max: float = Z_MAX):
@@ -367,9 +319,9 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: flo
     Exact rows: Laplace-transform factorisation into prod (1 + s_i)^{-1}
     and the exponential-occupation identities.  MC rows: squared-field
     marginal moments k!, size-biased moments (k+1)!, and the unit-mean
-    exponential law of the bridge local time.  The spectral gap row is
-    informational: the eigensolver value is logged against the closed form
-    2 sin^2(pi / 2n) without being asserted.
+    exponential law of the bridge local time.  The spectral gap of -A,
+    whose eigenvalues are 1 - cos(k pi / (n + 1)), is asserted against the
+    closed form 2 sin^2(pi / (2 (n + 1))).
     """
     dp = build_dual(nchain(n_states))
     n = dp.n
@@ -384,12 +336,11 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: flo
         worst = max(worst, abs(mgf(dp, s) - target) / target)
     rows.append(exact_report(f"example_n{n}_mgf_factorisation", worst, 0.0, tol=1e-12))
 
-    tm = build_twisted(dp)
-    z, w = sample_twisted_batch(tm, count, seed)
+    z, w = sample_twisted_batch(build_twisted(dp), count, seed)
     rho = np.abs(z) ** 2
     for k in (1, 2, 3):
         rows.append(
-            _mc_vs_exact(f"example_n{n}_moment_k{k}", w * rho[:, x] ** k, w, float(math.factorial(k)), z_max)
+            mc_vs_exact(f"example_n{n}_moment_k{k}", w * rho[:, x] ** k, w, float(math.factorial(k)), z_max)
         )
     for j in (1, 2, 3):
         rows.append(
@@ -405,25 +356,15 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: flo
     for j in (1, 2, 3):
         f = MonomialField(np.bincount([x] * j, minlength=n))
         vals = bridge_values(dp, x, x, f, count, seed)
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(count))
-        z_loc = _score(mean - math.factorial(j), se)
-        rows.append(
-            mc_report(f"example_n{n}_bridge_local_time_m{j}", mean, se, float(math.factorial(j)), 0.0, z_max=z_max, z=z_loc)
-        )
+        rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", vals, np.ones(count), math.factorial(j), z_max))
 
     gap = energy_report(dp).mass_gap
-    rows.append(info_report(f"example_n{n}_mass_gap_vs_closed_form", gap, 2.0 * sin(pi / (2 * n)) ** 2))
+    rows.append(exact_report(f"example_n{n}_mass_gap_vs_closed_form", gap, 2.0 * sin(pi / (2 * (n + 1))) ** 2))
 
-    rows.append(verify_occupation_identity(dp, x, name=f"example_n{n}_occupation_f1_exact"))
+    rows.append(verify_bridge_identity(dp, x, x, name=f"example_n{n}_occupation_f1_exact"))
     chi = rng.uniform(0.2, 1.0, n)
-    rows.append(verify_occupation_identity(dp, x, chi=chi, name=f"example_n{n}_occupation_exp_exact"))
-    rows.append(
-        verify_occupation_identity(
-            dp, x, functional=ExpField(chi, dp.m), count=count, seed=seed,
-            mode="mc", z_max=z_max, name=f"example_n{n}_occupation_exp_mc",
-        )
-    )
+    rows.append(verify_bridge_identity(dp, x, x, chi=chi, name=f"example_n{n}_occupation_exp_exact"))
+    rows.append(_bridge_mc(dp, x, x, ExpField(chi, dp.m), z, w, seed, f"example_n{n}_occupation_exp_mc", z_max))
     return rows
 
 

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import NumericalError
-from .reporting import (
-    VerificationReport,
-    exact_report,
-    info_report,
-    mc_report,
-    score as _score,
-    weighted_ratio as _ratio,
-)
+from .chain import NumericalError, _readonly
+from .reporting import Z_MAX, VerificationReport, exact_report, info_report, mc_vs_exact
 from .seeding import rng_stream
 
 __all__ = [
@@ -48,13 +41,6 @@ __all__ = [
 ]
 
 KIND_TOL = 1e-12
-Z_MAX = 4.0
-
-
-def _readonly(a, dtype=None):
-    out = np.array(a) if dtype is None else np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -167,31 +153,23 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0, 
     # -(1/2) <(C - B) psi, psī> expands to -(1/2)(<C phi1, phi1> + <C phi2, phi2>)
     # minus i <B phi1, phi2>; the pairing sign matters only for (c) and (e)
 
-    def mean_vs(name, samples, target):
-        r, se_re, se_im = _ratio(samples, np.ones(count))
-        z = max(_score(r.real - target, se_re), _score(r.imag, se_im))
-        return mc_report(name, r.real, se_re, target, 0.0, z_max=z_max, z=z)
-
-    def ratio_vs(name, num, den, target):
-        r, se_re, se_im = _ratio(num, den)
-        z = max(_score(r.real - target, se_re), _score(r.imag, se_im))
-        return mc_report(name, r.real, se_re, target, 0.0, z_max=z_max, z=z)
-
+    ones = np.ones(count)
     weight = np.exp(-0.5 * (quad1 + quad2) - 1j * pairing)
     psi_f1 = phi1 @ f1 + 1j * (phi2 @ f1)
     psi_bar_f2 = phi1 @ f2 - 1j * (phi2 @ f2)
     resolvent = 2.0 * float(f2 @ np.linalg.solve(eye + cm + bm, f1))
 
     rows = [
-        mean_vs("char_skew_vs_det2", np.exp(1j * pairing), 1.0 / det2(bm)),
-        mean_vs("char_complex_vs_det2", weight, math.exp(-tr_c) / det2(cm + bm)),
-        ratio_vs("pairing_vs_resolvent", psi_f1 * psi_bar_f2 * weight, weight, resolvent),
-        mean_vs("char_wick_vs_det2", weight * math.exp(tr_c), 1.0 / det2(cm + bm)),
-        ratio_vs(
+        mc_vs_exact("char_skew_vs_det2", np.exp(1j * pairing), ones, 1.0 / det2(bm), z_max),
+        mc_vs_exact("char_complex_vs_det2", weight, ones, math.exp(-tr_c) / det2(cm + bm), z_max),
+        mc_vs_exact("pairing_vs_resolvent", psi_f1 * psi_bar_f2 * weight, weight, resolvent, z_max),
+        mc_vs_exact("char_wick_vs_det2", weight * math.exp(tr_c), ones, 1.0 / det2(cm + bm), z_max),
+        mc_vs_exact(
             "pairing_wick_vs_resolvent",
             psi_f1 * psi_bar_f2 * weight * math.exp(tr_c),
             weight * math.exp(tr_c),
             resolvent,
+            z_max,
         ),
     ]
     return rows
@@ -213,7 +191,7 @@ class CircleDriftModel:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         ks = _readonly(self.ks, dtype=int)
-        coeffs = _readonly(np.asarray(self.coeffs, dtype=complex))
+        coeffs = _readonly(self.coeffs, dtype=complex)
         if ks.ndim != 1 or coeffs.shape != ks.shape:
             raise ValueError("ks and coeffs must be matching vectors")
         if len(set(ks.tolist())) != ks.size:

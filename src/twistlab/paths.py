@@ -2,13 +2,17 @@
 
 A path from x holds at each state for an exponential time with that
 state's rate, then jumps along a row of the jump matrix or is killed with
-the row's deficit; killing is almost sure.  The occupation field divides
-time per state by the reference measure.  The bridge accumulator realises
-the local-time-weighted path measure: along each path from x, every stay
-at y of length tau contributes ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du``
+the row's deficit; killing is almost sure.  One stepping kernel advances a
+batch of paths in lockstep and hands every sojourn to its consumer: a
+single path is a batch of one, occupation fields scatter-add holding times
+divided by the reference measure, and the bridge accumulator realises the
+local-time-weighted path measure: along each path from x, every stay at y
+of length tau contributes ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du``
 with ``field`` the running occupation field (plus an optional per-path
-offset).  Exponential functionals integrate in closed form; anything else
-goes through Gauss-Legendre quadrature with node doubling.
+offset).  A functional that knows this integral in closed form provides
+``sojourn_integral(field, y, tau, m_y)``; anything else goes through
+Gauss-Legendre quadrature with node doubling.  Every walk is bounded by
+``MAX_JUMPS`` sojourns and raises `NumericalError` beyond it.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -23,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .chain import DualPair, NumericalError
-from .functionals import ExpField
 from .seeding import rng_stream
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
 ]
 
 BATCH = 1 << 15  # fixed so results depend only on (seed, count)
+MAX_JUMPS = 1_000_000  # sojourns per path before a walk gives up
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,6 @@ class PathRecord:
     states: np.ndarray
     durations: np.ndarray
     killed: bool
-
-    @property
-    def visits(self):
-        """The path as (state, holding duration) pairs, in visit order."""
-        return tuple(zip(self.states.tolist(), self.durations.tolist()))
 
     @property
     def lifetime(self) -> float:
@@ -65,28 +64,46 @@ class OccupationField:
     lifetime: float
 
 
-def sample_path(dp: DualPair, start: int, seed: int, max_jumps: int = 1_000_000) -> PathRecord:
+def _walk(dp: DualPair, start: int, b: int, rng, max_jumps: int):
+    """Step ``b`` killed paths from ``start`` in lockstep until all are killed.
+
+    Yields ``(rows, states, taus)`` per step: the indices of the live
+    paths, their current states and the holding times just drawn.  Each
+    step draws the holds of the live paths, then one uniform per live path
+    for the jump; a path whose uniform passes its row's total is killed.
+    """
+    cum = np.cumsum(dp.pi, axis=1)
+    rows = np.arange(b)
+    states = np.full(b, start, dtype=int)
+    for _ in range(max_jumps):
+        if rows.size == 0:
+            return
+        taus = rng.exponential(1.0 / dp.q[states])
+        yield rows, states, taus
+        nxt = (rng.random(rows.size)[:, None] >= cum[states]).sum(axis=1)
+        live = nxt < dp.n
+        rows, states = rows[live], nxt[live]
+    if rows.size:
+        raise NumericalError("path did not terminate; jump matrix too close to stochastic")
+
+
+def _batches(count: int, seed: int, stream: str):
+    """(offset, size, generator) per fixed-size batch, each on its own stream."""
+    for idx, lo in enumerate(range(0, count, BATCH)):
+        yield lo, min(BATCH, count - lo), rng_stream(seed, stream, idx)
+
+
+def sample_path(dp: DualPair, start: int, seed: int, max_jumps: int = MAX_JUMPS) -> PathRecord:
     """Simulate one killed path from ``start``; deterministic given seed."""
     if not 0 <= int(start) < dp.n:
         raise ValueError(f"start state {start} out of range")
-    rng = rng_stream(seed, "single-path")
-    cum = np.cumsum(dp.pi, axis=1)
-    states: list[int] = []
-    durations: list[float] = []
-    s = int(start)
-    for _ in range(max_jumps):
-        states.append(s)
-        durations.append(rng.exponential(1.0 / dp.q[s]))
-        u = rng.random()
-        row = cum[s]
-        if u >= row[-1]:
-            return PathRecord(
-                states=np.array(states, dtype=int),
-                durations=np.array(durations, dtype=float),
-                killed=True,
-            )
-        s = int(np.searchsorted(row, u, side="right"))
-    raise NumericalError("path did not terminate; jump matrix too close to stochastic")
+    steps = _walk(dp, int(start), 1, rng_stream(seed, "single-path"), max_jumps)
+    states, durations = zip(*((s[0], tau[0]) for _, s, tau in steps))
+    return PathRecord(
+        states=np.array(states, dtype=int),
+        durations=np.array(durations, dtype=float),
+        killed=True,
+    )
 
 
 def occupation(dp: DualPair, path: PathRecord) -> OccupationField:
@@ -98,39 +115,15 @@ def occupation(dp: DualPair, path: PathRecord) -> OccupationField:
 
 def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
     """Occupation fields of ``count`` paths from ``start``: (count, n) array, lifetimes."""
-    fields = np.empty((count, dp.n))
-    lives = np.empty(count)
-    cum = np.cumsum(dp.pi, axis=1)
-    done = 0
-    batch_idx = 0
-    while done < count:
-        b = min(BATCH, count - done)
-        rng = rng_stream(seed, "occupation-batch", batch_idx)
-        l, lt = _batch_occupation(dp, cum, int(start), b, rng)
-        fields[done : done + b] = l
-        lives[done : done + b] = lt
-        done += b
-        batch_idx += 1
+    fields = np.zeros((count, dp.n))
+    lives = np.zeros(count)
+    for lo, b, rng in _batches(count, seed, "occupation-batch"):
+        times, life = fields[lo : lo + b], lives[lo : lo + b]
+        for rows, states, taus in _walk(dp, int(start), b, rng, MAX_JUMPS):
+            times[rows, states] += taus
+            life[rows] += taus
+    fields /= dp.m
     return fields, lives
-
-
-def _batch_occupation(dp, cum, start, b, rng):
-    state = np.full(b, start, dtype=int)
-    alive = np.ones(b, dtype=bool)
-    tfield = np.zeros((b, dp.n))
-    life = np.zeros(b)
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        s = state[idx]
-        tau = rng.exponential(1.0 / dp.q[s])
-        tfield[idx, s] += tau
-        life[idx] += tau
-        u = rng.random(idx.size)
-        nxt = (u[:, None] >= cum[s]).sum(axis=1)
-        killed = nxt >= dp.n
-        state[idx[~killed]] = nxt[~killed]
-        alive[idx[killed]] = False
-    return tfield / dp.m[None, :], life
 
 
 @lru_cache(maxsize=None)
@@ -182,56 +175,23 @@ def bridge_values(
         offsets = np.asarray(offsets, dtype=float)
         if offsets.shape != (count, dp.n):
             raise ValueError(f"offsets must be (count, {dp.n})")
-    out = np.empty(count)
-    done = 0
-    batch_idx = 0
-    while done < count:
-        b = min(BATCH, count - done)
-        rng = rng_stream(seed, "bridge-batch", batch_idx)
-        off = None if offsets is None else offsets[done : done + b]
-        out[done : done + b] = _batch_bridge(
-            dp, int(x), int(y), functional, b, rng, off, quad_tol, max_nodes
-        )
-        done += b
-        batch_idx += 1
-    return out
-
-
-def _batch_bridge(dp, x, y, functional, b, rng, offsets, quad_tol, max_nodes):
-    n = dp.n
-    cum = np.cumsum(dp.pi, axis=1)
-    field = np.zeros((b, n)) if offsets is None else np.array(offsets, dtype=float)
-    state = np.full(b, x, dtype=int)
-    alive = np.ones(b, dtype=bool)
-    acc = np.zeros(b)
+    out = np.zeros(count)
+    y = int(y)
     m_y = dp.m[y]
-    exp_rate = float(functional.chi[y]) if isinstance(functional, ExpField) else None
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        s = state[idx]
-        tau = rng.exponential(1.0 / dp.q[s])
-        here = s == y
-        if here.any():
-            rows = idx[here]
-            stay = tau[here]
-            if exp_rate is not None:
-                base = functional(field[rows])
-                if exp_rate > 0:
-                    soj = (1.0 - np.exp(-exp_rate * stay)) / (exp_rate * m_y)
+    closed_form = getattr(functional, "sojourn_integral", None)
+    for lo, b, rng in _batches(count, seed, "bridge-batch"):
+        field = np.zeros((b, dp.n)) if offsets is None else offsets[lo : lo + b].copy()
+        acc = out[lo : lo + b]
+        for rows, states, taus in _walk(dp, int(x), b, rng, MAX_JUMPS):
+            here = states == y
+            if here.any():
+                at, stay = rows[here], taus[here]
+                if closed_form is not None:
+                    acc[at] += closed_form(field[at], y, stay, m_y)
                 else:
-                    soj = stay / m_y
-                acc[rows] += base * soj
-            else:
-                acc[rows] += _sojourn_quadrature(
-                    functional, field[rows], stay, y, m_y, quad_tol, max_nodes
-                )
-        field[idx, s] += tau / dp.m[s]
-        u = rng.random(idx.size)
-        nxt = (u[:, None] >= cum[s]).sum(axis=1)
-        killed = nxt >= n
-        state[idx[~killed]] = nxt[~killed]
-        alive[idx[killed]] = False
-    return acc
+                    acc[at] += _sojourn_quadrature(functional, field[at], stay, y, m_y, quad_tol, max_nodes)
+            field[rows, states] += taus / dp.m[states]
+    return out
 
 
 def bridge_estimate(dp: DualPair, x: int, y: int, functional, count: int, seed: int):

@@ -29,6 +29,7 @@ __all__ = [
     "exact_report",
     "info_report",
     "mc_report",
+    "mc_vs_exact",
     "print_reports",
     "score",
     "weighted_ratio",
@@ -107,6 +108,17 @@ def mc_report(name, lhs, se_lhs, rhs, se_rhs, z_max=Z_MAX, z=None, seconds=0.0) 
         passed=float(z) <= z_max,
         seconds=seconds,
     )
+
+
+def mc_vs_exact(name, num, den, target, z_max=Z_MAX) -> VerificationReport:
+    """Weighted-ratio estimate mean(num)/mean(den) bracketed against an exact value.
+
+    The target is real, so the imaginary part of the estimate enters the
+    same z-score.
+    """
+    r, se_re, se_im = weighted_ratio(num, den)
+    z = max(score(r.real - target, se_re), score(r.imag, se_im))
+    return mc_report(name, r.real, se_re, float(target), 0.0, z_max=z_max, z=z)
 
 
 def info_report(name, lhs, rhs, seconds=0.0) -> VerificationReport:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,64 @@ mu: [0.5, 0.3, 0.2]
 """
 
 ONE_STATE = "states: 1\nq: [1.0]\npi: [[0.0]]\nmu: [1.0]\n"
+
+# a path survives each jump with probability 0.999: about 1000 sojourns
+SLOW_KILL = """\
+states: 2
+q: [1.0, 1.0]
+pi:
+  - [0.0, 0.999]
+  - [0.999, 0.0]
+mu: [0.5, 0.5]
+"""
+
+PIN_CHAIN = """\
+states: 4
+q: [1.0, 2.0, 1.5, 0.8]
+pi:
+  - [0.0, 0.5, 0.2, 0.1]
+  - [0.3, 0.0, 0.4, 0.1]
+  - [0.1, 0.2, 0.0, 0.5]
+  - [0.2, 0.1, 0.3, 0.0]
+mu: [0.4, 0.3, 0.2, 0.1]
+"""
+
+# Reports of fixed configurations, pinned row by row.  A change to a random
+# stream, a batch layout or a sampling method must show up as an edit here.
+PINNED = [
+    (
+        ["example-chain", "--n", "3", "--seed", "5", "--samples", "10000"],
+        """\
+example_n3_mgf_factorisation,exact,1.62806010103e-16,0,0,0,1.62806010103e-16,1,0.000
+example_n3_moment_k1,mc,0.95590063962,1,0.032329667513,0,1.36405239435,1,0.000
+example_n3_moment_k2,mc,1.82137955545,2,0.264007293735,0,0.984680068475,1,0.000
+example_n3_moment_k3,mc,6.68148151181,6,2.72660179257,0,0.861169727031,1,0.000
+example_n3_size_biased_m1,mc,1.91239087072,2,0.218899411773,0,0.400225512587,1,0.000
+example_n3_size_biased_m2,mc,7.06552602786,6,2.67301416081,0,0.39862341303,1,0.000
+example_n3_size_biased_m3,mc,61.166694467,24,33.7704451966,0,1.10056868515,1,0.000
+example_n3_bridge_local_time_m1,mc,1.02001986459,1,0.0230168783066,0,0.869790608369,1,0.000
+example_n3_bridge_local_time_m2,mc,2.05895525428,2,0.0974623974268,0,0.604902565856,1,0.000
+example_n3_bridge_local_time_m3,mc,6.33767761728,6,0.638042345553,0,0.529240135286,1,0.000
+example_n3_mass_gap_vs_closed_form,exact,0.292893218813,0.292893218813,0,0,0,1,0.000
+example_n3_occupation_f1_exact,exact,1,1,0,0,0,1,0.000
+example_n3_occupation_exp_exact,exact,0.155058070875,0.155058070875,0,0,0,1,0.000
+example_n3_occupation_exp_mc,mc,0.15627080583,0.160032541202,0.00225840781876,0.00291775769504,1.24815968943,1,0.000
+""",
+    ),
+    (
+        ["verify-iso", "--input", "{chain}", "--seed", "3", "--samples", "20000"],
+        """\
+"bridge_f1_exact[1,2]",exact,0.939635535308,0.939635535308,0,0,0,1,0.000
+"bridge_exp_exact[1,2]",exact,0.0199746452754,0.0199746452754,0,0,6.93889390391e-18,1,0.000
+"bridge_exp_mc[1,2]",mc,0.0200733297391,0.0199094015538,0.000372733092073,0.000370426973777,1.44081456874,1,0.000
+"bridge_product_mc[1,2]",mc,0.022760107053,0.0228701308676,0.000314385565694,0.000341580768552,1.37653182024,1,0.000
+occupation_f1_exact[1],exact,1.48490566038,1.48490566038,0,0,0,1,0.000
+occupation_exp_exact[1],exact,0.0648748634614,0.0648748634614,0,0,1.38777878078e-17,1,0.000
+occupation_product_mc[1],mc,0.0616232547607,0.062049216729,0.000476027005221,0.00064267779027,0.64529816954,1,0.000
+"field_correlation_vs_green[1,2]",mc,0.925443838039,0.939635535308,0.00933386003214,0,1.52045319083,1,0.000
+""",
+    ),
+]
 
 
 @pytest.fixture
@@ -39,6 +100,41 @@ def test_reports_byte_identical_for_same_config(tmp_path):
     assert main(["example-chain", "--n", "3", "--seed", "5", "--samples", "10000", "--out", str(a)]) == 0
     assert main(["example-chain", "--n", "3", "--seed", "5", "--samples", "10000", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=["example-chain", "verify-iso"])
+def test_same_seed_reports_are_pinned(argv, expected, tmp_path, capsys):
+    chain = tmp_path / "pin.yaml"
+    chain.write_text(PIN_CHAIN)
+    out = tmp_path / "report.csv"
+    assert main([a.format(chain=chain) for a in argv] + ["--out", str(out)]) == 0
+    got = list(csv.DictReader(io.StringIO(out.read_text())))
+    want = list(csv.DictReader(io.StringIO("name,mode,lhs,rhs,se_lhs,se_rhs,z,pass,seconds\n" + expected)))
+    assert [(r["name"], r["mode"], r["pass"]) for r in got] == [(r["name"], r["mode"], r["pass"]) for r in want]
+    for g, w in zip(got, want):
+        for col in ("lhs", "rhs", "se_lhs", "se_rhs", "z"):
+            # abs covers round-off residuals of exact rows
+            assert float(g[col]) == pytest.approx(float(w[col]), rel=1e-9, abs=1e-14), (g["name"], col)
+
+
+def test_path_walks_are_bounded(tmp_path, monkeypatch, capsys):
+    from twistlab import paths
+    from twistlab.chain import NumericalError, build_dual
+    from twistlab.functionals import ProductField
+    from twistlab.modelio import load_chain_spec
+
+    path = tmp_path / "slow.yaml"
+    path.write_text(SLOW_KILL)
+    dp = build_dual(load_chain_spec(str(path)))
+    with pytest.raises(NumericalError):
+        paths.sample_path(dp, 0, seed=1, max_jumps=50)
+    monkeypatch.setattr(paths, "MAX_JUMPS", 50)
+    with pytest.raises(NumericalError):
+        paths.occupation_batch(dp, 0, 200, seed=1)
+    with pytest.raises(NumericalError):
+        paths.bridge_values(dp, 0, 1, ProductField(), 200, seed=1)
+    assert main(["verify-iso", "--input", str(path), "--samples", "200"]) == 3
+    assert "did not terminate" in capsys.readouterr().err
 
 
 def test_mass_gap_prints_value(tmp_path, capsys):

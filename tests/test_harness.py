@@ -12,7 +12,6 @@ from twistlab.harness import (
     q_suite,
     trace_suite,
     verify_bridge_identity,
-    verify_occupation_identity,
     verify_positivity,
     verify_trace,
 )
@@ -63,14 +62,14 @@ def test_bridge_identity_cross_mc_generic_functional(chain4):
 def test_occupation_identity_constant_is_green_diagonal(chain4):
     g = green(chain4)
     for x in range(4):
-        rep = verify_occupation_identity(chain4, x)
+        rep = verify_bridge_identity(chain4, x, x)
         assert rep.passed and rep.lhs == pytest.approx(g[x, x], rel=1e-12)
 
 
 def test_occupation_identity_exponential_exact(chain4):
     rng = rng_stream(53, "harness-tests")
     chi = rng.uniform(0.1, 0.8, 4)
-    rep = verify_occupation_identity(chain4, 2, chi=chi)
+    rep = verify_bridge_identity(chain4, 2, 2, chi=chi)
     assert rep.passed and rep.z <= 1e-10
 
 
@@ -90,11 +89,29 @@ def test_example_suite_all_pass_small_and_exact_rows():
     rows = example_suite(1, count=20_000, seed=5)
     assert count_failures(rows) == 0
     gap_row = next(r for r in rows if "mass_gap" in r.name)
-    assert gap_row.mode == "info" and gap_row.lhs == pytest.approx(1.0, abs=1e-12)
+    assert gap_row.mode == "exact" and gap_row.lhs == pytest.approx(1.0, abs=1e-12)
     rows3 = example_suite(3, count=50_000, seed=6)
     assert count_failures(rows3) == 0
     fact = next(r for r in rows3 if "factorisation" in r.name)
     assert fact.z <= 1e-12
+
+
+def test_suites_draw_the_twisted_field_once(chain4, monkeypatch):
+    from twistlab import harness
+
+    calls = []
+    real = harness.sample_twisted_batch
+
+    def counting(tm, count, seed):
+        calls.append((count, seed))
+        return real(tm, count, seed)
+
+    monkeypatch.setattr(harness, "sample_twisted_batch", counting)
+    iso_suite(chain4, count=2000, seed=21)
+    assert calls == [(2000, 21)]
+    calls.clear()
+    example_suite(3, count=2000, seed=22)
+    assert calls == [(2000, 22)]
 
 
 def test_positivity_battery(chain4):

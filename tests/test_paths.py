@@ -4,6 +4,7 @@ import pytest
 from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
 from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.paths import (
+    _sojourn_quadrature,
     bridge_estimate,
     bridge_values,
     occupation,
@@ -103,6 +104,18 @@ def test_bridge_quadrature_agrees_with_closed_form():
     closed = bridge_values(dp, 0, 2, exp_f, 2000, seed=14)
     quad = bridge_values(dp, 0, 2, OpaqueExp(), 2000, seed=14)
     assert np.abs(closed - quad).max() <= 1e-7 * max(1.0, np.abs(closed).max())
+    # the sojourn integral itself, on random fields and holding times,
+    # including a state the functional does not damp (chi_y = 0)
+    for trial in range(4):
+        chi = rng.uniform(0.0, 2.0, 4)
+        chi[trial % 4] = 0.0
+        f = ExpField(chi, dp.m)
+        fields = rng.uniform(0.0, 1.0, (50, 4))
+        taus = rng.exponential(1.0, 50)
+        for y in range(4):
+            exact = f.sojourn_integral(fields, y, taus, dp.m[y])
+            quad = _sojourn_quadrature(f, fields, taus, y, dp.m[y], 1e-12, 256)
+            assert np.allclose(exact, quad, rtol=1e-10, atol=0.0)
 
 
 def test_bridge_unreachable_target_is_exact_zero():
