@@ -24,12 +24,10 @@ from .chain import (
     trace_chain,
 )
 from .functionals import BumpField, ExpField, MonomialField, ProductField
-from .paths import OccupationField, PathRecord, bridge_estimate, occupation, sample_path
+from .paths import PathRecord, bridge_estimate, sample_path
 from .reporting import VerificationReport, count_failures, write_reports_csv
 from .twisted import (
-    ChiMeasure,
     TwistedModel,
-    WeightedFieldSample,
     build_twisted,
     complete_monotonicity_check,
     green,
@@ -38,7 +36,6 @@ from .twisted import (
     permanent,
     q_moment,
     q_moment_oracle,
-    sample_twisted,
     sample_twisted_batch,
 )
 

@@ -62,28 +62,14 @@ def _reaches_killing(pi: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _power_radius(pi: np.ndarray, iters: int = 100) -> float:
-    """Spectral radius estimate by power iteration (cross-checked by eigvals)."""
-    v = np.ones(pi.shape[0])
-    r = 0.0
-    for _ in range(iters):
-        w = pi @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        r = norm / np.linalg.norm(v)
-        v = w / norm
-    return r
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """Killed-chain data: rates ``q``, jump matrix ``pi``, initial law ``mu``.
 
     Validated at construction: q > 0, pi entrywise in [0, 1] with row sums
     at most 1, mu a probability vector, every state able to reach a killing
-    state, and spectral radius of pi strictly below 1 (power iteration plus
-    dense eigensolver cross-check).  Arrays are frozen read-only.
+    state, and spectral radius of pi strictly below 1 (dense eigensolver).
+    Arrays are frozen read-only.
     """
 
     q: np.ndarray
@@ -119,7 +105,7 @@ class ChainSpec:
             raise ChainError(
                 f"states {stuck} cannot reach any killing state; lifetime would be infinite"
             )
-        radius = max(_power_radius(pi), float(np.max(np.abs(np.linalg.eigvals(pi)))))
+        radius = float(np.max(np.abs(np.linalg.eigvals(pi))))
         if radius >= 1 - 1e-12:
             raise ChainError(f"spectral radius of pi is {radius:.12g}; must be < 1")
         object.__setattr__(self, "q", q)
@@ -135,8 +121,8 @@ class ChainSpec:
 class DualPair:
     """Generator, m-dual, potential and reference measure of a killed chain.
 
-    ``q``, ``pi`` and ``kill`` are the minimal jump representation derived
-    from ``L`` (zero-diagonal jump matrix), used by the path sampler.
+    ``q`` and ``pi`` are the minimal jump representation derived from ``L``
+    (zero-diagonal jump matrix), used by the path sampler.
     Instances come from `build_dual`, `dual_pair_from_generator` or
     `trace_chain`; all fields are read-only and safe to share across
     threads.
@@ -151,7 +137,6 @@ class DualPair:
     mu_hat: np.ndarray
     q: np.ndarray
     pi: np.ndarray
-    kill: np.ndarray
 
     @property
     def n(self) -> int:
@@ -205,7 +190,6 @@ def dual_pair_from_generator(L, m) -> DualPair:
     pi = L / qv[:, None] + np.eye(n)
     np.fill_diagonal(pi, 0.0)
     pi = np.clip(pi, 0.0, None)
-    kill = np.clip(1.0 - pi.sum(axis=1), 0.0, None)
     return DualPair(
         L=_readonly(L),
         L_hat=_readonly(L_hat),
@@ -216,7 +200,6 @@ def dual_pair_from_generator(L, m) -> DualPair:
         mu_hat=_readonly(mu_hat),
         q=_readonly(qv),
         pi=_readonly(pi),
-        kill=_readonly(kill),
     )
 
 
@@ -327,8 +310,9 @@ def random_chain(
 ) -> ChainSpec:
     """Random strictly substochastic chain with everywhere-positive jumps.
 
-    Row sums of ``pi`` are drawn in [1 - 2*min_kill, max_row] (clipped), so
-    every state kills with decent probability and paths stay short.
+    Row sums of ``pi`` are drawn uniformly in [min(0.4, max_row), max_row]
+    and capped at ``1 - min_kill``, so every state kills with probability
+    at least ``min_kill`` and paths stay short.
     """
     if n < 1:
         raise ChainError("n must be at least 1")

@@ -1,7 +1,8 @@
 """Batch front-end: load inputs, run a named suite, emit a CSV report.
 
 Exit codes: number of failing rows (capped at 125); 2 for input/parse
-errors (message carries the offending line); 3 for numerical failures.
+errors (message carries the offending line), for a flag the command does
+not read and for an integer flag below 1; 3 for numerical failures.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
 Configuration is by explicit flags; environment variables are ignored.
@@ -22,6 +23,29 @@ from .reporting import count_failures, print_reports, write_reports_csv
 
 __all__ = ["main"]
 
+FLAGS = {
+    "input": dict(required=True, help="input file (chain or model)"),
+    "seed": dict(type=int, default=1, help="master seed (positive)"),
+    "samples": dict(type=int, default=100_000, help="Monte Carlo sample count"),
+    "tol": dict(type=float, default=1e-10, help="exact-mode tolerance"),
+    "n": dict(type=int, default=5, help="number of chain states"),
+    "dim": dict(type=int, default=6, help="operator dimension"),
+    "k-max": dict(type=int, default=128, help="basis truncation"),
+}
+
+# each command accepts exactly the flags its suite reads (plus --out)
+COMMANDS = {
+    "verify-iso": ("input", "seed", "samples", "tol"),
+    "verify-q": ("input", "seed", "samples"),
+    "mass-gap": ("input", "seed"),
+    "mgf-check": ("input", "seed"),
+    "example-chain": ("n", "seed", "samples"),
+    "trace-check": ("input", "seed", "tol"),
+    "det2-check": ("dim", "seed", "samples", "tol"),
+    "circle-check": ("input", "k-max", "tol"),
+    "levy-check": ("input",),
+}
+
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -29,34 +53,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Verification suites for killed chains, twisted fields and truncated operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input file (chain or model)")
-        p.add_argument("--seed", type=int, default=1, help="master seed (positive)")
-        p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
-        p.add_argument("--out", default=None, help="CSV report path")
-        p.add_argument("--tol", type=float, default=1e-10, help="exact-mode tolerance")
-
-    for name, needs_input, extra in (
-        ("verify-iso", True, None),
-        ("verify-q", True, None),
-        ("mass-gap", True, None),
-        ("mgf-check", True, None),
-        ("example-chain", False, "n"),
-        ("trace-check", True, None),
-        ("det2-check", False, "dim"),
-        ("circle-check", True, "k"),
-        ("levy-check", True, None),
-    ):
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p, needs_input)
-        if extra == "n":
-            p.add_argument("--n", type=int, default=5, help="number of chain states")
-        elif extra == "dim":
-            p.add_argument("--dim", type=int, default=6, help="operator dimension")
-        elif extra == "k":
-            p.add_argument("--k-max", type=int, default=128, help="basis truncation")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.add_argument("--out", default=None, help="CSV report path")
     return parser
 
 
@@ -66,7 +67,10 @@ def _dispatch(args) -> list:
     if args.command == "det2-check":
         return det2_suite(args.dim, count=args.samples, seed=args.seed, tol=args.tol)
     if args.command == "circle-check":
-        return circle_suite(load_circle_model(args.input), K=args.k_max, tol=args.tol)
+        model = load_circle_model(args.input)
+        if args.k_max < model.bandwidth:
+            raise SpecFileError(f"--k-max {args.k_max} is below the drift bandwidth {model.bandwidth}")
+        return circle_suite(model, K=args.k_max, tol=args.tol)
     if args.command == "levy-check":
         return levy_suite(load_levy_model(args.input))
 
@@ -74,13 +78,13 @@ def _dispatch(args) -> list:
     if args.command == "verify-iso":
         return iso_suite(dp, count=args.samples, seed=args.seed, tol=args.tol)
     if args.command == "verify-q":
-        return q_suite(dp, count=args.samples, seed=args.seed, tol=args.tol)
+        return q_suite(dp, count=args.samples, seed=args.seed)
     if args.command == "mass-gap":
         rows, gap = mass_gap_suite(dp, seed=args.seed)
         print(float(gap))
         return rows
     if args.command == "mgf-check":
-        return mgf_suite(dp, seed=args.seed, tol=args.tol)
+        return mgf_suite(dp, seed=args.seed)
     if args.command == "trace-check":
         return trace_suite(dp, seed=args.seed, tol=args.tol)
     raise AssertionError(f"unhandled command {args.command}")
@@ -88,8 +92,9 @@ def _dispatch(args) -> list:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed <= 0 or args.samples <= 0:
-        print("seed and samples must be positive", file=sys.stderr)
+    low = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if isinstance(v, int) and v < 1]
+    if low:
+        print(f"error: {', '.join(low)} must be at least 1", file=sys.stderr)
         return 2
     try:
         reports = _dispatch(args)

@@ -61,7 +61,6 @@ __all__ = [
     "q_suite",
     "trace_suite",
     "verify_bridge_identity",
-    "verify_positivity",
     "verify_trace",
 ]
 
@@ -93,18 +92,6 @@ def _bridge_mc(dp, x, y, func, z, w, seed, name, z_max):
     return rep.with_seconds(time.perf_counter() - t0)
 
 
-def _resolve_functional(dp: DualPair, functional, chi):
-    """Return (functional, chi-vector-or-None); chi not None means exponential."""
-    if functional is None:
-        chiv = np.zeros(dp.n) if chi is None else np.asarray(chi, dtype=float)
-        return ExpField(chiv, dp.m), chiv
-    if chi is not None:
-        raise ValueError("pass either a functional or chi, not both")
-    if isinstance(functional, ExpField):
-        return functional, functional.chi
-    return functional, None
-
-
 def verify_bridge_identity(
     dp: DualPair,
     x: int,
@@ -113,34 +100,32 @@ def verify_bridge_identity(
     chi=None,
     count: int = 100_000,
     seed: int = 0,
-    mode: str = "auto",
     z_max: float = Z_MAX,
     tol: float = 1e-10,
     name: str | None = None,
 ) -> VerificationReport:
     """Twisted field correlation against the bridge-shifted functional.
 
-    Exact mode (constant or exponential F): both sides reduce to
+    Without ``functional``, F is exponential, exp(-<chi, l>_m) (constant
+    when ``chi`` is None), and the row is exact: both sides reduce to
     ``G_chi(x, y) * Phi(chi)``, computed along the two determinant routes;
-    at x = y and chi = 0 each side is the diagonal Green value.  MC mode:
-    weighted-sample estimates of both sides with shared field draws and an
-    independent path stream per side pairing.  With x = y this is the
-    occupation identity.
+    at x = y and chi = 0 each side is the diagonal Green value.  With a
+    ``functional`` the row is Monte Carlo: weighted-sample estimates of both
+    sides with shared field draws and an independent path stream per side
+    pairing.  With x = y this is the occupation identity.
     """
     t0 = time.perf_counter()
-    func, chiv = _resolve_functional(dp, functional, chi)
-    if mode == "auto":
-        mode = "exact" if chiv is not None else "mc"
     label = name or f"bridge_identity[x={x},y={y}]"
-    if mode == "exact":
-        if chiv is None:
-            raise ValueError("exact mode needs a constant or exponential functional")
-        lhs = green(dp, chiv)[x, y] * (partition(dp, chiv) / partition(dp))
-        rhs = green(dp, chiv)[x, y] * mgf(dp, chiv)
+    if functional is None:
+        g = green(dp, chi)[x, y]
+        lhs = g * (partition(dp, chi) / partition(dp))
+        rhs = g * mgf(dp, chi)
         rep = exact_report(label, lhs, rhs, tol=tol)
+    elif chi is not None:
+        raise ValueError("pass either a functional or chi, not both")
     else:
         z, w = sample_twisted_batch(build_twisted(dp), count, seed)
-        rep = _bridge_mc(dp, x, y, func, z, w, seed, label, z_max)
+        rep = _bridge_mc(dp, x, y, functional, z, w, seed, label, z_max)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -181,25 +166,6 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: f
     cm = complete_monotonicity_check(dp, grid=cm_grid(n, 2, 1.0), max_order=3, powers=(2,))
     rows.append(exact_report("positivity_cm_clean", len(cm.violations), 0.0, tol=0.5))
     return rows
-
-
-def verify_positivity(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: float = Z_MAX) -> VerificationReport:
-    """Summary row over the positivity battery: number of failing rows vs 0."""
-    t0 = time.perf_counter()
-    rows = positivity_suite(dp, count=count, seed=seed, z_max=z_max)
-    fails = sum(1 for r in rows if not r.passed)
-    z = max((r.z for r in rows if math.isfinite(r.z)), default=0.0)
-    return VerificationReport(
-        name="verify_positivity",
-        mode="mc",
-        lhs=float(fails),
-        rhs=0.0,
-        se_lhs=0.0,
-        se_rhs=0.0,
-        z=z,
-        passed=fails == 0,
-        seconds=time.perf_counter() - t0,
-    )
 
 
 def verify_trace(dp: DualPair, keep, points=None, tol: float = 1e-10) -> VerificationReport:
@@ -255,7 +221,7 @@ def mass_gap_suite(dp: DualPair, seed: int = 0, draws: int = 1000):
     return rows, rep.mass_gap
 
 
-def mgf_suite(dp: DualPair, seed: int = 0, tol: float = 1e-10):
+def mgf_suite(dp: DualPair, seed: int = 0):
     """Laplace-transform consistency rows: ratio identity, trace derivative."""
     rng = rng_stream(seed, "mgf-suite")
     rows = [exact_report("mgf_at_zero", mgf(dp, np.zeros(dp.n)), 1.0, tol=1e-12)]
@@ -297,7 +263,7 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e
     ]
 
 
-def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e-10, z_max: float = Z_MAX):
+def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: float = Z_MAX):
     """Squared-field law battery: positivity, monotonicity, moment oracle."""
     rows = positivity_suite(dp, count=count, seed=seed, z_max=z_max)
     cm = complete_monotonicity_check(dp, max_order=4, powers=(2, 3))

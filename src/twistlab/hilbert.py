@@ -26,6 +26,7 @@ __all__ = [
     "SeriesReport",
     "TruncatedOperator",
     "circle_B_matrix",
+    "circle_hs_check",
     "circle_model",
     "circle_suite",
     "det2",
@@ -270,11 +271,9 @@ def _series_report(partial, top: int) -> SeriesReport:
     sums = [float(partial(k)) for k in ladder]
     incrs = [b - a for a, b in zip(sums, sums[1:])]
     if top >= 8:
-        s_quarter = float(partial(p // 4))
-        s_half = float(partial(p // 2))
-        s_full = float(partial(p))
-        block1 = s_half - s_quarter
-        block2 = s_full - s_half
+        at = dict(zip(ladder, sums))
+        block1 = at[p // 2] - at[p // 4]
+        block2 = at[p] - at[p // 2]
         if block1 > 1e-15:
             converged = block2 <= 0.9 * block1 + 1e-15
         else:
@@ -309,13 +308,12 @@ def hs_partial_sum(model: CircleDriftModel, K: int) -> float:
     return total
 
 
-def circle_B_matrix(model: CircleDriftModel, K: int):
+def circle_B_matrix(model: CircleDriftModel, K: int) -> TruncatedOperator:
     """Skew coupling operator on the truncated periodic Sobolev basis.
 
     Returns the matrix of (-A)^{-1} S in the orthonormal basis of
     H = {f : integral (f'^2 + eps f^2) < inf}, where A is the shifted
-    Laplacian and S the antisymmetrised drift term, together with a
-    `SeriesReport` of the square-sum partial sums.  The matrix is real
+    Laplacian and S the antisymmetrised drift term.  The matrix is real
     and skew-symmetric (asserted to 1e-10); basis order is
     [constant, cos 1, sin 1, .., cos K, sin K].
     """
@@ -351,8 +349,12 @@ def circle_B_matrix(model: CircleDriftModel, K: int):
     if float(np.abs(mat + mat.T).max()) > 1e-10 * scale:
         raise NumericalError("drift operator is not skew in the Sobolev inner product")
     mat = (mat - mat.T) / 2.0
-    report = _series_report(lambda kk: hs_partial_sum(model, kk), K)
-    return TruncatedOperator(mat, "skew"), report
+    return TruncatedOperator(mat, "skew")
+
+
+def circle_hs_check(model: CircleDriftModel, K: int) -> SeriesReport:
+    """Square-sum partial sums of the drift coupling up to K, with a divergence flag."""
+    return _series_report(lambda kk: hs_partial_sum(model, kk), K)
 
 
 def levy_hs_check(model: "LevyModel") -> SeriesReport:
@@ -397,16 +399,13 @@ def _eta_vector(model: CircleDriftModel, K: int, x: float) -> np.ndarray:
 class EtaKernelReport:
     kernel_value: float
     v_chi_value: float
-    kernel_coarse: float
-    v_chi_coarse: float
 
 
 def eta_kernel(model: CircleDriftModel, K: int, x: float, y: float, chi_points=(), chi_weights=()) -> EtaKernelReport:
     """Reproducing kernel K(x, y) and damped kernel V_chi(x, y) at truncation K.
 
     chi is the finitely supported measure sum p_j delta_{u_j}; the damping
-    operator is the rank-sum of the evaluation elements at the u_j.  Values
-    at truncation K//2 are reported alongside as a convergence indicator.
+    operator is the rank-sum of the evaluation elements at the u_j.
     """
     chi_points = list(chi_points)
     chi_weights = [float(p) for p in chi_weights]
@@ -415,22 +414,16 @@ def eta_kernel(model: CircleDriftModel, K: int, x: float, y: float, chi_points=(
     if any(p < 0 for p in chi_weights):
         raise ValueError("chi weights must be nonnegative")
 
-    def at(kk: int):
-        eta_x = _eta_vector(model, kk, x)
-        eta_y = _eta_vector(model, kk, y)
-        kernel = float(eta_x @ eta_y)
-        op, _ = circle_B_matrix(model, kk)
-        m = np.eye(2 * kk + 1) - op.mat
-        for u, p in zip(chi_points, chi_weights):
-            eta_u = _eta_vector(model, kk, u)
-            m = m + p * np.outer(eta_u, eta_u)
-        v = float(eta_y @ np.linalg.solve(m, eta_x))
-        return kernel, v
-
-    kernel, v = at(K)
-    coarse_k = max(model.bandwidth, K // 2) if model.bandwidth else max(1, K // 2)
-    kernel_c, v_c = at(coarse_k)
-    return EtaKernelReport(kernel_value=kernel, v_chi_value=v, kernel_coarse=kernel_c, v_chi_coarse=v_c)
+    eta_x = _eta_vector(model, K, x)
+    eta_y = _eta_vector(model, K, y)
+    kernel = float(eta_x @ eta_y)
+    op = circle_B_matrix(model, K)
+    m = np.eye(2 * K + 1) - op.mat
+    for u, p in zip(chi_points, chi_weights):
+        eta_u = _eta_vector(model, K, u)
+        m = m + p * np.outer(eta_u, eta_u)
+    v = float(eta_y @ np.linalg.solve(m, eta_x))
+    return EtaKernelReport(kernel_value=kernel, v_chi_value=v)
 
 
 def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1e-10, z_max: float = Z_MAX):
@@ -478,7 +471,8 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1
 
 def circle_suite(model: CircleDriftModel, K: int = 128, tol: float = 1e-10):
     """Drift-coupling battery: skewness, square-sum convergence, kernels."""
-    op, report = circle_B_matrix(model, K)
+    op = circle_B_matrix(model, K)
+    report = circle_hs_check(model, K)
     skew_resid = float(np.abs(op.mat + op.mat.T).max())
     rows = [
         exact_report("circle_skew_residual", skew_resid, 0.0, tol=tol),

@@ -30,11 +30,9 @@ from .chain import DualPair, NumericalError
 from .seeding import rng_stream
 
 __all__ = [
-    "OccupationField",
     "PathRecord",
     "bridge_estimate",
     "bridge_values",
-    "occupation",
     "occupation_batch",
     "sample_path",
 ]
@@ -45,26 +43,13 @@ MAX_JUMPS = 1_000_000  # sojourns per path before a walk gives up
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Visited states with holding durations; ``killed`` marks a finite lifetime."""
+    """Visited states of a killed path with their holding durations."""
 
     states: np.ndarray
     durations: np.ndarray
-    killed: bool
-
-    @property
-    def lifetime(self) -> float:
-        return float(self.durations.sum())
 
 
-@dataclass(frozen=True)
-class OccupationField:
-    """Local time field l^x = (time at x) / m_x and the total lifetime."""
-
-    l: np.ndarray
-    lifetime: float
-
-
-def _walk(dp: DualPair, start: int, b: int, rng, max_jumps: int):
+def _walk(dp: DualPair, start: int, b: int, rng):
     """Step ``b`` killed paths from ``start`` in lockstep until all are killed.
 
     Yields ``(rows, states, taus)`` per step: the indices of the live
@@ -75,7 +60,7 @@ def _walk(dp: DualPair, start: int, b: int, rng, max_jumps: int):
     cum = np.cumsum(dp.pi, axis=1)
     rows = np.arange(b)
     states = np.full(b, start, dtype=int)
-    for _ in range(max_jumps):
+    for _ in range(MAX_JUMPS):
         if rows.size == 0:
             return
         taus = rng.exponential(1.0 / dp.q[states])
@@ -93,24 +78,16 @@ def _batches(count: int, seed: int, stream: str):
         yield lo, min(BATCH, count - lo), rng_stream(seed, stream, idx)
 
 
-def sample_path(dp: DualPair, start: int, seed: int, max_jumps: int = MAX_JUMPS) -> PathRecord:
+def sample_path(dp: DualPair, start: int, seed: int) -> PathRecord:
     """Simulate one killed path from ``start``; deterministic given seed."""
     if not 0 <= int(start) < dp.n:
         raise ValueError(f"start state {start} out of range")
-    steps = _walk(dp, int(start), 1, rng_stream(seed, "single-path"), max_jumps)
+    steps = _walk(dp, int(start), 1, rng_stream(seed, "single-path"))
     states, durations = zip(*((s[0], tau[0]) for _, s, tau in steps))
     return PathRecord(
         states=np.array(states, dtype=int),
         durations=np.array(durations, dtype=float),
-        killed=True,
     )
-
-
-def occupation(dp: DualPair, path: PathRecord) -> OccupationField:
-    """Occupation field of a path: holding time per state over m."""
-    t = np.zeros(dp.n)
-    np.add.at(t, path.states, path.durations)
-    return OccupationField(l=t / dp.m, lifetime=path.lifetime)
 
 
 def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
@@ -119,7 +96,7 @@ def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
     lives = np.zeros(count)
     for lo, b, rng in _batches(count, seed, "occupation-batch"):
         times, life = fields[lo : lo + b], lives[lo : lo + b]
-        for rows, states, taus in _walk(dp, int(start), b, rng, MAX_JUMPS):
+        for rows, states, taus in _walk(dp, int(start), b, rng):
             times[rows, states] += taus
             life[rows] += taus
     fields /= dp.m
@@ -182,7 +159,7 @@ def bridge_values(
     for lo, b, rng in _batches(count, seed, "bridge-batch"):
         field = np.zeros((b, dp.n)) if offsets is None else offsets[lo : lo + b].copy()
         acc = out[lo : lo + b]
-        for rows, states, taus in _walk(dp, int(x), b, rng, MAX_JUMPS):
+        for rows, states, taus in _walk(dp, int(x), b, rng):
             here = states == y
             if here.any():
                 at, stay = rows[here], taus[here]

@@ -7,9 +7,9 @@ comparisons keep a negligible family-wise false-alarm rate).  Info rows
 record a value and a deviation without asserting anything.
 
 The CSV columns are fixed: name, mode, lhs, rhs, se_lhs, se_rhs, z, pass,
-seconds.  The ``seconds`` column is written as 0.000 by default so that a
-given configuration produces a byte-identical file; pass ``timing=True``
-for human-facing output with measured runtimes.
+seconds.  The ``seconds`` column is always written as 0.000 so that a
+given configuration produces a byte-identical file; measured runtimes go
+to the console only.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class VerificationReport:
         return replace(self, seconds=seconds)
 
 
-def exact_report(name, lhs, rhs, tol=1e-10, relative=False, seconds=0.0) -> VerificationReport:
+def exact_report(name, lhs, rhs, tol=1e-10, relative=False) -> VerificationReport:
     lhs = float(lhs)
     rhs = float(rhs)
     resid = abs(lhs - rhs)
@@ -77,11 +77,10 @@ def exact_report(name, lhs, rhs, tol=1e-10, relative=False, seconds=0.0) -> Veri
         se_rhs=0.0,
         z=resid,
         passed=resid <= bound,
-        seconds=seconds,
     )
 
 
-def mc_report(name, lhs, se_lhs, rhs, se_rhs, z_max=Z_MAX, z=None, seconds=0.0) -> VerificationReport:
+def mc_report(name, lhs, se_lhs, rhs, se_rhs, z_max=Z_MAX, z=None) -> VerificationReport:
     """Monte Carlo comparison row.
 
     When lhs and rhs come from paired samples, pass the paired z to ``z``;
@@ -106,7 +105,6 @@ def mc_report(name, lhs, se_lhs, rhs, se_rhs, z_max=Z_MAX, z=None, seconds=0.0) 
         se_rhs=float(se_rhs),
         z=float(z),
         passed=float(z) <= z_max,
-        seconds=seconds,
     )
 
 
@@ -121,7 +119,7 @@ def mc_vs_exact(name, num, den, target, z_max=Z_MAX) -> VerificationReport:
     return mc_report(name, r.real, se_re, float(target), 0.0, z_max=z_max, z=z)
 
 
-def info_report(name, lhs, rhs, seconds=0.0) -> VerificationReport:
+def info_report(name, lhs, rhs) -> VerificationReport:
     """Logged-only row: recorded deviation, always passing."""
     return VerificationReport(
         name=name,
@@ -132,7 +130,6 @@ def info_report(name, lhs, rhs, seconds=0.0) -> VerificationReport:
         se_rhs=0.0,
         z=abs(float(lhs) - float(rhs)),
         passed=True,
-        seconds=seconds,
     )
 
 
@@ -173,7 +170,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def write_reports_csv(reports, target=None, timing=False) -> str:
+def write_reports_csv(reports, target=None) -> str:
     """Write rows in declaration order; returns the CSV text.
 
     ``target`` may be a path, a file object, or None (text only).
@@ -192,7 +189,7 @@ def write_reports_csv(reports, target=None, timing=False) -> str:
                 _fmt(r.se_rhs),
                 _fmt(r.z),
                 "1" if r.passed else "0",
-                f"{r.seconds:.3f}" if timing else "0.000",
+                "0.000",
             ]
         )
     text = buf.getvalue()

@@ -24,11 +24,9 @@ from .chain import DualPair, NumericalError
 from .seeding import rng_stream
 
 __all__ = [
-    "ChiMeasure",
     "CMReport",
     "CMViolation",
     "TwistedModel",
-    "WeightedFieldSample",
     "build_twisted",
     "cm_grid",
     "complete_monotonicity_check",
@@ -40,34 +38,14 @@ __all__ = [
     "q_moment",
     "q_moment_oracle",
     "resolvent_trace_residual",
-    "sample_twisted",
     "sample_twisted_batch",
 ]
-
-
-@dataclass(frozen=True)
-class ChiMeasure:
-    """Pointwise nonnegative damping vector chi."""
-
-    chi: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.chi, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("chi must be a vector")
-        if np.any(v < 0):
-            raise ValueError("chi must be nonnegative")
-        v.setflags(write=False)
-        object.__setattr__(self, "chi", v)
 
 
 def _chi_vector(chi, n: int) -> np.ndarray:
     if chi is None:
         return np.zeros(n)
-    if isinstance(chi, ChiMeasure):
-        v = chi.chi
-    else:
-        v = np.asarray(chi, dtype=float)
+    v = np.asarray(chi, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"chi must have length {n}, got shape {v.shape}")
     if np.any(v < 0):
@@ -152,14 +130,6 @@ def build_twisted(dp: DualPair) -> TwistedModel:
     )
 
 
-@dataclass(frozen=True)
-class WeightedFieldSample:
-    """One field draw and its unit-modulus importance weight."""
-
-    z: np.ndarray
-    w: complex
-
-
 def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
     """``count`` complex field draws and their twist weights, as arrays.
 
@@ -175,13 +145,6 @@ def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
     im = xi[1] @ tm.half_factor.T
     phase = 2.0 * np.einsum("ij,jk,ik->i", re, tm.skew_form, im)
     return re + 1j * im, np.exp(1j * phase)
-
-
-def sample_twisted(tm: TwistedModel, count: int, seed: int):
-    """Yield `WeightedFieldSample` records (same draws as the batch form)."""
-    z, w = sample_twisted_batch(tm, count, seed)
-    for i in range(count):
-        yield WeightedFieldSample(z=z[i], w=complex(w[i]))
 
 
 def permanent(mat) -> float:

@@ -109,7 +109,7 @@ def test_criterion_3_bridge_identity():
         exact = verify_bridge_identity(dp, x, y, chi=chi, tol=1e-10)
         worst_exact = max(worst_exact, exact.z)
         mc = verify_bridge_identity(
-            dp, x, y, functional=ProductField(), count=100_000, seed=2000 + c, mode="mc"
+            dp, x, y, functional=ProductField(), count=100_000, seed=2000 + c
         )
         worst_z = max(worst_z, mc.z)
     elapsed = time.perf_counter() - t0

@@ -1,10 +1,13 @@
 import csv
 import io
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twistlab.cli import main
+from twistlab.cli import _parser, main
 from twistlab.reporting import VerificationReport, count_failures
 
 CHAIN = """\
@@ -126,9 +129,9 @@ def test_path_walks_are_bounded(tmp_path, monkeypatch, capsys):
     path = tmp_path / "slow.yaml"
     path.write_text(SLOW_KILL)
     dp = build_dual(load_chain_spec(str(path)))
-    with pytest.raises(NumericalError):
-        paths.sample_path(dp, 0, seed=1, max_jumps=50)
     monkeypatch.setattr(paths, "MAX_JUMPS", 50)
+    with pytest.raises(NumericalError):
+        paths.sample_path(dp, 0, seed=1)
     with pytest.raises(NumericalError):
         paths.occupation_batch(dp, 0, 200, seed=1)
     with pytest.raises(NumericalError):
@@ -189,6 +192,52 @@ def test_invalid_flags_exit_two(tmp_path):
     path = tmp_path / "one.yaml"
     path.write_text(ONE_STATE)
     assert main(["mass-gap", "--input", str(path), "--seed", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["circle-check", "--input", "{circle}", "--k-max", "1"], "--k-max 1 is below the drift bandwidth 3"),
+        (["example-chain", "--n", "0"], "--n must be at least 1"),
+        (["det2-check", "--dim", "0"], "--dim must be at least 1"),
+    ],
+    ids=["k-max-below-bandwidth", "n-zero", "dim-zero"],
+)
+def test_out_of_range_integer_flags_exit_two(argv, message, tmp_path, capsys):
+    circle = tmp_path / "circle.yaml"
+    circle.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [3, 0.1, 0.0]\n")
+    assert main([a.format(circle=circle) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mass-gap", "--input", "{one}", "--samples", "10"],
+        ["levy-check", "--input", "{levy}", "--seed", "3"],
+        ["example-chain", "--tol", "1e-9"],
+    ],
+    ids=["mass-gap-samples", "levy-check-seed", "example-chain-tol"],
+)
+def test_commands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
+    one = tmp_path / "one.yaml"
+    one.write_text(ONE_STATE)
+    levy = tmp_path / "levy.yaml"
+    levy.write_text("a: [1.0, 4.0, 9.0]\nb: [1.0, 2.0, 3.0]\n")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(one=one, levy=levy) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("twistlab ")]
+    assert len(lines) == 9
+    for line in lines:
+        _parser().parse_args(shlex.split(line)[1:])
 
 
 def test_numerical_failure_exit_three(tmp_path, monkeypatch, capsys):

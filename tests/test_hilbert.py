@@ -5,6 +5,7 @@ from twistlab.hilbert import (
     LevyModel,
     TruncatedOperator,
     circle_B_matrix,
+    circle_hs_check,
     circle_model,
     circle_suite,
     det2,
@@ -154,7 +155,8 @@ def test_det2_suite_clean():
 
 def test_circle_zero_drift():
     model = circle_model(1.0, {})
-    op, report = circle_B_matrix(model, 16)
+    op = circle_B_matrix(model, 16)
+    report = circle_hs_check(model, 16)
     assert np.abs(op.mat).max() == 0.0
     assert report.partial_sums[-1] == 0.0
     assert report.converged
@@ -181,7 +183,7 @@ def test_circle_cos_drift_partial_sums():
     steps = np.diff([hs_partial_sum(model, k) for k in range(64, 129)])
     assert steps.max() < 1e-3
     assert np.all(steps >= 0)
-    _, report = circle_B_matrix(model, 128)
+    report = circle_hs_check(model, 128)
     assert report.converged
 
 
@@ -191,7 +193,7 @@ def test_circle_matrix_skew_for_random_band_limited_drift():
     for k in (1, 2, 3):
         coeffs[k] = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
     model = circle_model(0.7, coeffs)
-    op, _ = circle_B_matrix(model, 32)
+    op = circle_B_matrix(model, 32)
     assert np.abs(op.mat + op.mat.T).max() <= 1e-10
     with pytest.raises(ValueError):
         circle_B_matrix(model, 2)  # below the drift bandwidth
@@ -202,7 +204,7 @@ def test_circle_matrix_against_drift_quadrature():
     # over the circle; check a few against trapezoid quadrature
     model = circle_model(1.0, {1: 0.5})  # drift cos(theta)
     K = 4
-    op, _ = circle_B_matrix(model, K)
+    op = circle_B_matrix(model, K)
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     b_theta = np.cos(theta)
 
@@ -276,7 +278,7 @@ def test_damped_kernel_matches_gaussian_pairing_on_truncation():
     K = 8
     x, y = 0.9, 2.3
     chi_points, chi_weights = [0.5, 4.0], [0.6, 0.3]
-    op, _ = circle_B_matrix(model, K)
+    op = circle_B_matrix(model, K)
     c = np.zeros_like(op.mat)
     for u, p in zip(chi_points, chi_weights):
         eta_u = _eta_vector(model, K, u)
@@ -290,6 +292,22 @@ def test_damped_kernel_matches_gaussian_pairing_on_truncation():
     target = eta_kernel(model, K, x, y, chi_points=chi_points, chi_weights=chi_weights)
     assert pairing.rhs == pytest.approx(2.0 * target.v_chi_value, rel=1e-10)
     assert pairing.passed
+
+
+def test_circle_suite_builds_the_operator_once_per_kernel_solve(monkeypatch):
+    from twistlab import hilbert
+
+    calls = []
+    real = hilbert.circle_B_matrix
+
+    def counting(model, K):
+        calls.append(K)
+        return real(model, K)
+
+    monkeypatch.setattr(hilbert, "circle_B_matrix", counting)
+    circle_suite(circle_model(1.0, {1: 0.5}), K=32)
+    # the skew-residual row plus one build per eta_kernel call, all at K
+    assert calls == [32] * 5
 
 
 def test_circle_and_levy_suites():

@@ -6,7 +6,6 @@ import pytest
 from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
 from twistlab.seeding import rng_stream
 from twistlab.twisted import (
-    ChiMeasure,
     build_twisted,
     cm_grid,
     complete_monotonicity_check,
@@ -18,7 +17,6 @@ from twistlab.twisted import (
     q_moment,
     q_moment_oracle,
     resolvent_trace_residual,
-    sample_twisted,
     sample_twisted_batch,
 )
 
@@ -76,7 +74,16 @@ def test_partition_march_chain_is_one():
 def test_partition_scalar_closed_form():
     dp, chi = scalar_chain(0.7)
     assert partition(dp, chi) == pytest.approx(1.0 / 1.7, rel=1e-12)
-    assert partition(dp, ChiMeasure(chi)) == pytest.approx(1.0 / 1.7, rel=1e-12)
+
+
+def test_chi_must_be_a_nonnegative_vector_of_the_chain_length():
+    dp = build_dual(nchain(3))
+    for fn in (partition, green, mgf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(dp, np.array([0.1, -0.2, 0.3]))
+        for bad in (np.ones(2), np.ones((3, 1)), 0.5):
+            with pytest.raises(ValueError, match="length 3"):
+                fn(dp, bad)
 
 
 def test_partition_definition_random_chain():
@@ -166,15 +173,6 @@ def test_sampler_correlation_brackets_green():
         resid = (num - est * w) / w.mean()
         se = resid.real.std(ddof=1) / np.sqrt(w.size)
         assert abs(est.real - g[x, y]) <= 4.0 * se
-
-
-def test_sample_stream_matches_batch():
-    rng = rng_stream(26, "twisted-tests")
-    dp = build_dual(random_chain(3, rng))
-    tm = build_twisted(dp)
-    z, w = sample_twisted_batch(tm, 5, seed=9)
-    records = list(sample_twisted(tm, 5, seed=9))
-    assert all(np.array_equal(r.z, z[i]) and r.w == complex(w[i]) for i, r in enumerate(records))
 
 
 def test_mgf_basics_and_factorisation():
