@@ -305,14 +305,11 @@ def nchain(n: int) -> ChainSpec:
 def random_chain(
     n: int,
     rng: np.random.Generator,
-    min_kill: float = 0.15,
-    max_row: float = 0.85,
 ) -> ChainSpec:
     """Random strictly substochastic chain with everywhere-positive jumps.
 
-    Row sums of ``pi`` are drawn uniformly in [min(0.4, max_row), max_row]
-    and capped at ``1 - min_kill``, so every state kills with probability
-    at least ``min_kill`` and paths stay short.
+    Row sums of ``pi`` are drawn uniformly in [0.4, 0.85], so every state
+    kills with probability at least 0.15 and paths stay short.
     """
     if n < 1:
         raise ChainError("n must be at least 1")
@@ -321,8 +318,7 @@ def random_chain(
     if n == 1:
         pi = np.zeros((1, 1))
     else:
-        targets = rng.uniform(min(0.4, max_row), max_row, size=n)
-        targets = np.minimum(targets, 1.0 - min_kill)
+        targets = rng.uniform(0.4, 0.85, size=n)
         pi = raw / raw.sum(axis=1)[:, None] * targets[:, None]
     q = rng.uniform(0.5, 2.0, size=n)
     mu = rng.dirichlet(np.ones(n))

@@ -75,6 +75,8 @@ def _dispatch(args) -> list:
         return levy_suite(load_levy_model(args.input))
 
     dp = build_dual(load_chain_spec(args.input))
+    if args.command == "verify-q" and dp.n > 6:
+        raise SpecFileError(f"verify-q takes at most 6 states (its monotonicity sweep grows as 3^n); got {dp.n}")
     if args.command == "verify-iso":
         return iso_suite(dp, count=args.samples, seed=args.seed, tol=args.tol)
     if args.command == "verify-q":

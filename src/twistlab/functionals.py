@@ -42,14 +42,13 @@ class ProductField:
 
 
 class BumpField:
-    """Smooth Gaussian bump around ``center``, a mollified indicator."""
+    """Smooth Gaussian bump of width 0.75 around ``center``, a mollified indicator."""
 
-    def __init__(self, center, width=0.5):
+    def __init__(self, center):
         self.center = np.asarray(center, dtype=float)
-        self.width = float(width)
 
     def __call__(self, field):
-        d = (np.asarray(field) - self.center) / self.width
+        d = (np.asarray(field) - self.center) / 0.75
         return np.exp(-np.sum(d * d, axis=-1))
 
 

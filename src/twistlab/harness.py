@@ -29,7 +29,6 @@ from .chain import DualPair, build_dual, energy_quadratic, energy_report, nchain
 from .functionals import BumpField, ExpField, MonomialField, ProductField
 from .paths import bridge_values
 from .reporting import (
-    Z_MAX,
     VerificationReport,
     exact_report,
     info_report,
@@ -46,6 +45,7 @@ from .twisted import (
     green,
     mgf,
     partition,
+    permanent,
     q_moment,
     q_moment_oracle,
     resolvent_trace_residual,
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-def _mc_compare(name, lhs_num, rhs_num, den, z_max=Z_MAX):
+def _mc_compare(name, lhs_num, rhs_num, den):
     """Paired MC comparison of two weighted-ratio estimates."""
     rl, sel_re, sel_im = _ratio(lhs_num, den)
     rr, ser_re, ser_im = _ratio(rhs_num, den)
@@ -75,10 +75,10 @@ def _mc_compare(name, lhs_num, rhs_num, den, z_max=Z_MAX):
         _score(rl.imag, sel_im),
         _score(rr.imag, ser_im),
     )
-    return mc_report(name, rl.real, sel_re, rr.real, ser_re, z_max=z_max, z=z)
+    return mc_report(name, rl.real, sel_re, rr.real, ser_re, z=z)
 
 
-def _bridge_mc(dp, x, y, func, z, w, seed, name, z_max):
+def _bridge_mc(dp, x, y, func, z, w, seed, name):
     """MC bridge-identity row on the twisted draws ``(z, w)``.
 
     The bridge paths run on ``seed`` with one path per draw, the draw's
@@ -88,7 +88,7 @@ def _bridge_mc(dp, x, y, func, z, w, seed, name, z_max):
     rho = np.abs(z) ** 2
     lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
     rhs_num = w * bridge_values(dp, x, y, func, w.size, seed, offsets=rho)
-    rep = _mc_compare(name, lhs_num, rhs_num, w, z_max=z_max)
+    rep = _mc_compare(name, lhs_num, rhs_num, w)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -100,7 +100,6 @@ def verify_bridge_identity(
     chi=None,
     count: int = 100_000,
     seed: int = 0,
-    z_max: float = Z_MAX,
     tol: float = 1e-10,
     name: str | None = None,
 ) -> VerificationReport:
@@ -125,11 +124,11 @@ def verify_bridge_identity(
         raise ValueError("pass either a functional or chi, not both")
     else:
         z, w = sample_twisted_batch(build_twisted(dp), count, seed)
-        rep = _bridge_mc(dp, x, y, functional, z, w, seed, label, z_max)
+        rep = _bridge_mc(dp, x, y, functional, z, w, seed, label)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
-def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: float = Z_MAX):
+def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     """Nonnegativity battery for the squared-field law.
 
     Weighted-sample expectations of nonnegative functionals must be real
@@ -144,23 +143,23 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: f
     rng = rng_stream(seed, "positivity-battery")
     n = dp.n
 
-    rows.append(mc_vs_exact("positivity_constant", w.copy(), w, 1.0, z_max))
+    rows.append(mc_vs_exact("positivity_constant", w.copy(), w, 1.0))
     for t in range(2):
         chi = rng.uniform(0.0, 1.5, n)
         f = ExpField(chi, dp.m)
-        rows.append(mc_vs_exact(f"positivity_exp{t}_vs_mgf", w * f(rho), w, mgf(dp, chi), z_max))
+        rows.append(mc_vs_exact(f"positivity_exp{t}_vs_mgf", w * f(rho), w, mgf(dp, chi)))
 
-    bump = BumpField(rng.uniform(0.0, 1.0, n), width=0.75)
+    bump = BumpField(rng.uniform(0.0, 1.0, n))
     est, se_re, se_im = _ratio(w * bump(rho), w)
     z_neg = max(_score(min(est.real, 0.0), se_re), _score(est.imag, se_im))
-    rows.append(mc_report("positivity_bump_nonneg", est.real, se_re, 0.0, 0.0, z_max=z_max, z=z_neg))
+    rows.append(mc_report("positivity_bump_nonneg", est.real, se_re, 0.0, 0.0, z=z_neg))
 
     pts_single = [int(rng.integers(n))]
     pts_pair = sorted(rng.choice(n, size=2, replace=True).tolist())
     for pts, tag in ((pts_single, "single"), (pts_pair, "pair")):
         f = MonomialField(np.bincount(pts, minlength=n))
         rows.append(
-            mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", w * f(rho), w, q_moment(dp, pts), z_max)
+            mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", w * f(rho), w, q_moment(dp, pts))
         )
 
     cm = complete_monotonicity_check(dp, grid=cm_grid(n, 2, 1.0), max_order=3, powers=(2,))
@@ -184,33 +183,35 @@ def verify_trace(dp: DualPair, keep, points=None, tol: float = 1e-10) -> Verific
     pts = [int(p) for p in (points if points is not None else keep_sorted)]
     if any(p not in pos for p in pts):
         raise ValueError("points must lie inside keep")
+    g_full, g_part = green(dp), green(traced)
     for size in (1, 2, 3):
         for tup in itertools.combinations_with_replacement(pts, size):
-            full = q_moment(dp, list(tup))
-            part = q_moment(traced, [pos[p] for p in tup])
+            here = [pos[p] for p in tup]
+            full = permanent(g_full[np.ix_(tup, tup)])
+            part = permanent(g_part[np.ix_(here, here)])
             resid = max(resid, abs(full - part))
     label = f"trace_consistency[|Y|={len(keep_sorted)}]"
     rep = exact_report(label, resid, 0.0, tol=tol)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
-def trace_suite(dp: DualPair, seed: int = 0, tol: float = 1e-10, subsets: int = 3):
-    """Traces onto random proper subsets, plus the full-set identity row."""
+def trace_suite(dp: DualPair, seed: int = 0, tol: float = 1e-10):
+    """Traces onto three random proper subsets, plus the full-set identity row."""
     rng = rng_stream(seed, "trace-suite")
     rows = [verify_trace(dp, range(dp.n), tol=tol, points=range(min(dp.n, 3)))]
-    for _ in range(subsets):
+    for _ in range(3):
         size = int(rng.integers(1, dp.n)) if dp.n > 1 else 1
         keep = sorted(rng.choice(dp.n, size=size, replace=False).tolist())
         rows.append(verify_trace(dp, keep, tol=tol))
     return rows
 
 
-def mass_gap_suite(dp: DualPair, seed: int = 0, draws: int = 1000):
-    """Gap value plus the energy lower bound on random complex vectors."""
+def mass_gap_suite(dp: DualPair, seed: int = 0):
+    """Gap value plus the energy lower bound on 1000 random complex vectors."""
     t0 = time.perf_counter()
     rep = energy_report(dp)
     rng = rng_stream(seed, "mass-gap")
-    z = rng.standard_normal((draws, dp.n)) + 1j * rng.standard_normal((draws, dp.n))
+    z = rng.standard_normal((1000, dp.n)) + 1j * rng.standard_normal((1000, dp.n))
     energies = energy_quadratic(dp, z)
     norms = np.einsum("ki,ki,i->k", z, np.conj(z), dp.m).real
     margin = float((energies - rep.mass_gap * norms).min())
@@ -242,7 +243,7 @@ def mgf_suite(dp: DualPair, seed: int = 0):
     return rows
 
 
-def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e-10, z_max: float = Z_MAX):
+def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e-10):
     """Identity battery on a chain: exact rows, MC brackets, cross-MC rows."""
     rng = rng_stream(seed, "iso-suite")
     n = dp.n
@@ -253,19 +254,19 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e
     return [
         verify_bridge_identity(dp, x, y, tol=tol, name=f"bridge_f1_exact[{x},{y}]"),
         verify_bridge_identity(dp, x, y, chi=chi, tol=tol, name=f"bridge_exp_exact[{x},{y}]"),
-        _bridge_mc(dp, x, y, ExpField(chi, dp.m), z, w, seed, f"bridge_exp_mc[{x},{y}]", z_max),
-        _bridge_mc(dp, x, y, ProductField(), z, w, seed, f"bridge_product_mc[{x},{y}]", z_max),
+        _bridge_mc(dp, x, y, ExpField(chi, dp.m), z, w, seed, f"bridge_exp_mc[{x},{y}]"),
+        _bridge_mc(dp, x, y, ProductField(), z, w, seed, f"bridge_product_mc[{x},{y}]"),
         verify_bridge_identity(dp, x, x, tol=tol, name=f"occupation_f1_exact[{x}]"),
         verify_bridge_identity(dp, x, x, chi=chi, tol=tol, name=f"occupation_exp_exact[{x}]"),
-        _bridge_mc(dp, x, x, ProductField(), z, w, seed, f"occupation_product_mc[{x}]", z_max),
+        _bridge_mc(dp, x, x, ProductField(), z, w, seed, f"occupation_product_mc[{x}]"),
         # the twisted field correlation itself must bracket the Green density
-        mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y], z_max),
+        mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y]),
     ]
 
 
-def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: float = Z_MAX):
+def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     """Squared-field law battery: positivity, monotonicity, moment oracle."""
-    rows = positivity_suite(dp, count=count, seed=seed, z_max=z_max)
+    rows = positivity_suite(dp, count=count, seed=seed)
     cm = complete_monotonicity_check(dp, max_order=4, powers=(2, 3))
     rows.append(exact_report("cm_full_sweep_clean", len(cm.violations), 0.0, tol=0.5))
     rng = rng_stream(seed, "q-suite-points")
@@ -279,7 +280,7 @@ def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0, z_max: float = Z_
     return rows
 
 
-def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: float = Z_MAX):
+def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
     """Full battery on the unit-rate march chain of ``n_states`` states.
 
     Exact rows: Laplace-transform factorisation into prod (1 + s_i)^{-1}
@@ -306,7 +307,7 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: flo
     rho = np.abs(z) ** 2
     for k in (1, 2, 3):
         rows.append(
-            mc_vs_exact(f"example_n{n}_moment_k{k}", w * rho[:, x] ** k, w, float(math.factorial(k)), z_max)
+            mc_vs_exact(f"example_n{n}_moment_k{k}", w * rho[:, x] ** k, w, float(math.factorial(k)))
         )
     for j in (1, 2, 3):
         rows.append(
@@ -315,14 +316,13 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: flo
                 *_size_biased(w, rho[:, x], j),
                 float(math.factorial(j + 1)),
                 0.0,
-                z_max=z_max,
             )
         )
 
     for j in (1, 2, 3):
         f = MonomialField(np.bincount([x] * j, minlength=n))
         vals = bridge_values(dp, x, x, f, count, seed)
-        rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", vals, np.ones(count), math.factorial(j), z_max))
+        rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", vals, np.ones(count), math.factorial(j)))
 
     gap = energy_report(dp).mass_gap
     rows.append(exact_report(f"example_n{n}_mass_gap_vs_closed_form", gap, 2.0 * sin(pi / (2 * (n + 1))) ** 2))
@@ -330,7 +330,7 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1, z_max: flo
     rows.append(verify_bridge_identity(dp, x, x, name=f"example_n{n}_occupation_f1_exact"))
     chi = rng.uniform(0.2, 1.0, n)
     rows.append(verify_bridge_identity(dp, x, x, chi=chi, name=f"example_n{n}_occupation_exp_exact"))
-    rows.append(_bridge_mc(dp, x, x, ExpField(chi, dp.m), z, w, seed, f"example_n{n}_occupation_exp_mc", z_max))
+    rows.append(_bridge_mc(dp, x, x, ExpField(chi, dp.m), z, w, seed, f"example_n{n}_occupation_exp_mc"))
     return rows
 
 

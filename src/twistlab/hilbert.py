@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NumericalError, _readonly
-from .reporting import Z_MAX, VerificationReport, exact_report, info_report, mc_vs_exact
+from .reporting import VerificationReport, exact_report, info_report, mc_vs_exact
 from .seeding import rng_stream
 
 __all__ = [
@@ -86,13 +86,13 @@ def _matrix(op, expected_kind=None) -> np.ndarray:
     return TruncatedOperator(np.asarray(op, dtype=float), expected_kind or "general").mat
 
 
-def random_skew(dim: int, rng: np.random.Generator, scale: float = 1.0) -> TruncatedOperator:
-    a = rng.standard_normal((dim, dim)) * scale
+def random_skew(dim: int, rng: np.random.Generator) -> TruncatedOperator:
+    a = rng.standard_normal((dim, dim))
     return TruncatedOperator((a - a.T) / 2.0, "skew")
 
 
-def random_symmetric_nonneg(dim: int, rng: np.random.Generator, scale: float = 1.0) -> TruncatedOperator:
-    a = rng.standard_normal((dim, dim)) * scale
+def random_symmetric_nonneg(dim: int, rng: np.random.Generator) -> TruncatedOperator:
+    a = rng.standard_normal((dim, dim))
     return TruncatedOperator(a @ a.T / dim, "symmetric-nonneg")
 
 
@@ -124,7 +124,7 @@ def det_multiplicativity(T1, T2, tol: float = 1e-10) -> VerificationReport:
     return exact_report("det_multiplicativity", lhs, rhs, tol=tol, relative=True)
 
 
-def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0, z_max: float = Z_MAX):
+def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     """Monte Carlo checks of the Gaussian characteristic-functional identities.
 
     With phi1, phi2 independent standard Gaussian vectors and
@@ -161,16 +161,15 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0, 
     resolvent = 2.0 * float(f2 @ np.linalg.solve(eye + cm + bm, f1))
 
     rows = [
-        mc_vs_exact("char_skew_vs_det2", np.exp(1j * pairing), ones, 1.0 / det2(bm), z_max),
-        mc_vs_exact("char_complex_vs_det2", weight, ones, math.exp(-tr_c) / det2(cm + bm), z_max),
-        mc_vs_exact("pairing_vs_resolvent", psi_f1 * psi_bar_f2 * weight, weight, resolvent, z_max),
-        mc_vs_exact("char_wick_vs_det2", weight * math.exp(tr_c), ones, 1.0 / det2(cm + bm), z_max),
+        mc_vs_exact("char_skew_vs_det2", np.exp(1j * pairing), ones, 1.0 / det2(bm)),
+        mc_vs_exact("char_complex_vs_det2", weight, ones, math.exp(-tr_c) / det2(cm + bm)),
+        mc_vs_exact("pairing_vs_resolvent", psi_f1 * psi_bar_f2 * weight, weight, resolvent),
+        mc_vs_exact("char_wick_vs_det2", weight * math.exp(tr_c), ones, 1.0 / det2(cm + bm)),
         mc_vs_exact(
             "pairing_wick_vs_resolvent",
             psi_f1 * psi_bar_f2 * weight * math.exp(tr_c),
             weight * math.exp(tr_c),
             resolvent,
-            z_max,
         ),
     ]
     return rows
@@ -256,9 +255,7 @@ class SeriesReport:
     certify identically-zero tails.
     """
 
-    ladder: tuple
     partial_sums: tuple
-    increments: tuple
     converged: bool
 
 
@@ -281,9 +278,7 @@ def _series_report(partial, top: int) -> SeriesReport:
     else:
         converged = (not incrs) or incrs[-1] <= 1e-12
     return SeriesReport(
-        ladder=tuple(ladder),
         partial_sums=tuple(sums),
-        increments=tuple(incrs),
         converged=converged,
     )
 
@@ -401,11 +396,12 @@ class EtaKernelReport:
     v_chi_value: float
 
 
-def eta_kernel(model: CircleDriftModel, K: int, x: float, y: float, chi_points=(), chi_weights=()) -> EtaKernelReport:
+def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), chi_weights=()) -> EtaKernelReport:
     """Reproducing kernel K(x, y) and damped kernel V_chi(x, y) at truncation K.
 
-    chi is the finitely supported measure sum p_j delta_{u_j}; the damping
-    operator is the rank-sum of the evaluation elements at the u_j.
+    ``op`` is ``circle_B_matrix(model, K)``; K is read from its dimension
+    2K + 1.  chi is the finitely supported measure sum p_j delta_{u_j}; the
+    damping operator is the rank-sum of the evaluation elements at the u_j.
     """
     chi_points = list(chi_points)
     chi_weights = [float(p) for p in chi_weights]
@@ -414,11 +410,11 @@ def eta_kernel(model: CircleDriftModel, K: int, x: float, y: float, chi_points=(
     if any(p < 0 for p in chi_weights):
         raise ValueError("chi weights must be nonnegative")
 
+    K = op.dim // 2
     eta_x = _eta_vector(model, K, x)
     eta_y = _eta_vector(model, K, y)
     kernel = float(eta_x @ eta_y)
-    op = circle_B_matrix(model, K)
-    m = np.eye(2 * K + 1) - op.mat
+    m = np.eye(op.dim) - op.mat
     for u, p in zip(chi_points, chi_weights):
         eta_u = _eta_vector(model, K, u)
         m = m + p * np.outer(eta_u, eta_u)
@@ -426,7 +422,7 @@ def eta_kernel(model: CircleDriftModel, K: int, x: float, y: float, chi_points=(
     return EtaKernelReport(kernel_value=kernel, v_chi_value=v)
 
 
-def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1e-10, z_max: float = Z_MAX):
+def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1e-10):
     """Determinant calculus and Gaussian identity battery at one dimension."""
     rng = rng_stream(seed, "det2-suite")
     t_gen = rng.standard_normal((dim, dim)) / math.sqrt(dim)
@@ -465,7 +461,7 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1
 
     f1 = rng.standard_normal(dim)
     f2 = rng.standard_normal(dim)
-    rows.extend(gaussian_char_identities(c_op, b_op, f1, f2, count=count, seed=seed, z_max=z_max))
+    rows.extend(gaussian_char_identities(c_op, b_op, f1, f2, count=count, seed=seed))
     return rows
 
 
@@ -479,19 +475,19 @@ def circle_suite(model: CircleDriftModel, K: int = 128, tol: float = 1e-10):
         exact_report("circle_hs_converged", 1.0 if report.converged else 0.0, 1.0, tol=0.5),
         info_report("circle_hs_partial_sum", report.partial_sums[-1], report.partial_sums[-1]),
     ]
-    eta = eta_kernel(model, K, 0.7, 1.9)
+    eta = eta_kernel(model, op, 0.7, 1.9)
     rows.append(
         exact_report(
             "circle_kernel_symmetry",
             eta.kernel_value,
-            eta_kernel(model, K, 1.9, 0.7).kernel_value,
+            eta_kernel(model, op, 1.9, 0.7).kernel_value,
             tol=1e-12,
             relative=True,
         )
     )
     u = 0.7
-    base = eta_kernel(model, K, u, u)
-    damped = eta_kernel(model, K, u, u, chi_points=[u], chi_weights=[0.5])
+    base = eta_kernel(model, op, u, u)
+    damped = eta_kernel(model, op, u, u, chi_points=[u], chi_weights=[0.5])
     rows.append(
         exact_report(
             "circle_damping_decreases_kernel",

@@ -135,14 +135,13 @@ def bridge_values(
     count: int,
     seed: int,
     offsets=None,
-    quad_tol: float = 1e-8,
-    max_nodes: int = 64,
 ) -> np.ndarray:
     """Per-path bridge accumulations for ``count`` paths from x weighted at y.
 
     ``offsets`` (count, n), when given, shifts the field seen by the
     functional path by path; the sample mean is then an unbiased estimator
-    of the bridge integral of ``F(l + offset)``.
+    of the bridge integral of ``F(l + offset)``.  Quadrature, where used,
+    stops at relative change 1e-8 or 64 nodes.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -166,7 +165,7 @@ def bridge_values(
                 if closed_form is not None:
                     acc[at] += closed_form(field[at], y, stay, m_y)
                 else:
-                    acc[at] += _sojourn_quadrature(functional, field[at], stay, y, m_y, quad_tol, max_nodes)
+                    acc[at] += _sojourn_quadrature(functional, field[at], stay, y, m_y, 1e-8, 64)
             field[rows, states] += taus / dp.m[states]
     return out
 

@@ -1,9 +1,9 @@
 """Verification reports and the flat CSV format shared by all suites.
 
 Exact-mode rows compare closed forms at an absolute or relative tolerance;
-Monte Carlo rows compare estimates at a z-score threshold (4 standard
-errors by default, deliberately wide so that suites running dozens of
-comparisons keep a negligible family-wise false-alarm rate).  Info rows
+Monte Carlo rows compare estimates at a z-score threshold of ``Z_MAX`` = 4
+standard errors, deliberately wide so that suites running dozens of
+comparisons keep a negligible family-wise false-alarm rate.  Info rows
 record a value and a deviation without asserting anything.
 
 The CSV columns are fixed: name, mode, lhs, rhs, se_lhs, se_rhs, z, pass,
@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,7 +79,7 @@ def exact_report(name, lhs, rhs, tol=1e-10, relative=False) -> VerificationRepor
     )
 
 
-def mc_report(name, lhs, se_lhs, rhs, se_rhs, z_max=Z_MAX, z=None) -> VerificationReport:
+def mc_report(name, lhs, se_lhs, rhs, se_rhs, z=None) -> VerificationReport:
     """Monte Carlo comparison row.
 
     When lhs and rhs come from paired samples, pass the paired z to ``z``;
@@ -104,11 +103,11 @@ def mc_report(name, lhs, se_lhs, rhs, se_rhs, z_max=Z_MAX, z=None) -> Verificati
         se_lhs=float(se_lhs),
         se_rhs=float(se_rhs),
         z=float(z),
-        passed=float(z) <= z_max,
+        passed=float(z) <= Z_MAX,
     )
 
 
-def mc_vs_exact(name, num, den, target, z_max=Z_MAX) -> VerificationReport:
+def mc_vs_exact(name, num, den, target) -> VerificationReport:
     """Weighted-ratio estimate mean(num)/mean(den) bracketed against an exact value.
 
     The target is real, so the imaginary part of the estimate enters the
@@ -116,7 +115,7 @@ def mc_vs_exact(name, num, den, target, z_max=Z_MAX) -> VerificationReport:
     """
     r, se_re, se_im = weighted_ratio(num, den)
     z = max(score(r.real - target, se_re), score(r.imag, se_im))
-    return mc_report(name, r.real, se_re, float(target), 0.0, z_max=z_max, z=z)
+    return mc_report(name, r.real, se_re, float(target), 0.0, z=z)
 
 
 def info_report(name, lhs, rhs) -> VerificationReport:
@@ -152,14 +151,14 @@ def weighted_ratio(num, den):
     return r, se_re, se_im
 
 
-def score(value: float, se: float, atol: float = 1e-12) -> float:
+def score(value: float, se: float) -> float:
     """z-score of a deviation, with a machine-precision floor.
 
-    Deviations below ``atol`` count as zero: estimates that are exact by
+    Deviations of at most 1e-12 count as zero: estimates that are exact by
     construction (for example a self-normalised constant) otherwise divide
     rounding noise by a vanishing standard error.
     """
-    if abs(value) <= atol:
+    if abs(value) <= 1e-12:
         return 0.0
     if se > 0:
         return abs(value) / se
@@ -170,11 +169,8 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def write_reports_csv(reports, target=None) -> str:
-    """Write rows in declaration order; returns the CSV text.
-
-    ``target`` may be a path, a file object, or None (text only).
-    """
+def write_reports_csv(reports, path) -> str:
+    """Write rows in declaration order to ``path``; returns the CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -193,26 +189,19 @@ def write_reports_csv(reports, target=None) -> str:
             ]
         )
     text = buf.getvalue()
-    if target is None:
-        return text
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return text
 
 
-def count_failures(reports, cap: int = 125) -> int:
-    return min(sum(1 for r in reports if not r.passed), cap)
+def count_failures(reports) -> int:
+    return min(sum(1 for r in reports if not r.passed), 125)
 
 
-def print_reports(reports, file=None) -> None:
-    out = file if file is not None else sys.stdout
+def print_reports(reports) -> None:
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         print(
             f"[{flag}] {r.name}: mode={r.mode} lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} "
-            f"z={_fmt(r.z)} ({r.seconds:.3f}s)",
-            file=out,
+            f"z={_fmt(r.z)} ({r.seconds:.3f}s)"
         )

@@ -91,18 +91,16 @@ def _phi_any(dp: DualPair, s: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TwistedModel:
-    """Base covariance and unit-modulus twist of the complex field measure.
+    """Base covariance factor and unit-modulus twist of the complex field measure.
 
-    ``base_cov`` is ``(-M_m A)^{-1}``, the field covariance E[z_x z̄_y] under
-    the symmetric base measure; ``skew_form = M_m (L - A)`` is real
-    antisymmetric, so the twist exponent ``<(L - A) z, z̄>_m`` is purely
-    imaginary for every complex z.  ``half_factor`` F satisfies
-    ``F F^T = base_cov / 2`` and maps i.i.d. normals to the real and
-    imaginary parts of the field.
+    ``skew_form = M_m (L - A)`` is real antisymmetric, so the twist exponent
+    ``<(L - A) z, z̄>_m`` is purely imaginary for every complex z.
+    ``half_factor`` F satisfies ``F F^T = (-M_m A)^{-1} / 2``, half the field
+    covariance E[z_x z̄_y] under the symmetric base measure, and maps i.i.d.
+    normals to the real and imaginary parts of the field.
     """
 
     dp: DualPair
-    base_cov: np.ndarray
     skew_form: np.ndarray
     half_factor: np.ndarray
 
@@ -123,17 +121,15 @@ def build_twisted(dp: DualPair) -> TwistedModel:
     asym = float(np.abs(skew_form + skew_form.T).max())
     if asym > 1e-10 * max(1.0, float(np.abs(skew_form).max())):
         raise NumericalError(f"skew form asymmetry {asym:.3e}")
-    for a in (base_cov, skew_form, half_factor):
+    for a in (skew_form, half_factor):
         a.setflags(write=False)
-    return TwistedModel(
-        dp=dp, base_cov=base_cov, skew_form=skew_form, half_factor=half_factor
-    )
+    return TwistedModel(dp=dp, skew_form=skew_form, half_factor=half_factor)
 
 
 def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
     """``count`` complex field draws and their twist weights, as arrays.
 
-    The field is Gaussian with E[z_x z̄_y] = base_cov; the weight is
+    The field is Gaussian with E[z_x z̄_y] = (-M_m A)^{-1}; the weight is
     ``exp(i * 2 Re(z)^T skew_form Im(z))``, unit modulus by construction.
     Deterministic given (seed, count).
     """
@@ -198,12 +194,12 @@ _STENCILS = {
 }
 
 
-def mgf_mixed_derivative(dp: DualPair, counts, h: float = 0.02, richardson: int = 2) -> float:
+def mgf_mixed_derivative(dp: DualPair, counts, h: float = 0.02) -> float:
     """Mixed partial derivative of Phi at 0 by central product stencils.
 
     ``counts[x]`` is the derivative order in coordinate x (at most 3 per
-    coordinate).  ``richardson`` extrapolation levels in h remove the
-    leading even-order errors (level 2 leaves O(h^6)).
+    coordinate).  Two Richardson extrapolation levels in h remove the
+    leading even-order errors and leave O(h^6).
     """
     counts = np.asarray(counts, dtype=int)
     if counts.shape != (dp.n,):
@@ -226,8 +222,8 @@ def mgf_mixed_derivative(dp: DualPair, counts, h: float = 0.02, richardson: int 
             total += coeff * _phi_any(dp, s)
         return total / step**order
 
-    table = [estimate(h / 2**j) for j in range(richardson + 1)]
-    for level in range(1, richardson + 1):
+    table = [estimate(h / 2**j) for j in range(3)]
+    for level in (1, 2):
         factor = 4.0**level
         table = [
             (factor * table[j + 1] - table[j]) / (factor - 1.0)
@@ -236,25 +232,26 @@ def mgf_mixed_derivative(dp: DualPair, counts, h: float = 0.02, richardson: int 
     return table[0]
 
 
-def q_moment_oracle(dp: DualPair, points, h: float = 0.01) -> float:
-    """Independent moment value from finite differences of Phi.
+def q_moment_oracle(dp: DualPair, points) -> float:
+    """Independent moment value from finite differences of Phi at step 0.01.
 
     E[rho_{x1} .. rho_{xk}] = (-1)^k (prod 1/m_{xi}) d^k Phi / d s_{x1}..d s_{xk}
     at 0; the m factors come from the m-weighted pairing in Phi.
     """
     pts = [int(p) for p in points]
     counts = np.bincount(pts, minlength=dp.n)
-    d = mgf_mixed_derivative(dp, counts, h=h)
+    d = mgf_mixed_derivative(dp, counts, h=0.01)
     sign = (-1.0) ** len(pts)
     return float(sign * d / np.prod(dp.m[pts]))
 
 
-def resolvent_trace_residual(dp: DualPair, s, u: int, h: float = 1e-3) -> float:
+def resolvent_trace_residual(dp: DualPair, s, u: int) -> float:
     """|d/dt log det(I + R M_{t e_u}) at 0 - Tr(R M_{e_u})| for R = (-L + M_s)^{-1}.
 
-    Central differences with one Richardson step; checks the first-order
-    term of the log-determinant expansion against the trace.
+    Central differences at step h = 1e-3 with one Richardson step; checks
+    the first-order term of the log-determinant expansion against the trace.
     """
+    h = 1e-3
     sv = _chi_vector(s, dp.n)
     r_mat = np.linalg.solve(-dp.L + np.diag(sv), np.eye(dp.n))
     e_u = np.zeros(dp.n)
@@ -309,17 +306,17 @@ def cm_grid(n: int, points_per_axis: int = 3, high: float = 2.0) -> np.ndarray:
 def complete_monotonicity_check(
     dp: DualPair,
     grid=None,
-    h: float = 1e-2,
     max_order: int = 4,
     powers=(2, 3),
-    slack: float = 1e-12,
 ) -> CMReport:
     """Check that mixed forward differences of Phi alternate in sign.
 
     For Phi and Phi^{1/p} (p in ``powers``) and every direction multiset of
-    size k <= max_order, the difference at every grid point must carry sign
-    (-1)^k up to ``-slack``.  Violations are collected, not raised.
+    size k <= max_order, the forward difference at step h = 1e-2 at every
+    grid point must carry sign (-1)^k up to a slack of -1e-12.  Violations
+    are collected, not raised.
     """
+    h, slack = 1e-2, 1e-12
     if max_order > 5:
         raise ValueError("max_order is capped at 5")
     n = dp.n

@@ -136,6 +136,24 @@ def test_verify_trace_full_and_march():
     assert traced_moment == pytest.approx(1.0, rel=1e-12)
 
 
+def test_verify_trace_solves_each_green_matrix_once(monkeypatch):
+    from twistlab import harness, twisted
+
+    calls = []
+    real = twisted.green
+
+    def counting(dp, chi=None):
+        calls.append(dp.n)
+        return real(dp, chi)
+
+    monkeypatch.setattr(twisted, "green", counting)
+    monkeypatch.setattr(harness, "green", counting)
+    dp = build_dual(random_chain(8, rng_stream(53, "harness-tests")))
+    rep = verify_trace(dp, [0, 2, 3, 5, 7])
+    assert rep.passed
+    assert calls == [8, 5]  # one solve for the chain, one for its trace
+
+
 def test_verify_trace_random(chain4):
     rep = verify_trace(chain4, [0, 2, 3])
     assert rep.passed and rep.z <= 1e-10

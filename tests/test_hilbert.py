@@ -250,21 +250,23 @@ def test_levy_convergent_and_divergent():
 def test_eta_kernel_series_and_symmetry():
     model = circle_model(1.0, {})
     K = 40
-    rep = eta_kernel(model, K, 0.3, 0.3)
+    op = circle_B_matrix(model, K)
+    rep = eta_kernel(model, op, 0.3, 0.3)
     series = 1.0 / model.epsilon + sum(2.0 / (k * k + model.epsilon) for k in range(1, K + 1))
     assert rep.kernel_value == pytest.approx(series, rel=1e-12)
     assert rep.v_chi_value == pytest.approx(series, rel=1e-12)  # no drift, no damping
-    a = eta_kernel(model, K, 0.3, 1.4)
-    b = eta_kernel(model, K, 1.4, 0.3)
+    a = eta_kernel(model, op, 0.3, 1.4)
+    b = eta_kernel(model, op, 1.4, 0.3)
     assert a.kernel_value == pytest.approx(b.kernel_value, rel=1e-12)
 
 
 def test_eta_kernel_damping_monotone():
     model = circle_model(1.0, {1: 0.5})
     u = 1.1
-    base = eta_kernel(model, 48, u, u)
-    light = eta_kernel(model, 48, u, u, chi_points=[u], chi_weights=[0.3])
-    heavy = eta_kernel(model, 48, u, u, chi_points=[u], chi_weights=[1.0])
+    op = circle_B_matrix(model, 48)
+    base = eta_kernel(model, op, u, u)
+    light = eta_kernel(model, op, u, u, chi_points=[u], chi_weights=[0.3])
+    heavy = eta_kernel(model, op, u, u, chi_points=[u], chi_weights=[1.0])
     assert heavy.v_chi_value < light.v_chi_value < base.v_chi_value
 
 
@@ -289,12 +291,12 @@ def test_damped_kernel_matches_gaussian_pairing_on_truncation():
         TruncatedOperator(c, "symmetric-nonneg"), op, eta_y, eta_x, count=200_000, seed=11
     )
     pairing = next(r for r in rows if r.name == "pairing_vs_resolvent")
-    target = eta_kernel(model, K, x, y, chi_points=chi_points, chi_weights=chi_weights)
+    target = eta_kernel(model, op, x, y, chi_points=chi_points, chi_weights=chi_weights)
     assert pairing.rhs == pytest.approx(2.0 * target.v_chi_value, rel=1e-10)
     assert pairing.passed
 
 
-def test_circle_suite_builds_the_operator_once_per_kernel_solve(monkeypatch):
+def test_circle_suite_builds_the_operator_once(monkeypatch):
     from twistlab import hilbert
 
     calls = []
@@ -306,8 +308,8 @@ def test_circle_suite_builds_the_operator_once_per_kernel_solve(monkeypatch):
 
     monkeypatch.setattr(hilbert, "circle_B_matrix", counting)
     circle_suite(circle_model(1.0, {1: 0.5}), K=32)
-    # the skew-residual row plus one build per eta_kernel call, all at K
-    assert calls == [32] * 5
+    # one build at K, shared by the skew-residual row and every kernel solve
+    assert calls == [32]
 
 
 def test_circle_and_levy_suites():
