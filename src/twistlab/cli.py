@@ -6,11 +6,19 @@ not read and for an integer flag below 1; 3 for numerical failures.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
 Configuration is by explicit flags; environment variables are ignored.
+
+Under glibc, `main` fixes malloc's mmap and trim thresholds at
+``MALLOC_MMAP_BYTES``.  Left dynamic, the mmap threshold rises to the
+largest block freed so far (up to 32 MiB) and the heap may then keep twice
+that free, so a process that runs commands back to back holds on to the
+full-sample arrays of earlier commands, and how much of that later
+allocations reuse depends on heap layout.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 import numpy as np
@@ -22,6 +30,15 @@ from .modelio import SpecFileError, load_chain_spec, load_circle_model, load_lev
 from .reporting import count_failures, print_reports, write_reports_csv
 
 __all__ = ["main"]
+
+# below a (count, n) float array of a default run on 8 or more states (1e5
+# draws: 6.4 MB and up), so every full-sample array is mapped fresh and
+# returned when freed.  On a 2-vCPU Xeon, 128 KiB and 1 MiB cost the cli-mc
+# benchmark 45% and 25% more CPU time in page faults; at 16 MiB its resident
+# peak still moved between runs
+MALLOC_MMAP_BYTES = 4 << 20
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
 
 FLAGS = {
     "input": dict(required=True, help="input file (chain or model)"),
@@ -92,7 +109,15 @@ def _dispatch(args) -> list:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _fix_malloc_thresholds():
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, MALLOC_MMAP_BYTES)
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     args = _parser().parse_args(argv)
     low = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if isinstance(v, int) and v < 1]
     if low:

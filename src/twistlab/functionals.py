@@ -5,7 +5,9 @@ accepts arrays shaped ``(..., n)`` and returns ``(...)``.  A functional may
 also provide ``sojourn_integral(field, y, tau, m_y)``, the per-row value of
 ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du`` over a stay of length
 ``tau`` at state ``y``; the bridge sampler uses it in place of quadrature.
-`ExpField` does, in closed form.
+`ExpField`, `ProductField` and `MonomialField` integrate their sojourns in
+closed form, written so that nothing cancels for short stays; quadrature
+serves any other functional and raises when it misses its tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class ExpField:
     def sojourn_integral(self, field, y, tau, m_y):
         """F(field) * (1 - exp(-chi_y tau)) / (chi_y m_y); tau / m_y at chi_y = 0."""
         rate = self.chi[y]
-        stay = (1.0 - np.exp(-rate * tau)) / (rate * m_y) if rate > 0 else tau / m_y
+        stay = -np.expm1(-rate * tau) / (rate * m_y) if rate > 0 else tau / m_y
         return self(field) * stay
 
 
@@ -39,6 +41,11 @@ class ProductField:
 
     def __call__(self, field):
         return 1.0 / np.prod(1.0 + np.asarray(field), axis=-1)
+
+    def sojourn_integral(self, field, y, tau, m_y):
+        """F(field) (1 + a) log1p(d / (1 + a)) with a = field_y, d = tau / m_y."""
+        grow = 1.0 + np.asarray(field)[..., y]
+        return self(field) * grow * np.log1p(tau / m_y / grow)
 
 
 class BumpField:
@@ -53,13 +60,27 @@ class BumpField:
 
 
 class MonomialField:
-    """prod_u field_u^{k_u}; nonnegative on nonnegative fields."""
+    """prod_u field_u^{k_u} with integer k_u >= 0; nonnegative on nonnegative fields."""
 
     def __init__(self, exponents):
         self.exponents = np.asarray(exponents, dtype=float)
+        k = self.exponents
+        if not np.all(np.isfinite(k) & (k >= 0) & (k == np.floor(k))):
+            raise ValueError("exponents must be nonnegative integers")
 
     def __call__(self, field):
+        return np.prod(np.asarray(field, dtype=float) ** self.exponents, axis=-1)
+
+    def sojourn_integral(self, field, y, tau, m_y):
+        """R (b^{k+1} - a^{k+1}) / (k+1), R = prod_{u != y} field_u^{k_u}, k = k_y.
+
+        With a = field_y, d = tau / m_y and b = a + d, the difference is
+        taken as d * sum_{j=0..k} a^j b^{k-j}, which does not cancel.
+        """
         f = np.asarray(field, dtype=float)
-        with np.errstate(invalid="ignore"):
-            out = np.prod(np.where(self.exponents > 0, f**self.exponents, 1.0), axis=-1)
-        return out
+        rest = self.exponents.copy()
+        k = int(rest[y])
+        rest[y] = 0.0
+        a, d = f[..., y], tau / m_y
+        spread = sum(a**j * (a + d) ** (k - j) for j in range(k + 1))
+        return np.prod(f**rest, axis=-1) * d * spread / (k + 1)

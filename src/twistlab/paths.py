@@ -10,9 +10,11 @@ local-time-weighted path measure: along each path from x, every stay at y
 of length tau contributes ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du``
 with ``field`` the running occupation field (plus an optional per-path
 offset).  A functional that knows this integral in closed form provides
-``sojourn_integral(field, y, tau, m_y)``; anything else goes through
-Gauss-Legendre quadrature with node doubling.  Every walk is bounded by
-``MAX_JUMPS`` sojourns and raises `NumericalError` beyond it.
+``sojourn_integral(field, y, tau, m_y)``, as `ExpField`, `ProductField`
+and `MonomialField` do; any other functional goes through Gauss-Legendre
+quadrature with node doubling, which raises `NumericalError` when it
+misses its tolerance.  Every walk is bounded by ``MAX_JUMPS`` sojourns and
+raises `NumericalError` beyond it.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -109,7 +111,12 @@ def _leggauss(k: int):
 
 
 def _sojourn_quadrature(functional, fields, taus, y, m_y, tol, max_nodes):
-    """(1/m_y) * int_0^tau F(field + u e_y / m_y) du per row, by node doubling."""
+    """(1/m_y) * int_0^tau F(field + u e_y / m_y) du per row, by node doubling.
+
+    Returns once the largest relative change between successive node
+    counts is below ``tol``; raises `NumericalError` if it is not by
+    ``max_nodes`` nodes.
+    """
     k = 8
     prev = None
     while True:
@@ -121,8 +128,13 @@ def _sojourn_quadrature(functional, fields, taus, y, m_y, tol, max_nodes):
         est = (vals @ weights) * (taus / 2.0) / m_y
         if prev is not None:
             err = float(np.max(np.abs(est - prev) / np.maximum(1e-30, np.abs(est))))
-            if err < tol or 2 * k > max_nodes:
+            if err < tol:
                 return est
+            if 2 * k > max_nodes:
+                raise NumericalError(
+                    f"sojourn quadrature missed tolerance {tol:g} at {k} nodes "
+                    f"(relative change {err:.3g})"
+                )
         prev = est
         k *= 2
 
@@ -141,7 +153,7 @@ def bridge_values(
     ``offsets`` (count, n), when given, shifts the field seen by the
     functional path by path; the sample mean is then an unbiased estimator
     of the bridge integral of ``F(l + offset)``.  Quadrature, where used,
-    stops at relative change 1e-8 or 64 nodes.
+    stops at relative change 1e-8 and raises past 64 nodes.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

@@ -139,7 +139,7 @@ def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
     xi = rng.standard_normal((2, count, tm.dp.n))
     re = xi[0] @ tm.half_factor.T
     im = xi[1] @ tm.half_factor.T
-    phase = 2.0 * np.einsum("ij,jk,ik->i", re, tm.skew_form, im)
+    phase = 2.0 * ((re @ tm.skew_form) * im).sum(axis=1)
     return re + 1j * im, np.exp(1j * phase)
 
 

@@ -1,7 +1,9 @@
 import csv
+import ctypes
 import io
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +222,28 @@ def test_verify_iso_and_q(chain_file, capsys):
 
 def test_det2_check(capsys):
     assert main(["det2-check", "--dim", "6", "--seed", "7", "--samples", "50000"]) == 0
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")
+    ]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc malloc thresholds")
+def test_cli_maps_large_arrays_fresh_after_larger_frees(capsys):
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc 2.33 or later")
+    libc.mallinfo2.restype = _MallInfo2
+    # freeing a mapped 24 MiB block raises a dynamic mmap threshold past 5 MiB
+    np.ones(24 << 20, dtype=np.uint8)
+    assert main(["det2-check", "--dim", "2", "--seed", "1", "--samples", "1000"]) == 0
+    before = libc.mallinfo2().hblks
+    block = np.ones(5 << 20, dtype=np.uint8)
+    assert libc.mallinfo2().hblks == before + 1  # a mapping of its own, not heap
+    del block
 
 
 def test_circle_and_levy_checks(tmp_path, capsys):

@@ -178,3 +178,15 @@ def test_csv_writer_deterministic(chain4, tmp_path):
     assert header == "name,mode,lhs,rhs,se_lhs,se_rhs,z,pass,seconds"
     # the wall-clock column is fixed; runtimes go to the console only
     assert all(line.endswith(",0.000") for line in text1.splitlines()[1:])
+
+
+def test_shipped_suites_integrate_sojourns_in_closed_form(monkeypatch):
+    from twistlab import paths
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("sojourn quadrature reached")
+
+    monkeypatch.setattr(paths, "_sojourn_quadrature", no_quadrature)
+    dp = build_dual(random_chain(4, rng_stream(53, "harness-tests")))
+    assert len(iso_suite(dp, count=2000, seed=3)) > 0
+    assert len(example_suite(3, count=2000, seed=1)) > 0

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
+from twistlab.chain import ChainSpec, NumericalError, build_dual, nchain, random_chain
 from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.paths import (
     _sojourn_quadrature,
@@ -113,6 +114,51 @@ def test_bridge_quadrature_agrees_with_closed_form():
             exact = f.sojourn_integral(fields, y, taus, dp.m[y])
             quad = _sojourn_quadrature(f, fields, taus, y, dp.m[y], 1e-12, 256)
             assert np.allclose(exact, quad, rtol=1e-10, atol=0.0)
+    # product and monomial forms at every y, with zero fields, stays down to
+    # 1e-9, k_y from 0 to 3 and off-y exponents from 0 to 2
+    fields = rng.uniform(0.0, 1.0, (60, 4))
+    fields[:10] = 0.0
+    fields[10:20, 1] = 0.0
+    taus = np.concatenate([10.0 ** -np.arange(10), rng.exponential(1.0, 50)])
+    for y in range(4):
+        functionals = [ProductField()]
+        for k_y in range(4):
+            k = rng.integers(0, 3, 4)
+            k[y] = k_y
+            functionals.append(MonomialField(k))
+        for f in functionals:
+            exact = f.sojourn_integral(fields, y, taus, dp.m[y])
+            quad = _sojourn_quadrature(f, fields, taus, y, dp.m[y], 1e-12, 256)
+            assert np.allclose(exact, quad, rtol=1e-10, atol=0.0), (type(f).__name__, y)
+
+
+def test_exp_sojourn_integral_does_not_cancel_for_short_stays():
+    # (1 - exp(-chi tau)) / chi = tau - chi tau^2 / 2 + O(tau^3)
+    f = ExpField(np.array([1.0, 0.5]), np.ones(2))
+    taus = np.array([1e-15, 1e-12, 1e-9])
+    got = f.sojourn_integral(np.zeros((3, 2)), 0, taus, 1.0)
+    assert np.allclose(got, taus - taus**2 / 2.0, rtol=1e-15, atol=0.0)
+
+
+def test_monomial_field_takes_only_nonnegative_integer_exponents():
+    assert MonomialField([2, 0, 1])(np.array([3.0, 0.0, 2.0])) == 18.0
+    assert MonomialField([0.0, 0.0])(np.zeros(2)) == 1.0
+    for bad in ([-1, 0], [0.5, 1], [np.nan, 0], [np.inf, 0]):
+        with pytest.raises(ValueError):
+            MonomialField(bad)
+
+
+def test_sojourn_quadrature_raises_when_it_misses_tolerance():
+    class Step:
+        def __call__(self, field):
+            return (np.asarray(field)[..., 0] < 0.3).astype(float)
+
+    fields = np.zeros((2, 2))
+    taus = np.array([0.5, 1.0])
+    with pytest.raises(NumericalError, match="at 64 nodes"):
+        _sojourn_quadrature(Step(), fields, taus, 0, 1.0, 1e-8, 64)
+    smooth = _sojourn_quadrature(ProductField(), fields, taus, 0, 1.0, 1e-8, 64)
+    assert np.allclose(smooth, np.log1p(taus), rtol=1e-12)
 
 
 def test_bridge_unreachable_target_is_exact_zero():

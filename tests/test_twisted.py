@@ -161,6 +161,18 @@ def test_sampler_unit_modulus_and_mean_weight():
     assert abs(w.imag.mean()) <= 4.0 * w.imag.std(ddof=1) / np.sqrt(w.size)
 
 
+def test_sampler_draws_the_field_from_its_stream_and_twists_by_the_skew_form():
+    rng = rng_stream(26, "twisted-tests")
+    dp = build_dual(random_chain(5, rng))
+    tm = build_twisted(dp)
+    z, w = sample_twisted_batch(tm, 300, seed=8)
+    xi = rng_stream(8, "twisted-field").standard_normal((2, 300, 5))
+    assert np.array_equal(z.real, xi[0] @ tm.half_factor.T)
+    assert np.array_equal(z.imag, xi[1] @ tm.half_factor.T)
+    for zi, wi in zip(z, w):
+        assert abs(wi - np.exp(2j * (zi.real @ tm.skew_form @ zi.imag))) <= 1e-12
+
+
 def test_sampler_correlation_brackets_green():
     rng = rng_stream(25, "twisted-tests")
     dp = build_dual(random_chain(4, rng))
