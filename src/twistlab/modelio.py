@@ -1,7 +1,9 @@
 """Structured-text input files for chains and circle/Levy models.
 
 Files are YAML mappings (JSON works too).  Parsing walks the composed node
-tree so that dimension and type errors point at the offending line.
+tree so that dimension and type errors point at the offending line; a file
+that cannot be read, is not UTF-8 or holds a control character is a
+`SpecFileError` too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from .chain import ChainError, ChainSpec
 from .hilbert import CircleDriftModel, LevyModel
 
 __all__ = ["SpecFileError", "load_chain_spec", "load_circle_model", "load_levy_model"]
+
+# libyaml's parser, when pyyaml was built with it, composes a 64-state chain
+# ten times faster than the pure-Python one, with the same nodes and marks
+LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class SpecFileError(ValueError):
@@ -30,12 +36,26 @@ def _line(node) -> int:
 
 
 def _compose(path) -> yaml.Node:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        node = yaml.compose(text)
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SpecFileError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line) from exc
+    try:
+        node = yaml.compose(text, Loader=LOADER)
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark is not None else None
         raise SpecFileError(f"invalid document: {exc.problem}", line) from exc
+    except yaml.reader.ReaderError as exc:
+        # libyaml reports a byte offset and pyyaml a character offset, so
+        # the line is found from the character itself
+        at = text.find(chr(exc.character))
+        line = text.count("\n", 0, at) + 1 if at >= 0 else None
+        raise SpecFileError(f"unacceptable character #x{exc.character:04x}", line) from exc
     if node is None:
         raise SpecFileError("empty document", 1)
     return node
@@ -49,6 +69,8 @@ def _mapping(node, known, what="document") -> dict:
         name = key.value
         if name not in known:
             raise SpecFileError(f"unknown field {name!r}", _line(key))
+        if name in out:
+            raise SpecFileError(f"duplicate field {name!r}", _line(key))
         out[name] = val
     for name in known:
         if name not in out:

@@ -126,10 +126,10 @@ pairing_wick_vs_resolvent,mc,-1.21099543452,-1.24371051742,0.0207427800116,0,1.5
     (
         ["circle-check", "--input", "{circle}", "--k-max", "32"],
         """\
-circle_skew_residual,exact,0,0,0,0,0,1,0.000
+circle_frobenius_vs_frequency_sum,exact,0.666150009601,0.666150009601,0,0,2.22044604925e-16,1,0.000
 circle_hs_converged,exact,1,1,0,0,0,1,0.000
 circle_hs_partial_sum,info,0.852193688379,0.852193688379,0,0,0,1,0.000
-circle_kernel_symmetry,exact,0.969103202824,0.969103202824,0,0,0,1,0.000
+circle_kernel_vs_closed_form,exact,0.969103202824,0.967514578769,0,0,0.0015886240547,1,0.000
 circle_damping_decreases_kernel,exact,0,0,0,0,0,1,0.000
 """,
     ),
@@ -269,6 +269,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["mass-gap", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"states: 2\nq: [1.0,\x01 1.0]\n", "line 2: unacceptable character #x0001"),
+        (b"states: 2\nq: [1.0, \xff]\n", "line 2: not UTF-8 text: byte 0xff"),
+        (None, "No such file or directory"),
+    ],
+    ids=["control-character", "not-utf8", "missing-file"],
+)
+def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
+    path = tmp_path / "chain.yaml"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["mass-gap", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
 
 
 def test_invalid_flags_exit_two(tmp_path):

@@ -308,8 +308,73 @@ def test_circle_suite_builds_the_operator_once(monkeypatch):
 
     monkeypatch.setattr(hilbert, "circle_B_matrix", counting)
     circle_suite(circle_model(1.0, {1: 0.5}), K=32)
-    # one build at K, shared by the skew-residual row and every kernel solve
+    # one build at K, shared by the Frobenius row and both kernel solves
     assert calls == [32]
+
+
+def test_circle_suite_solves_twice(monkeypatch):
+    # the base and damped kernels need a solve; the plain kernel does not
+    calls = []
+    real = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    circle_suite(circle_model(1.0, {1: 0.5}), K=32)
+    assert calls == [(65, 65), (65, 65)]
+
+
+@pytest.mark.parametrize("mutation", ["basis-scale", "eta-scale"])
+def test_circle_rows_fail_on_a_wrong_build(mutation, monkeypatch):
+    from twistlab import hilbert
+
+    if mutation == "basis-scale":  # as if the 1/sqrt(2) of the real basis were dropped
+        build = hilbert.circle_B_matrix
+        monkeypatch.setattr(
+            hilbert, "circle_B_matrix", lambda model, K: TruncatedOperator(np.sqrt(2.0) * build(model, K).mat, "skew")
+        )
+        name = "circle_frobenius_vs_frequency_sum"
+    else:  # evaluation elements with sqrt(1/(k^2 + eps)) in place of sqrt(2/(k^2 + eps))
+        eta = hilbert._eta_vector
+        monkeypatch.setattr(hilbert, "_eta_vector", lambda model, K, x: eta(model, K, x) / np.sqrt(2.0))
+        name = "circle_kernel_vs_closed_form"
+    rows = {r.name: r for r in circle_suite(circle_model(1.0, {1: 0.4 + 0.1j, 2: 0.1}), K=512)}
+    assert not rows[name].passed
+
+
+def _dense_circle_B(model, K):
+    """Reference build: the dense complex coupling S conjugated by the unitary W."""
+    size = 2 * K + 1
+    freq = np.arange(-K, K + 1)
+    s_c = np.zeros((size, size), dtype=complex)
+    for d, c in zip(model.ks, model.coeffs):
+        for li, l in enumerate(freq):
+            k = l + int(d)
+            if abs(k) <= K:
+                s_c[k + K, li] = 0.5j * (k + l) * c
+    norm = np.sqrt(freq.astype(float) ** 2 + model.epsilon)
+    s_c = s_c / norm[:, None] / norm[None, :]
+    w = np.zeros((size, size), dtype=complex)
+    w[K, 0] = 1.0
+    for j in range(1, K + 1):
+        w[K + j, 2 * j - 1] = w[K - j, 2 * j - 1] = 1.0 / np.sqrt(2.0)
+        w[K + j, 2 * j] = -1j / np.sqrt(2.0)
+        w[K - j, 2 * j] = 1j / np.sqrt(2.0)
+    return np.conj(w.T) @ s_c @ w
+
+
+def test_circle_matrix_matches_dense_conjugation():
+    models = [
+        circle_model(1.0, {1: 0.5}),
+        circle_model(0.7, {0: 0.3, 1: 0.2 + 0.1j, 3: -0.4j}),  # real k = 0 coefficient
+    ]
+    for model in models:
+        for K in (model.bandwidth, 8, 32, 128):
+            dense = _dense_circle_B(model, K)
+            assert np.abs(dense.imag).max() <= 1e-14
+            assert np.abs(circle_B_matrix(model, K).mat - dense.real).max() <= 1e-14
 
 
 def test_circle_and_levy_suites():
