@@ -9,7 +9,9 @@ size-biased expectation ``E[rho_x F(rho)]``.  Monte Carlo rows share the
 Gaussian draws between the two sides (common random numbers) and score the
 paired difference, with imaginary parts of real quantities folded into the
 same z-score.  Each suite draws its twisted-field sample once and builds
-every Monte Carlo row on it.
+every Monte Carlo row on it, and walks each of its killed-path sets once,
+evaluating all of the bridge functionals on that set in one
+`bridge_targets` call.
 
 All thresholds: exact rows at an absolute tolerance (default 1e-10), MC
 rows at 4 standard errors; wide enough that a suite of dozens of rows has
@@ -27,7 +29,7 @@ import numpy as np
 
 from .chain import DualPair, build_dual, energy_quadratic, energy_report, nchain, trace_chain
 from .functionals import BumpField, ExpField, MonomialField, ProductField
-from .paths import bridge_values
+from .paths import bridge_targets, bridge_values
 from .reporting import (
     VerificationReport,
     exact_report,
@@ -78,18 +80,23 @@ def _mc_compare(name, lhs_num, rhs_num, den):
     return mc_report(name, rl.real, sel_re, rr.real, ser_re, z=z)
 
 
-def _bridge_mc(dp, x, y, func, z, w, seed, name):
+def _bridge_mc(x, y, func, z, w, rho, path_vals, name):
     """MC bridge-identity row on the twisted draws ``(z, w)``.
 
-    The bridge paths run on ``seed`` with one path per draw, the draw's
-    squared field as the path's offset.
+    ``rho`` is the draws' squared field and ``path_vals`` the bridge values
+    of ``func`` from x weighted at y, one path per draw with that draw's
+    ``rho`` as the path's offset.
     """
     t0 = time.perf_counter()
-    rho = np.abs(z) ** 2
     lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
-    rhs_num = w * bridge_values(dp, x, y, func, w.size, seed, offsets=rho)
-    rep = _mc_compare(name, lhs_num, rhs_num, w)
+    rep = _mc_compare(name, lhs_num, w * path_vals, w)
     return rep.with_seconds(time.perf_counter() - t0)
+
+
+def _path_green(dp, x, y):
+    """Green density from the jump chain: expected visits to y from x, each
+    holding 1/q_y on average, per unit reference measure at y."""
+    return np.linalg.inv(np.eye(dp.n) - dp.pi)[x, y] / (dp.q[y] * dp.m[y])
 
 
 def verify_bridge_identity(
@@ -108,7 +115,8 @@ def verify_bridge_identity(
     Without ``functional``, F is exponential, exp(-<chi, l>_m) (constant
     when ``chi`` is None), and the row is exact: both sides reduce to
     ``G_chi(x, y) * Phi(chi)``, computed along the two determinant routes;
-    at x = y and chi = 0 each side is the diagonal Green value.  With a
+    with chi = None the right side is the Green density counted on the
+    jump chain instead, expected visits over rate and weight.  With a
     ``functional`` the row is Monte Carlo: weighted-sample estimates of both
     sides with shared field draws and an independent path stream per side
     pairing.  With x = y this is the occupation identity.
@@ -118,13 +126,15 @@ def verify_bridge_identity(
     if functional is None:
         g = green(dp, chi)[x, y]
         lhs = g * (partition(dp, chi) / partition(dp))
-        rhs = g * mgf(dp, chi)
+        rhs = _path_green(dp, x, y) if chi is None else g * mgf(dp, chi)
         rep = exact_report(label, lhs, rhs, tol=tol)
     elif chi is not None:
         raise ValueError("pass either a functional or chi, not both")
     else:
         z, w = sample_twisted_batch(build_twisted(dp), count, seed)
-        rep = _bridge_mc(dp, x, y, functional, z, w, seed, label)
+        rho = np.abs(z) ** 2
+        vals = bridge_values(dp, x, y, functional, count, seed, offsets=rho)
+        rep = _bridge_mc(x, y, functional, z, w, rho, vals, label)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -251,14 +261,19 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e
     y = int(rng.integers(n))
     chi = rng.uniform(0.0, 1.0, n)
     z, w = sample_twisted_batch(build_twisted(dp), count, seed)
+    rho = np.abs(z) ** 2
+    exp_f, prod_f = ExpField(chi, dp.m), ProductField()
+    exp_xy, prod_xy, prod_xx = bridge_targets(
+        dp, x, [(y, exp_f, rho), (y, prod_f, rho), (x, prod_f, rho)], count, seed
+    )
     return [
         verify_bridge_identity(dp, x, y, tol=tol, name=f"bridge_f1_exact[{x},{y}]"),
         verify_bridge_identity(dp, x, y, chi=chi, tol=tol, name=f"bridge_exp_exact[{x},{y}]"),
-        _bridge_mc(dp, x, y, ExpField(chi, dp.m), z, w, seed, f"bridge_exp_mc[{x},{y}]"),
-        _bridge_mc(dp, x, y, ProductField(), z, w, seed, f"bridge_product_mc[{x},{y}]"),
+        _bridge_mc(x, y, exp_f, z, w, rho, exp_xy, f"bridge_exp_mc[{x},{y}]"),
+        _bridge_mc(x, y, prod_f, z, w, rho, prod_xy, f"bridge_product_mc[{x},{y}]"),
         verify_bridge_identity(dp, x, x, tol=tol, name=f"occupation_f1_exact[{x}]"),
         verify_bridge_identity(dp, x, x, chi=chi, tol=tol, name=f"occupation_exp_exact[{x}]"),
-        _bridge_mc(dp, x, x, ProductField(), z, w, seed, f"occupation_product_mc[{x}]"),
+        _bridge_mc(x, x, prod_f, z, w, rho, prod_xx, f"occupation_product_mc[{x}]"),
         # the twisted field correlation itself must bracket the Green density
         mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y]),
     ]
@@ -319,18 +334,19 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
             )
         )
 
-    for j in (1, 2, 3):
-        f = MonomialField(np.bincount([x] * j, minlength=n))
-        vals = bridge_values(dp, x, x, f, count, seed)
+    chi = rng.uniform(0.2, 1.0, n)
+    exp_f = ExpField(chi, dp.m)
+    monomials = [(x, MonomialField(np.bincount([x] * j, minlength=n)), None) for j in (1, 2, 3)]
+    *local_times, occ_exp = bridge_targets(dp, x, monomials + [(x, exp_f, rho)], count, seed)
+    for j, vals in zip((1, 2, 3), local_times):
         rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", vals, np.ones(count), math.factorial(j)))
 
     gap = energy_report(dp).mass_gap
     rows.append(exact_report(f"example_n{n}_mass_gap_vs_closed_form", gap, 2.0 * sin(pi / (2 * (n + 1))) ** 2))
 
     rows.append(verify_bridge_identity(dp, x, x, name=f"example_n{n}_occupation_f1_exact"))
-    chi = rng.uniform(0.2, 1.0, n)
     rows.append(verify_bridge_identity(dp, x, x, chi=chi, name=f"example_n{n}_occupation_exp_exact"))
-    rows.append(_bridge_mc(dp, x, x, ExpField(chi, dp.m), z, w, seed, f"example_n{n}_occupation_exp_mc"))
+    rows.append(_bridge_mc(x, x, exp_f, z, w, rho, occ_exp, f"example_n{n}_occupation_exp_mc"))
     return rows
 
 

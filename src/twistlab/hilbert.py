@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 KIND_TOL = 1e-12
+KIND_BLOCK = 64  # rows per block of the kind checks: temporaries stay in cache
+
+
+def _transpose_residual(mat, op) -> float:
+    """max |op(mat, mat.T)|, one block of rows at a time."""
+    return max(
+        float(np.abs(op(mat[lo : lo + KIND_BLOCK], mat[:, lo : lo + KIND_BLOCK].T)).max())
+        for lo in range(0, mat.shape[0], KIND_BLOCK)
+    )
 
 
 @dataclass(frozen=True)
@@ -59,12 +68,12 @@ class TruncatedOperator:
         mat = _readonly(self.mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        scale = max(1.0, float(np.abs(mat).max()))
+        scale = max(1.0, float(max(mat.max(), -mat.min())))
         if self.kind == "skew":
-            if float(np.abs(mat + mat.T).max()) > KIND_TOL * scale:
+            if _transpose_residual(mat, np.add) > KIND_TOL * scale:
                 raise ValueError("matrix is not skew-symmetric")
         elif self.kind == "symmetric-nonneg":
-            if float(np.abs(mat - mat.T).max()) > KIND_TOL * scale:
+            if _transpose_residual(mat, np.subtract) > KIND_TOL * scale:
                 raise ValueError("matrix is not symmetric")
             low = float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
             if low < -KIND_TOL * scale:

@@ -9,11 +9,14 @@ divided by the reference measure, and the bridge accumulator realises the
 local-time-weighted path measure: along each path from x, every stay at y
 of length tau contributes ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du``
 with ``field`` the running occupation field (plus an optional per-path
-offset).  A functional that knows this integral in closed form provides
-``sojourn_integral(field, y, tau, m_y)``, as `ExpField`, `ProductField`
-and `MonomialField` do; any other functional goes through Gauss-Legendre
-quadrature with node doubling, which raises `NumericalError` when it
-misses its tolerance.  Every walk is bounded by ``MAX_JUMPS`` sojourns and
+offset).  Paths depend only on (start, count, seed), so `bridge_targets`
+evaluates any number of (y, functional, offsets) targets in lockstep on one
+walk, and each suite walks each of its path sets once; `bridge_values` is
+its one-target case.  A functional that knows the sojourn integral in
+closed form provides ``sojourn_integral(field, y, tau, m_y)``, as
+`ExpField`, `ProductField` and `MonomialField` do; any other functional
+goes through Gauss-Legendre quadrature with node doubling, which raises
+`NumericalError` when it misses its tolerance.  Every walk is bounded by ``MAX_JUMPS`` sojourns and
 raises `NumericalError` beyond it.
 
 Replication is deterministic: batches have a fixed size and every batch
@@ -34,6 +37,7 @@ from .seeding import rng_stream
 __all__ = [
     "PathRecord",
     "bridge_estimate",
+    "bridge_targets",
     "bridge_values",
     "occupation_batch",
     "sample_path",
@@ -139,6 +143,52 @@ def _sojourn_quadrature(functional, fields, taus, y, m_y, tol, max_nodes):
         k *= 2
 
 
+def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list:
+    """Per-path bridge accumulations of several targets on one walk from x.
+
+    ``targets`` is a sequence of ``(y, functional, offsets)``; the result
+    holds one (count,) array per target, each bit-identical to its own
+    `bridge_values` call.  Targets that pass the same ``offsets`` object (or
+    ``None``) share one running field.  A batch keeps its fields in one
+    (fields, paths, n) array that each step updates with one scatter-add, so
+    every field receives its holding times in the same order as on a walk of
+    its own.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not 0 <= int(x) < dp.n:
+        raise ValueError("states out of range")
+    groups, plan = [], []  # distinct offsets objects, compared by identity
+    for y, functional, offsets in targets:
+        if not 0 <= int(y) < dp.n:
+            raise ValueError("states out of range")
+        if not any(o is offsets for o in groups):
+            groups.append(offsets)
+        group = next(g for g, o in enumerate(groups) if o is offsets)
+        plan.append((int(y), functional, getattr(functional, "sojourn_integral", None), group))
+    starts = [None if o is None else np.asarray(o, dtype=float) for o in groups]
+    if any(o is not None and o.shape != (count, dp.n) for o in starts):
+        raise ValueError(f"offsets must be (count, {dp.n})")
+    outs = [np.zeros(count) for _ in plan]
+    for lo, b, rng in _batches(count, seed, "bridge-batch"):
+        fields = np.zeros((len(starts), b, dp.n))
+        for g, o in enumerate(starts):
+            if o is not None:
+                fields[g] = o[lo : lo + b]
+        accs = [out[lo : lo + b] for out in outs]
+        for rows, states, taus in _walk(dp, int(x), b, rng):
+            for acc, (y, functional, closed_form, group) in zip(accs, plan):
+                here = states == y
+                if here.any():
+                    at, stay = rows[here], taus[here]
+                    if closed_form is not None:
+                        acc[at] += closed_form(fields[group, at], y, stay, dp.m[y])
+                    else:
+                        acc[at] += _sojourn_quadrature(functional, fields[group, at], stay, y, dp.m[y], 1e-8, 64)
+            fields[:, rows, states] += taus / dp.m[states]
+    return outs
+
+
 def bridge_values(
     dp: DualPair,
     x: int,
@@ -155,31 +205,7 @@ def bridge_values(
     of the bridge integral of ``F(l + offset)``.  Quadrature, where used,
     stops at relative change 1e-8 and raises past 64 nodes.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not (0 <= int(x) < dp.n and 0 <= int(y) < dp.n):
-        raise ValueError("states out of range")
-    if offsets is not None:
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (count, dp.n):
-            raise ValueError(f"offsets must be (count, {dp.n})")
-    out = np.zeros(count)
-    y = int(y)
-    m_y = dp.m[y]
-    closed_form = getattr(functional, "sojourn_integral", None)
-    for lo, b, rng in _batches(count, seed, "bridge-batch"):
-        field = np.zeros((b, dp.n)) if offsets is None else offsets[lo : lo + b].copy()
-        acc = out[lo : lo + b]
-        for rows, states, taus in _walk(dp, int(x), b, rng):
-            here = states == y
-            if here.any():
-                at, stay = rows[here], taus[here]
-                if closed_form is not None:
-                    acc[at] += closed_form(field[at], y, stay, m_y)
-                else:
-                    acc[at] += _sojourn_quadrature(functional, field[at], stay, y, m_y, 1e-8, 64)
-            field[rows, states] += taus / dp.m[states]
-    return out
+    return bridge_targets(dp, x, [(y, functional, offsets)], count, seed)[0]
 
 
 def bridge_estimate(dp: DualPair, x: int, y: int, functional, count: int, seed: int):

@@ -118,6 +118,57 @@ def test_suites_draw_the_twisted_field_once(chain4, monkeypatch):
     assert calls == [(2000, 22)]
 
 
+def test_suites_walk_each_path_set_once_per_batch(chain4, monkeypatch):
+    from twistlab import paths
+
+    walks = []
+    real = paths._walk
+
+    def counting(dp, start, b, rng):
+        walks.append((start, b))
+        return real(dp, start, b, rng)
+
+    monkeypatch.setattr(paths, "_walk", counting)
+    count = paths.BATCH + 500  # two batches
+    iso_suite(chain4, count=count, seed=23)
+    assert [b for _, b in walks] == [paths.BATCH, 500]
+    assert walks[0][0] == walks[1][0]
+    walks.clear()
+    example_suite(3, count=count, seed=24)
+    assert walks == [(1, paths.BATCH), (1, 500)]
+
+
+def _visits(dp):
+    return np.linalg.inv(np.eye(dp.n) - dp.pi)
+
+
+@pytest.mark.parametrize(
+    "wrong, rows",
+    [
+        # the holding rate of x where that of y belongs
+        (lambda dp, x, y: _visits(dp)[x, y] / (dp.q[x] * dp.m[y]), ["bridge_f1_exact[1,2]"]),
+        # the visit at the start left uncounted
+        (
+            lambda dp, x, y: (_visits(dp) - np.eye(dp.n))[x, y] / (dp.q[y] * dp.m[y]),
+            ["occupation_f1_exact[1]", "example_n3_occupation_f1_exact"],
+        ),
+    ],
+    ids=["start-rate", "first-visit-dropped"],
+)
+def test_f1_exact_rows_fail_on_a_wrong_path_side(wrong, rows, monkeypatch):
+    from twistlab import harness
+
+    dp = build_dual(random_chain(4, rng_stream(53, "harness-tests")))
+
+    def f1_rows():
+        got = {r.name: r for r in iso_suite(dp, count=2000, seed=3) + example_suite(3, count=2000, seed=1)}
+        return [got[name] for name in rows]
+
+    assert all(r.passed for r in f1_rows())
+    monkeypatch.setattr(harness, "_path_green", wrong)
+    assert not any(r.passed for r in f1_rows())
+
+
 def test_positivity_battery(chain4):
     rows = positivity_suite(chain4, count=100_000, seed=7)
     assert count_failures(rows) == 0

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from twistlab.hilbert import (
+    KIND_BLOCK,
+    KIND_TOL,
     LevyModel,
     TruncatedOperator,
     circle_B_matrix,
@@ -32,6 +34,22 @@ def test_kind_validation():
         TruncatedOperator(-np.eye(2), "symmetric-nonneg")
     op = TruncatedOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]), "skew")
     assert op.dim == 2
+
+
+@pytest.mark.parametrize("dim", [3, KIND_BLOCK, 2 * KIND_BLOCK + 5])
+def test_kind_checks_catch_one_entry_in_any_block(dim):
+    rng = rng_stream(dim, "hilbert-tests")
+    a = 3.0 * rng.standard_normal((dim, dim))
+    skew, sym = (a - a.T) / 2.0, a @ a.T / dim
+    for mat, kind in ((skew, "skew"), (sym, "symmetric-nonneg")):
+        op = TruncatedOperator(mat, kind)
+        assert not op.mat.flags.writeable and op.mat is not mat
+        scale = max(1.0, float(np.abs(mat).max()))
+        for i, j in ((dim - 1, 0), (dim // 2, dim - 1), (dim - 1, dim - 2)):
+            bad = mat.copy()
+            bad[i, j] += 2.0 * KIND_TOL * scale
+            with pytest.raises(ValueError, match="not s"):
+                TruncatedOperator(bad, kind)
 
 
 def test_det2_zero_operator():

@@ -4,14 +4,26 @@ import pytest
 from twistlab.chain import ChainSpec, NumericalError, build_dual, nchain, random_chain
 from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.paths import (
+    BATCH,
     _sojourn_quadrature,
     bridge_estimate,
+    bridge_targets,
     bridge_values,
     occupation_batch,
     sample_path,
 )
 from twistlab.seeding import rng_stream
 from twistlab.twisted import green
+
+
+class OpaqueExp:
+    """An exponential field without a closed-form sojourn integral."""
+
+    def __init__(self, exp_f):
+        self.exp_f = exp_f
+
+    def __call__(self, field):
+        return self.exp_f(field)
 
 
 def test_no_jump_chain_single_visit():
@@ -94,13 +106,8 @@ def test_bridge_quadrature_agrees_with_closed_form():
     dp = build_dual(random_chain(4, rng))
     chi = rng.uniform(0.2, 1.0, 4)
     exp_f = ExpField(chi, dp.m)
-
-    class OpaqueExp:
-        def __call__(self, field):
-            return exp_f(field)
-
     closed = bridge_values(dp, 0, 2, exp_f, 2000, seed=14)
-    quad = bridge_values(dp, 0, 2, OpaqueExp(), 2000, seed=14)
+    quad = bridge_values(dp, 0, 2, OpaqueExp(exp_f), 2000, seed=14)
     assert np.abs(closed - quad).max() <= 1e-7 * max(1.0, np.abs(closed).max())
     # the sojourn integral itself, on random fields and holding times,
     # including a state the functional does not damp (chi_y = 0)
@@ -205,3 +212,38 @@ def test_bridge_offsets_shift_the_field():
     shifted = bridge_values(dp, 0, 1, f, count, seed=19, offsets=shift)
     damp = float(np.exp(-np.sum(chi * dp.m * 0.3)))
     assert np.allclose(shifted, base * damp, rtol=1e-12)
+
+
+def test_bridge_targets_match_separate_walks_bit_for_bit():
+    # two targets share one offsets array, two have none, one needs
+    # quadrature on offsets of its own, the ys differ, and two batches run
+    rng = rng_stream(48, "path-tests")
+    dp = build_dual(random_chain(4, rng))
+    count = BATCH + 700
+    rho = rng.uniform(0.0, 1.0, (count, 4))
+    other = rng.uniform(0.0, 0.5, (count, 4))
+    exp_f = ExpField(rng.uniform(0.2, 1.0, 4), dp.m)
+    targets = [
+        (2, exp_f, rho),
+        (1, ProductField(), rho),
+        (0, MonomialField([1, 0, 2, 0]), None),
+        (2, OpaqueExp(exp_f), other),
+        (0, exp_f, None),
+    ]
+    together = bridge_targets(dp, 0, targets, count, seed=20)
+    assert len(together) == len(targets)
+    for (y, f, offsets), vals in zip(targets, together):
+        alone = bridge_values(dp, 0, y, f, count, 20, offsets)
+        assert np.array_equal(vals, alone)
+    assert np.any(together[2] != 0.0)
+
+
+def test_bridge_targets_reject_a_bad_target():
+    dp = build_dual(nchain(3))
+    f = ProductField()
+    good = (1, f, np.zeros((10, 3)))
+    for bad in ((3, f, None), (-1, f, None), (1, f, np.zeros((10, 2))), (1, f, np.zeros((9, 3)))):
+        with pytest.raises(ValueError):
+            bridge_targets(dp, 0, [good, bad], 10, seed=1)
+    with pytest.raises(ValueError):
+        bridge_targets(dp, 3, [good], 10, seed=1)
