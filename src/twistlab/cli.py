@@ -2,7 +2,8 @@
 
 Exit codes: number of failing rows (capped at 125); 2 for input/parse
 errors (message carries the offending line), for a flag the command does
-not read and for an integer flag below 1; 3 for numerical failures.
+not read, for an integer flag below 1 and for a ``--tol`` that is not
+finite and positive; 3 for numerical failures.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
 Configuration is by explicit flags; environment variables are ignored.
@@ -28,6 +29,7 @@ from .harness import example_suite, iso_suite, mass_gap_suite, mgf_suite, q_suit
 from .hilbert import circle_suite, det2_suite, levy_suite
 from .modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
 from .reporting import count_failures, print_reports, write_reports_csv
+from .twisted import CM_MAX_STATES
 
 __all__ = ["main"]
 
@@ -92,8 +94,10 @@ def _dispatch(args) -> list:
         return levy_suite(load_levy_model(args.input))
 
     dp = build_dual(load_chain_spec(args.input))
-    if args.command == "verify-q" and dp.n > 6:
-        raise SpecFileError(f"verify-q takes at most 6 states (its monotonicity sweep grows as 3^n); got {dp.n}")
+    if args.command == "verify-q" and dp.n > CM_MAX_STATES:
+        raise SpecFileError(
+            f"verify-q takes at most {CM_MAX_STATES} states (its monotonicity sweep grows as 3^n); got {dp.n}"
+        )
     if args.command == "verify-iso":
         return iso_suite(dp, count=args.samples, seed=args.seed, tol=args.tol)
     if args.command == "verify-q":
@@ -122,6 +126,9 @@ def main(argv=None) -> int:
     low = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if isinstance(v, int) and v < 1]
     if low:
         print(f"error: {', '.join(low)} must be at least 1", file=sys.stderr)
+        return 2
+    if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
+        print(f"error: --tol must be finite and positive, got {args.tol}", file=sys.stderr)
         return 2
     try:
         reports = _dispatch(args)

@@ -42,7 +42,6 @@ from .reporting import (
 from .seeding import rng_stream
 from .twisted import (
     build_twisted,
-    cm_grid,
     complete_monotonicity_check,
     green,
     mgf,
@@ -143,8 +142,7 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
 
     Weighted-sample expectations of nonnegative functionals must be real
     and nonnegative at 4 SE; exponential and monomial rows also bracket
-    their exact determinant/permanent values; a quick sign-pattern sweep of
-    the Laplace transform must be clean.
+    their exact determinant/permanent values.
     """
     rows = []
     tm = build_twisted(dp)
@@ -153,7 +151,6 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     rng = rng_stream(seed, "positivity-battery")
     n = dp.n
 
-    rows.append(mc_vs_exact("positivity_constant", w.copy(), w, 1.0))
     for t in range(2):
         chi = rng.uniform(0.0, 1.5, n)
         f = ExpField(chi, dp.m)
@@ -171,9 +168,6 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
         rows.append(
             mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", w * f(rho), w, q_moment(dp, pts))
         )
-
-    cm = complete_monotonicity_check(dp, grid=cm_grid(n, 2, 1.0), max_order=3, powers=(2,))
-    rows.append(exact_report("positivity_cm_clean", len(cm.violations), 0.0, tol=0.5))
     return rows
 
 
@@ -235,13 +229,12 @@ def mass_gap_suite(dp: DualPair, seed: int = 0):
 def mgf_suite(dp: DualPair, seed: int = 0):
     """Laplace-transform consistency rows: ratio identity, trace derivative."""
     rng = rng_stream(seed, "mgf-suite")
-    rows = [exact_report("mgf_at_zero", mgf(dp, np.zeros(dp.n)), 1.0, tol=1e-12)]
     base = partition(dp)
     worst = 0.0
     for _ in range(5):
         s = rng.uniform(0.0, 2.0, dp.n)
         worst = max(worst, abs(mgf(dp, s) - partition(dp, s) / base) / max(mgf(dp, s), 1e-300))
-    rows.append(exact_report("mgf_equals_partition_ratio", worst, 0.0, tol=1e-12))
+    rows = [exact_report("mgf_equals_partition_ratio", worst, 0.0, tol=1e-12)]
     s = rng.uniform(0.0, 1.0, dp.n)
     worst_tr = max(resolvent_trace_residual(dp, s, u) for u in range(dp.n))
     rows.append(exact_report("logdet_derivative_vs_trace", worst_tr, 0.0, tol=1e-8))
@@ -282,8 +275,8 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e
 def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     """Squared-field law battery: positivity, monotonicity, moment oracle."""
     rows = positivity_suite(dp, count=count, seed=seed)
-    cm = complete_monotonicity_check(dp, max_order=4, powers=(2, 3))
-    rows.append(exact_report("cm_full_sweep_clean", len(cm.violations), 0.0, tol=0.5))
+    cm = complete_monotonicity_check(dp)
+    rows.append(exact_report("cm_full_sweep_clean", cm.violations, 0.0, tol=0.5))
     rng = rng_stream(seed, "q-suite-points")
     for k in (1, 2, 3):
         pts = sorted(rng.choice(dp.n, size=k, replace=True).tolist())

@@ -21,7 +21,6 @@ from .seeding import rng_stream
 
 __all__ = [
     "CircleDriftModel",
-    "EtaKernelReport",
     "LevyModel",
     "SeriesReport",
     "TruncatedOperator",
@@ -57,8 +56,9 @@ def _transpose_residual(mat, op) -> float:
 class TruncatedOperator:
     """Finite matrix standing in for a Hilbert-space operator.
 
-    ``kind`` is one of symmetric-nonneg, skew, general; symmetry or
-    skewness is checked at construction to 1e-12 (relative).
+    ``kind`` is one of symmetric-nonneg, skew, general; entries must be
+    finite, and symmetry or skewness is checked at construction to 1e-12
+    (relative).
     """
 
     mat: np.ndarray
@@ -68,7 +68,11 @@ class TruncatedOperator:
         mat = _readonly(self.mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        scale = max(1.0, float(max(mat.max(), -mat.min())))
+        # max and min propagate NaN, so the scale itself shows NaN and inf entries
+        top = float(max(mat.max(), -mat.min()))
+        if not np.isfinite(top):
+            raise ValueError("operator matrix has a non-finite entry")
+        scale = max(1.0, top)
         if self.kind == "skew":
             if _transpose_residual(mat, np.add) > KIND_TOL * scale:
                 raise ValueError("matrix is not skew-symmetric")
@@ -142,8 +146,10 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     (c) the psi(f1) psī(f2)-weighted ratio equals
     2 <(I + C + B)^{-1} f1, f2> (the factor 2 is forced by the
     normalisation E psi(f) psī(f) = 2 |f|^2 of standard normals, and is
-    pinned by the block-Gaussian oracle in the tests); (d, e) the
-    Wick-compensated variants of (b) and (c).
+    pinned by the block-Gaussian oracle in the tests).  The
+    Wick-compensated forms of (b) and (c) multiply the weight by the
+    constant e^{tr C}, which cancels from every ratio and z-score in any
+    truncation, so (b) and (c) check them and they have no rows of their own.
     """
     cm = _matrix(C, "symmetric-nonneg")
     bm = _matrix(B, "skew")
@@ -161,7 +167,7 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     tr_c = float(np.trace(cm))
     eye = np.eye(d)
     # -(1/2) <(C - B) psi, psī> expands to -(1/2)(<C phi1, phi1> + <C phi2, phi2>)
-    # minus i <B phi1, phi2>; the pairing sign matters only for (c) and (e)
+    # minus i <B phi1, phi2>; the pairing sign matters only for (c)
 
     ones = np.ones(count)
     weight = np.exp(-0.5 * (quad1 + quad2) - 1j * pairing)
@@ -169,19 +175,11 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     psi_bar_f2 = phi1 @ f2 - 1j * (phi2 @ f2)
     resolvent = 2.0 * float(f2 @ np.linalg.solve(eye + cm + bm, f1))
 
-    rows = [
+    return [
         mc_vs_exact("char_skew_vs_det2", np.exp(1j * pairing), ones, 1.0 / det2(bm)),
         mc_vs_exact("char_complex_vs_det2", weight, ones, math.exp(-tr_c) / det2(cm + bm)),
         mc_vs_exact("pairing_vs_resolvent", psi_f1 * psi_bar_f2 * weight, weight, resolvent),
-        mc_vs_exact("char_wick_vs_det2", weight * math.exp(tr_c), ones, 1.0 / det2(cm + bm)),
-        mc_vs_exact(
-            "pairing_wick_vs_resolvent",
-            psi_f1 * psi_bar_f2 * weight * math.exp(tr_c),
-            weight * math.exp(tr_c),
-            resolvent,
-        ),
     ]
-    return rows
 
 
 @dataclass(frozen=True)
@@ -216,18 +214,6 @@ class CircleDriftModel:
     @property
     def bandwidth(self) -> int:
         return int(np.abs(self.ks).max()) if self.ks.size else 0
-
-    def coeff(self, k: int) -> complex:
-        hits = np.flatnonzero(self.ks == k)
-        return complex(self.coeffs[hits[0]]) if hits.size else 0.0j
-
-    def drift(self, theta) -> np.ndarray:
-        """Evaluate the (real) drift function on the circle."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros_like(theta, dtype=complex)
-        for k, c in zip(self.ks, self.coeffs):
-            out = out + c * np.exp(1j * k * theta)
-        return out.real
 
 
 def circle_model(epsilon: float, pos_coeffs: dict) -> CircleDriftModel:
@@ -401,20 +387,14 @@ def _eta_vector(model: CircleDriftModel, K: int, x: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EtaKernelReport:
-    kernel_value: float
-    v_chi_value: float
-
-
-def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), chi_weights=()) -> EtaKernelReport:
-    """Reproducing kernel K(x, y) and damped kernel V_chi(x, y) at truncation K.
+def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), chi_weights=()) -> float:
+    """Damped kernel V_chi(x, y) at truncation K.
 
     ``op`` is ``circle_B_matrix(model, K)``; K is read from its dimension
     2K + 1.  chi is the finitely supported measure sum p_j delta_{u_j}; the
     damping operator is the rank-sum of the evaluation elements at the u_j.
-    V_chi costs one dense (2K + 1)^2 solve; K(x, y) alone is eta_x . eta_y
-    and needs none.
+    V_chi costs one dense (2K + 1)^2 solve; the plain reproducing kernel
+    K(x, y) is ``_eta_vector`` at x dotted with the one at y and needs none.
     """
     chi_points = list(chi_points)
     chi_weights = [float(p) for p in chi_weights]
@@ -426,13 +406,11 @@ def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), c
     K = op.dim // 2
     eta_x = _eta_vector(model, K, x)
     eta_y = _eta_vector(model, K, y)
-    kernel = float(eta_x @ eta_y)
     m = np.eye(op.dim) - op.mat
     for u, p in zip(chi_points, chi_weights):
         eta_u = _eta_vector(model, K, u)
         m = m + p * np.outer(eta_u, eta_u)
-    v = float(eta_y @ np.linalg.solve(m, eta_x))
-    return EtaKernelReport(kernel_value=kernel, v_chi_value=v)
+    return float(eta_y @ np.linalg.solve(m, eta_x))
 
 
 def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1e-10):
@@ -463,15 +441,11 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1
             relative=True,
         )
     )
-    rows.append(exact_report("det2_skew_sign_flip", det2(b_op), det2(-b_op.mat), tol=1e-12, relative=True))
     rows.append(
         exact_report("det2_skew_at_least_one", min(det2(b_op) - 1.0, 0.0), 0.0, tol=1e-12)
     )
 
     c_op = random_symmetric_nonneg(dim, rng)
-    smallest = float(np.linalg.svd(np.eye(dim) + c_op.mat + b_op.mat, compute_uv=False)[-1])
-    rows.append(exact_report("identity_plus_cb_invertible", min(smallest, 1e-6), 1e-6, tol=1e-12))
-
     f1 = rng.standard_normal(dim)
     f2 = rng.standard_normal(dim)
     rows.extend(gaussian_char_identities(c_op, b_op, f1, f2, count=count, seed=seed))
@@ -532,7 +506,7 @@ def circle_suite(model: CircleDriftModel, K: int = 128, tol: float = 1e-10):
     rows.append(
         exact_report(
             "circle_damping_decreases_kernel",
-            min(base.v_chi_value - damped.v_chi_value, 0.0),
+            min(base - damped, 0.0),
             0.0,
             tol=1e-12,
         )

@@ -1,9 +1,9 @@
 """Structured-text input files for chains and circle/Levy models.
 
 Files are YAML mappings (JSON works too).  Parsing walks the composed node
-tree so that dimension and type errors point at the offending line; a file
-that cannot be read, is not UTF-8 or holds a control character is a
-`SpecFileError` too.
+tree so that dimension and type errors, and inf or nan in a float field,
+point at the offending line; a file that cannot be read, is not UTF-8 or
+holds a control character is a `SpecFileError` too.
 """
 
 from __future__ import annotations
@@ -82,9 +82,12 @@ def _scalar(node, cast, what):
     if not isinstance(node, yaml.ScalarNode):
         raise SpecFileError(f"{what} must be a scalar", _line(node))
     try:
-        return cast(node.value)
+        value = cast(node.value)
     except ValueError as exc:
         raise SpecFileError(f"{what} must be a {cast.__name__}, got {node.value!r}", _line(node)) from exc
+    if cast is float and not np.isfinite(value):
+        raise SpecFileError(f"{what} must be finite, got {node.value!r}", _line(node))
+    return value
 
 
 def _sequence(node, what):

@@ -47,6 +47,11 @@ mu: [0.4, 0.3, 0.2, 0.1]
 
 PIN_CIRCLE = "epsilon: 1.0\nb_hat:\n  - [1, 0.4, 0.1]\n  - [2, 0.1, -0.2]\n"
 
+PIN_LEVY = (
+    "a: [1.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0, 64.0, 81.0, 100.0]\n"
+    "b: [1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0, -8.0, 9.0, -10.0]\n"
+)
+
 # Reports of fixed configurations, pinned row by row.  A change to a random
 # stream, a batch layout or a sampling method must show up as an edit here.
 PINNED = [
@@ -85,13 +90,11 @@ occupation_product_mc[1],mc,0.0616232547607,0.062049216729,0.000476027005221,0.0
     (
         ["verify-q", "--input", "{chain}", "--seed", "4", "--samples", "20000"],
         """\
-positivity_constant,mc,1,1,0,0,0,1,0.000
 positivity_exp0_vs_mgf,mc,0.0866863406485,0.0861629471116,0.000856709974148,0,0.647254708982,1,0.000
 positivity_exp1_vs_mgf,mc,0.196864047728,0.195289857877,0.00134842383876,0,1.16742956183,1,0.000
 positivity_bump_nonneg,mc,0.0562311018097,0,0.00111056853463,0,0.387571315809,1,0.000
 positivity_moment_single_vs_permanent,mc,1.50360064644,1.5190397351,0.0107722921507,0,1.4332222374,1,0.000
 positivity_moment_pair_vs_permanent,mc,4.36298437508,4.40988964044,0.072064643571,0,0.926673719455,1,0.000
-positivity_cm_clean,exact,0,0,0,0,0,1,0.000
 cm_full_sweep_clean,exact,0,0,0,0,0,1,0.000
 q_moment_vs_derivative_oracle_k1,exact,1.48490566038,1.48490566038,0,0,9.4813046303e-14,1,0.000
 q_moment_vs_derivative_oracle_k2,exact,2.9420061227,2.94200612269,0,0,1.51483270372e-11,1,0.000
@@ -113,14 +116,10 @@ trace_consistency[|Y|=2],exact,2.48689957516e-14,0,0,0,2.48689957516e-14,1,0.000
 det2_vs_det_exp_trace,exact,1.26554291865,1.26554291865,0,0,1.33226762955e-15,1,0.000
 det_multiplicativity,exact,0.377305555467,0.377305555467,0,0,5.55111512313e-17,1,0.000
 det2_skew_vs_sqrt_gram,exact,1.91936671083,1.91936671083,0,0,4.4408920985e-16,1,0.000
-det2_skew_sign_flip,exact,1.91936671083,1.91936671083,0,0,0,1,0.000
 det2_skew_at_least_one,exact,0,0,0,0,0,1,0.000
-identity_plus_cb_invertible,exact,1e-06,1e-06,0,0,0,1,0.000
 char_skew_vs_det2,mc,0.520950210728,0.521005180697,0.004053059432,0,0.431029633525,1,0.000
 char_complex_vs_det2,mc,0.0469971217399,0.0477354023035,0.000711550478166,0,1.03756597222,1,0.000
 pairing_vs_resolvent,mc,-1.21099543452,-1.24371051742,0.0207427800116,0,1.5771792829,1,0.000
-char_wick_vs_det2,mc,9.73539068144,9.88832450917,0.147396726396,0,1.03756597222,1,0.000
-pairing_wick_vs_resolvent,mc,-1.21099543452,-1.24371051742,0.0207427800116,0,1.5771792829,1,0.000
 """,
     ),
     (
@@ -131,6 +130,28 @@ circle_hs_converged,exact,1,1,0,0,0,1,0.000
 circle_hs_partial_sum,info,0.852193688379,0.852193688379,0,0,0,1,0.000
 circle_kernel_vs_closed_form,exact,0.969103202824,0.967514578769,0,0,0.0015886240547,1,0.000
 circle_damping_decreases_kernel,exact,0,0,0,0,0,1,0.000
+""",
+    ),
+    (
+        ["mgf-check", "--input", "{chain}", "--seed", "2"],
+        """\
+mgf_equals_partition_ratio,exact,4.14912600245e-16,0,0,0,4.14912600245e-16,1,0.000
+logdet_derivative_vs_trace,exact,1.2445600106e-13,0,0,0,1.2445600106e-13,1,0.000
+green_monotone_in_chi,exact,0,0,0,0,0,1,0.000
+""",
+    ),
+    (
+        ["mass-gap", "--input", "{chain}", "--seed", "3"],
+        """\
+mass_gap,info,0.286046579537,0.286046579537,0,0,0,1,0.000
+energy_lower_bound_margin,exact,0,0,0,0,0,1,0.000
+""",
+    ),
+    (
+        ["levy-check", "--input", "{levy}"],
+        """\
+levy_series_converged,exact,1,1,0,0,0,1,0.000
+levy_partial_sum,info,1.54976773117,1.54976773117,0,0,0,1,0.000
 """,
     ),
 ]
@@ -163,15 +184,27 @@ def test_reports_byte_identical_for_same_config(tmp_path):
 @pytest.mark.parametrize(
     "argv, expected",
     PINNED,
-    ids=["example-chain", "verify-iso", "verify-q", "trace-check", "det2-check", "circle-check"],
+    ids=[
+        "example-chain",
+        "verify-iso",
+        "verify-q",
+        "trace-check",
+        "det2-check",
+        "circle-check",
+        "mgf-check",
+        "mass-gap",
+        "levy-check",
+    ],
 )
 def test_same_seed_reports_are_pinned(argv, expected, tmp_path, capsys):
     chain = tmp_path / "pin.yaml"
     chain.write_text(PIN_CHAIN)
     circle = tmp_path / "circle.yaml"
     circle.write_text(PIN_CIRCLE)
+    levy = tmp_path / "levy.yaml"
+    levy.write_text(PIN_LEVY)
     out = tmp_path / "report.csv"
-    assert main([a.format(chain=chain, circle=circle) for a in argv] + ["--out", str(out)]) == 0
+    assert main([a.format(chain=chain, circle=circle, levy=levy) for a in argv] + ["--out", str(out)]) == 0
     got = list(csv.DictReader(io.StringIO(out.read_text())))
     want = list(csv.DictReader(io.StringIO("name,mode,lhs,rhs,se_lhs,se_rhs,z,pass,seconds\n" + expected)))
     assert [(r["name"], r["mode"], r["pass"]) for r in got] == [(r["name"], r["mode"], r["pass"]) for r in want]
@@ -308,6 +341,24 @@ def test_out_of_range_integer_flags_exit_two(argv, message, tmp_path, capsys):
     circle = tmp_path / "circle.yaml"
     circle.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [3, 0.1, 0.0]\n")
     assert main([a.format(circle=circle) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-iso", "--input", "{chain}", "--tol", "-1"], "--tol must be finite and positive, got -1.0"),
+        (["trace-check", "--input", "{chain}", "--tol", "nan"], "--tol must be finite and positive, got nan"),
+        (["det2-check", "--tol", "inf"], "--tol must be finite and positive, got inf"),
+        (["mass-gap", "--input", "{infinite}"], "line 2: q entry must be finite, got 'inf'"),
+    ],
+    ids=["tol-negative", "tol-nan", "tol-inf", "input-inf"],
+)
+def test_non_finite_or_negative_values_exit_two(argv, message, chain_file, tmp_path, capsys):
+    infinite = tmp_path / "infinite.yaml"
+    infinite.write_text(CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"))
+    assert main([a.format(chain=chain_file, infinite=infinite) for a in argv]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
 

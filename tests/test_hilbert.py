@@ -34,6 +34,14 @@ def test_kind_validation():
         TruncatedOperator(-np.eye(2), "symmetric-nonneg")
     op = TruncatedOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]), "skew")
     assert op.dim == 2
+    # comparisons with NaN are false, so without the finiteness check no kind check fires
+    for mat, kind in (
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), "skew"),
+        (np.full((2, 2), np.nan), "symmetric-nonneg"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "general"),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            TruncatedOperator(mat, kind)
 
 
 @pytest.mark.parametrize("dim", [3, KIND_BLOCK, 2 * KIND_BLOCK + 5])
@@ -269,13 +277,11 @@ def test_eta_kernel_series_and_symmetry():
     model = circle_model(1.0, {})
     K = 40
     op = circle_B_matrix(model, K)
-    rep = eta_kernel(model, op, 0.3, 0.3)
     series = 1.0 / model.epsilon + sum(2.0 / (k * k + model.epsilon) for k in range(1, K + 1))
-    assert rep.kernel_value == pytest.approx(series, rel=1e-12)
-    assert rep.v_chi_value == pytest.approx(series, rel=1e-12)  # no drift, no damping
+    assert eta_kernel(model, op, 0.3, 0.3) == pytest.approx(series, rel=1e-12)  # no drift, no damping
     a = eta_kernel(model, op, 0.3, 1.4)
     b = eta_kernel(model, op, 1.4, 0.3)
-    assert a.kernel_value == pytest.approx(b.kernel_value, rel=1e-12)
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_eta_kernel_damping_monotone():
@@ -285,7 +291,7 @@ def test_eta_kernel_damping_monotone():
     base = eta_kernel(model, op, u, u)
     light = eta_kernel(model, op, u, u, chi_points=[u], chi_weights=[0.3])
     heavy = eta_kernel(model, op, u, u, chi_points=[u], chi_weights=[1.0])
-    assert heavy.v_chi_value < light.v_chi_value < base.v_chi_value
+    assert heavy < light < base
 
 
 def test_damped_kernel_matches_gaussian_pairing_on_truncation():
@@ -310,7 +316,7 @@ def test_damped_kernel_matches_gaussian_pairing_on_truncation():
     )
     pairing = next(r for r in rows if r.name == "pairing_vs_resolvent")
     target = eta_kernel(model, op, x, y, chi_points=chi_points, chi_weights=chi_weights)
-    assert pairing.rhs == pytest.approx(2.0 * target.v_chi_value, rel=1e-10)
+    assert pairing.rhs == pytest.approx(2.0 * target, rel=1e-10)
     assert pairing.passed
 
 

@@ -101,9 +101,7 @@ def test_load_circle_model(tmp_path):
     text = "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n"
     model = load_circle_model(write(tmp_path, text))
     assert model.bandwidth == 1
-    assert model.coeff(1) == 0.5 and model.coeff(-1) == 0.5
-    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    assert np.allclose(model.drift(theta), np.cos(theta), atol=1e-12)
+    assert model.ks.tolist() == [-1, 1] and model.coeffs.tolist() == [0.5, 0.5]
 
 
 def test_circle_model_conjugate_conflict(tmp_path, monkeypatch):
@@ -117,3 +115,20 @@ def test_load_levy_model(tmp_path, monkeypatch):
     assert model.a.size == 2
     load_error(monkeypatch, load_levy_model, write(tmp_path, "a: [1.0, 4.0]\nb: [1.0]\n"))
     load_error(monkeypatch, load_levy_model, write(tmp_path, "a: [0.0, 4.0]\nb: [1.0, 2.0]\n"), match="positive")
+
+
+@pytest.mark.parametrize(
+    "load, text, line",
+    [
+        (load_circle_model, "epsilon: 1.0\nb_hat: [[inf, 0.5, 0.0]]\n", 2),
+        (load_circle_model, "epsilon: 1.0\nb_hat:\n  - [nan, 0.5, 0.0]\n", 3),
+        (load_circle_model, "epsilon: nan\nb_hat: []\n", 1),
+        (load_chain_spec, GOOD_CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"), 2),
+        (load_levy_model, "a: [1.0, nan]\nb: [1.0, 2.0]\n", 1),
+        (load_levy_model, "a: [1.0, 4.0]\nb: [nan, 2.0]\n", 2),
+    ],
+    ids=["frequency-inf", "frequency-nan", "epsilon-nan", "rate-inf", "levy-a-nan", "levy-b-nan"],
+)
+def test_non_finite_numbers_are_rejected_at_their_line(load, text, line, tmp_path, monkeypatch):
+    err = load_error(monkeypatch, load, write(tmp_path, text), match="must be finite")
+    assert err.line == line

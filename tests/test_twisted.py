@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
 from twistlab.seeding import rng_stream
 from twistlab.twisted import (
+    CM_MAX_STATES,
     build_twisted,
     cm_grid,
     complete_monotonicity_check,
@@ -219,10 +221,24 @@ def test_monotone_first_difference_everywhere():
 def test_complete_monotonicity_random_chain():
     rng = rng_stream(30, "twisted-tests")
     dp = build_dual(random_chain(4, rng))
-    report = complete_monotonicity_check(dp, max_order=4, powers=(2, 3))
-    assert report.clean
+    report = complete_monotonicity_check(dp)
+    assert report.violations == 0
     assert report.min_signed_value >= -1e-12
     assert report.checks > 0
+
+
+def test_complete_monotonicity_flags_a_transform_of_no_positive_law():
+    # a generator with a negative off-diagonal rate gives Phi = 2 / ((1 + s1)(1 + s2) + 1);
+    # at the origin its mixed third derivatives, and the mixed second derivatives of
+    # its square and cube roots, have the wrong sign
+    dp = dataclasses.replace(build_dual(nchain(2)), L=-np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    assert mgf(dp, np.array([0.5, 1.0])) == pytest.approx(2.0 / (1.5 * 2.0 + 1.0), rel=1e-12)
+    report = complete_monotonicity_check(dp)
+    assert report.violations > 0
+    assert report.min_signed_value < -1e-12
+    assert cm_grid(CM_MAX_STATES).shape == (3**CM_MAX_STATES, CM_MAX_STATES)
+    with pytest.raises(ValueError, match="at most"):
+        cm_grid(CM_MAX_STATES + 1)
 
 
 def test_derivative_vs_trace():
