@@ -24,7 +24,7 @@ from .chain import (
     trace_chain,
 )
 from .functionals import BumpField, ExpField, MonomialField, ProductField
-from .paths import PathRecord, bridge_estimate, sample_path
+from .paths import bridge_values
 from .reporting import VerificationReport, count_failures, write_reports_csv
 from .twisted import (
     TwistedModel,

@@ -29,7 +29,8 @@ import numpy as np
 
 from .chain import DualPair, build_dual, energy_quadratic, energy_report, nchain, trace_chain
 from .functionals import BumpField, ExpField, MonomialField, ProductField
-from .paths import bridge_targets, bridge_values
+# bridge_values is not called here; bench/layertrace.py patches and checks its harness binding
+from .paths import bridge_targets, bridge_values  # noqa: F401
 from .reporting import (
     VerificationReport,
     exact_report,
@@ -66,29 +67,22 @@ __all__ = [
 ]
 
 
-def _mc_compare(name, lhs_num, rhs_num, den):
-    """Paired MC comparison of two weighted-ratio estimates."""
-    rl, sel_re, sel_im = _ratio(lhs_num, den)
-    rr, ser_re, ser_im = _ratio(rhs_num, den)
-    rd, sed_re, _ = _ratio(lhs_num - rhs_num, den)
-    z = max(
-        _score(rd.real, sed_re),
-        _score(rl.imag, sel_im),
-        _score(rr.imag, ser_im),
-    )
-    return mc_report(name, rl.real, sel_re, rr.real, ser_re, z=z)
-
-
 def _bridge_mc(x, y, func, z, w, rho, path_vals, name):
     """MC bridge-identity row on the twisted draws ``(z, w)``.
 
     ``rho`` is the draws' squared field and ``path_vals`` the bridge values
     of ``func`` from x weighted at y, one path per draw with that draw's
-    ``rho`` as the path's offset.
+    ``rho`` as the path's offset.  The two sides share the draws; the row
+    scores their paired difference and the imaginary part of each side.
     """
     t0 = time.perf_counter()
     lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
-    rep = _mc_compare(name, lhs_num, w * path_vals, w)
+    rhs_num = w * path_vals
+    rl, sel_re, sel_im = _ratio(lhs_num, w)
+    rr, ser_re, ser_im = _ratio(rhs_num, w)
+    rd, sed_re, _ = _ratio(lhs_num - rhs_num, w)
+    z_max = max(_score(rd.real, sed_re), _score(rl.imag, sel_im), _score(rr.imag, ser_im))
+    rep = mc_report(name, rl.real, sel_re, rr.real, ser_re, z=z_max)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -102,38 +96,24 @@ def verify_bridge_identity(
     dp: DualPair,
     x: int,
     y: int,
-    functional=None,
     chi=None,
-    count: int = 100_000,
-    seed: int = 0,
     tol: float = 1e-10,
     name: str | None = None,
 ) -> VerificationReport:
-    """Twisted field correlation against the bridge-shifted functional.
+    """Exact bridge identity for the exponential functional exp(-<chi, l>_m).
 
-    Without ``functional``, F is exponential, exp(-<chi, l>_m) (constant
-    when ``chi`` is None), and the row is exact: both sides reduce to
+    F is constant when ``chi`` is None.  Both sides reduce to
     ``G_chi(x, y) * Phi(chi)``, computed along the two determinant routes;
-    with chi = None the right side is the Green density counted on the
-    jump chain instead, expected visits over rate and weight.  With a
-    ``functional`` the row is Monte Carlo: weighted-sample estimates of both
-    sides with shared field draws and an independent path stream per side
-    pairing.  With x = y this is the occupation identity.
+    with chi = None the right side is the Green density counted on the jump
+    chain instead, expected visits over rate and weight.  With x = y this is
+    the occupation identity.  Monte Carlo rows of the identity come from
+    `_bridge_mc` on a suite's shared draws and walk.
     """
     t0 = time.perf_counter()
-    label = name or f"bridge_identity[x={x},y={y}]"
-    if functional is None:
-        g = green(dp, chi)[x, y]
-        lhs = g * (partition(dp, chi) / partition(dp))
-        rhs = _path_green(dp, x, y) if chi is None else g * mgf(dp, chi)
-        rep = exact_report(label, lhs, rhs, tol=tol)
-    elif chi is not None:
-        raise ValueError("pass either a functional or chi, not both")
-    else:
-        z, w = sample_twisted_batch(build_twisted(dp), count, seed)
-        rho = np.abs(z) ** 2
-        vals = bridge_values(dp, x, y, functional, count, seed, offsets=rho)
-        rep = _bridge_mc(x, y, functional, z, w, rho, vals, label)
+    g = green(dp, chi)[x, y]
+    lhs = g * (partition(dp, chi) / partition(dp))
+    rhs = _path_green(dp, x, y) if chi is None else g * mgf(dp, chi)
+    rep = exact_report(name or f"bridge_identity[x={x},y={y}]", lhs, rhs, tol=tol)
     return rep.with_seconds(time.perf_counter() - t0)
 
 

@@ -41,15 +41,6 @@ __all__ = [
 ]
 
 KIND_TOL = 1e-12
-KIND_BLOCK = 64  # rows per block of the kind checks: temporaries stay in cache
-
-
-def _transpose_residual(mat, op) -> float:
-    """max |op(mat, mat.T)|, one block of rows at a time."""
-    return max(
-        float(np.abs(op(mat[lo : lo + KIND_BLOCK], mat[:, lo : lo + KIND_BLOCK].T)).max())
-        for lo in range(0, mat.shape[0], KIND_BLOCK)
-    )
 
 
 @dataclass(frozen=True)
@@ -74,10 +65,10 @@ class TruncatedOperator:
             raise ValueError("operator matrix has a non-finite entry")
         scale = max(1.0, top)
         if self.kind == "skew":
-            if _transpose_residual(mat, np.add) > KIND_TOL * scale:
+            if float(np.abs(mat + mat.T).max()) > KIND_TOL * scale:
                 raise ValueError("matrix is not skew-symmetric")
         elif self.kind == "symmetric-nonneg":
-            if _transpose_residual(mat, np.subtract) > KIND_TOL * scale:
+            if float(np.abs(mat - mat.T).max()) > KIND_TOL * scale:
                 raise ValueError("matrix is not symmetric")
             low = float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
             if low < -KIND_TOL * scale:
@@ -195,12 +186,15 @@ class CircleDriftModel:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # written so that NaN fails: every comparison with NaN is false
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         ks = _readonly(self.ks, dtype=int)
         coeffs = _readonly(self.coeffs, dtype=complex)
         if ks.ndim != 1 or coeffs.shape != ks.shape:
             raise ValueError("ks and coeffs must be matching vectors")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("drift coefficients must be finite")
         if len(set(ks.tolist())) != ks.size:
             raise ValueError("duplicate frequencies in drift coefficients")
         table = dict(zip(ks.tolist(), coeffs.tolist()))
@@ -369,7 +363,9 @@ class LevyModel:
         b = _readonly(self.b, dtype=float)
         if a.ndim != 1 or a.shape != b.shape or a.size == 0:
             raise ValueError("a and b must be matching nonempty vectors")
-        if np.any(a <= 0):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("all a_k and b_k must be finite")
+        if not np.all(a > 0):
             raise ValueError("all a_k must be positive")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

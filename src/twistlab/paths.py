@@ -3,21 +3,21 @@
 A path from x holds at each state for an exponential time with that
 state's rate, then jumps along a row of the jump matrix or is killed with
 the row's deficit; killing is almost sure.  One stepping kernel advances a
-batch of paths in lockstep and hands every sojourn to its consumer: a
-single path is a batch of one, occupation fields scatter-add holding times
-divided by the reference measure, and the bridge accumulator realises the
-local-time-weighted path measure: along each path from x, every stay at y
-of length tau contributes ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du``
-with ``field`` the running occupation field (plus an optional per-path
-offset).  Paths depend only on (start, count, seed), so `bridge_targets`
-evaluates any number of (y, functional, offsets) targets in lockstep on one
-walk, and each suite walks each of its path sets once; `bridge_values` is
-its one-target case.  A functional that knows the sojourn integral in
-closed form provides ``sojourn_integral(field, y, tau, m_y)``, as
-`ExpField`, `ProductField` and `MonomialField` do; any other functional
-goes through Gauss-Legendre quadrature with node doubling, which raises
-`NumericalError` when it misses its tolerance.  Every walk is bounded by ``MAX_JUMPS`` sojourns and
-raises `NumericalError` beyond it.
+batch of paths in lockstep and hands every sojourn to its consumer:
+occupation fields scatter-add holding times divided by the reference
+measure, and the bridge accumulator realises the local-time-weighted path
+measure: along each path from x, every stay at y of length tau contributes
+``(1/m_y) * int_0^tau F(field + u e_y / m_y) du`` with ``field`` the
+running occupation field (plus an optional per-path offset).  Paths depend
+only on (start, count, seed), so `bridge_targets` evaluates any number of
+(y, functional, offsets) targets in lockstep on one walk, and each suite
+walks each of its path sets once; `bridge_values` is its one-target case.
+A functional that knows the sojourn integral in closed form provides
+``sojourn_integral(field, y, tau, m_y)``, as `ExpField`, `ProductField` and
+`MonomialField` do; any other functional goes through Gauss-Legendre
+quadrature with node doubling, which raises `NumericalError` when it misses
+its tolerance.  Every walk is bounded by ``MAX_JUMPS`` sojourns and raises
+`NumericalError` beyond it.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -26,7 +26,6 @@ bit-identical results and replicas may run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,25 +33,10 @@ import numpy as np
 from .chain import DualPair, NumericalError
 from .seeding import rng_stream
 
-__all__ = [
-    "PathRecord",
-    "bridge_estimate",
-    "bridge_targets",
-    "bridge_values",
-    "occupation_batch",
-    "sample_path",
-]
+__all__ = ["bridge_targets", "bridge_values", "occupation_batch"]
 
 BATCH = 1 << 15  # fixed so results depend only on (seed, count)
 MAX_JUMPS = 1_000_000  # sojourns per path before a walk gives up
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """Visited states of a killed path with their holding durations."""
-
-    states: np.ndarray
-    durations: np.ndarray
 
 
 def _walk(dp: DualPair, start: int, b: int, rng):
@@ -82,18 +66,6 @@ def _batches(count: int, seed: int, stream: str):
     """(offset, size, generator) per fixed-size batch, each on its own stream."""
     for idx, lo in enumerate(range(0, count, BATCH)):
         yield lo, min(BATCH, count - lo), rng_stream(seed, stream, idx)
-
-
-def sample_path(dp: DualPair, start: int, seed: int) -> PathRecord:
-    """Simulate one killed path from ``start``; deterministic given seed."""
-    if not 0 <= int(start) < dp.n:
-        raise ValueError(f"start state {start} out of range")
-    steps = _walk(dp, int(start), 1, rng_stream(seed, "single-path"))
-    states, durations = zip(*((s[0], tau[0]) for _, s, tau in steps))
-    return PathRecord(
-        states=np.array(states, dtype=int),
-        durations=np.array(durations, dtype=float),
-    )
 
 
 def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
@@ -206,11 +178,3 @@ def bridge_values(
     stops at relative change 1e-8 and raises past 64 nodes.
     """
     return bridge_targets(dp, x, [(y, functional, offsets)], count, seed)[0]
-
-
-def bridge_estimate(dp: DualPair, x: int, y: int, functional, count: int, seed: int):
-    """Unbiased bridge-measure estimate of F and its standard error."""
-    vals = bridge_values(dp, x, y, functional, count, seed)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-    return mean, se

@@ -194,12 +194,13 @@ _STENCILS = {
 }
 
 
-def mgf_mixed_derivative(dp: DualPair, counts, h: float = 0.02) -> float:
+def mgf_mixed_derivative(dp: DualPair, counts) -> float:
     """Mixed partial derivative of Phi at 0 by central product stencils.
 
     ``counts[x]`` is the derivative order in coordinate x (at most 3 per
-    coordinate).  Two Richardson extrapolation levels in h remove the
-    leading even-order errors and leave O(h^6).
+    coordinate).  Steps h = 0.01, h/2 and h/4 feed two Richardson
+    extrapolation levels, which remove the leading even-order errors and
+    leave O(h^6).
     """
     counts = np.asarray(counts, dtype=int)
     if counts.shape != (dp.n,):
@@ -222,7 +223,7 @@ def mgf_mixed_derivative(dp: DualPair, counts, h: float = 0.02) -> float:
             total += coeff * _phi_any(dp, s)
         return total / step**order
 
-    table = [estimate(h / 2**j) for j in range(3)]
+    table = [estimate(0.01 / 2**j) for j in range(3)]
     for level in (1, 2):
         factor = 4.0**level
         table = [
@@ -240,7 +241,7 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     """
     pts = [int(p) for p in points]
     counts = np.bincount(pts, minlength=dp.n)
-    d = mgf_mixed_derivative(dp, counts, h=0.01)
+    d = mgf_mixed_derivative(dp, counts)
     sign = (-1.0) ** len(pts)
     return float(sign * d / np.prod(dp.m[pts]))
 

@@ -14,6 +14,7 @@ import numpy as np
 from twistlab.chain import build_dual, energy_report, nchain, random_chain, trace_chain
 from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.harness import (
+    _bridge_mc,
     example_suite,
     positivity_suite,
     verify_bridge_identity,
@@ -30,10 +31,11 @@ from twistlab.hilbert import (
     random_skew,
     random_symmetric_nonneg,
 )
-from twistlab.paths import bridge_estimate, bridge_values
+from twistlab.paths import bridge_values
 from twistlab.reporting import count_failures
 from twistlab.seeding import rng_stream
 from twistlab.twisted import (
+    build_twisted,
     complete_monotonicity_check,
     green,
     mgf,
@@ -42,6 +44,7 @@ from twistlab.twisted import (
     q_moment,
     q_moment_oracle,
     resolvent_trace_residual,
+    sample_twisted_batch,
 )
 
 
@@ -87,7 +90,8 @@ def test_criterion_2_bridge_brackets_damped_green():
             x = int(rng.integers(n))
             y = int(rng.integers(n))
             chi = rng.uniform(0.1, 1.2, n)
-            est, se = bridge_estimate(dp, x, y, ExpField(chi, dp.m), count, seed=1000 + 5 * c + t)
+            vals = bridge_values(dp, x, y, ExpField(chi, dp.m), count, seed=1000 + 5 * c + t)
+            est, se = vals.mean(), vals.std(ddof=1) / np.sqrt(count)
             target = green(dp, chi)[x, y]
             z = abs(est - target) / se if se > 0 else (0.0 if est == target else np.inf)
             worst_z = max(worst_z, z)
@@ -107,9 +111,10 @@ def test_criterion_3_bridge_identity():
         chi = rng.uniform(0.1, 1.0, 4)
         exact = verify_bridge_identity(dp, x, y, chi=chi, tol=1e-10)
         worst_exact = max(worst_exact, exact.z)
-        mc = verify_bridge_identity(
-            dp, x, y, functional=ProductField(), count=100_000, seed=2000 + c
-        )
+        z, w = sample_twisted_batch(build_twisted(dp), 100_000, 2000 + c)
+        rho = np.abs(z) ** 2
+        vals = bridge_values(dp, x, y, ProductField(), 100_000, 2000 + c, offsets=rho)
+        mc = _bridge_mc(x, y, ProductField(), z, w, rho, vals, f"bridge_identity[x={x},y={y}]")
         worst_z = max(worst_z, mc.z)
     elapsed = time.perf_counter() - t0
     ok = worst_exact <= 1e-10 and worst_z <= 4.0 and elapsed < 300.0

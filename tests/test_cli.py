@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import gc
 import io
 import re
 import shlex
@@ -225,8 +226,6 @@ def test_path_walks_are_bounded(tmp_path, monkeypatch, capsys):
     dp = build_dual(load_chain_spec(str(path)))
     monkeypatch.setattr(paths, "MAX_JUMPS", 50)
     with pytest.raises(NumericalError):
-        paths.sample_path(dp, 0, seed=1)
-    with pytest.raises(NumericalError):
         paths.occupation_batch(dp, 0, 200, seed=1)
     with pytest.raises(NumericalError):
         paths.bridge_values(dp, 0, 1, ProductField(), 200, seed=1)
@@ -273,9 +272,15 @@ def test_cli_maps_large_arrays_fresh_after_larger_frees(capsys):
     # freeing a mapped 24 MiB block raises a dynamic mmap threshold past 5 MiB
     np.ones(24 << 20, dtype=np.uint8)
     assert main(["det2-check", "--dim", "2", "--seed", "1", "--samples", "1000"]) == 0
-    before = libc.mallinfo2().hblks
-    block = np.ones(5 << 20, dtype=np.uint8)
-    assert libc.mallinfo2().hblks == before + 1  # a mapping of its own, not heap
+    # a collection between the two reads could unmap another block and hide this one
+    gc.collect()
+    gc.disable()
+    try:
+        before = libc.mallinfo2().hblks
+        block = np.ones(5 << 20, dtype=np.uint8)
+        assert libc.mallinfo2().hblks == before + 1  # a mapping of its own, not heap
+    finally:
+        gc.enable()
     del block
 
 

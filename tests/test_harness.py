@@ -4,6 +4,7 @@ import pytest
 from twistlab.chain import build_dual, nchain, random_chain
 from twistlab.functionals import ExpField, ProductField
 from twistlab.harness import (
+    _bridge_mc,
     example_suite,
     iso_suite,
     mass_gap_suite,
@@ -14,15 +15,24 @@ from twistlab.harness import (
     verify_bridge_identity,
     verify_trace,
 )
+from twistlab.paths import bridge_values
 from twistlab.reporting import count_failures, write_reports_csv
 from twistlab.seeding import rng_stream
-from twistlab.twisted import green, mgf, q_moment
+from twistlab.twisted import build_twisted, green, mgf, q_moment, sample_twisted_batch
 
 
 @pytest.fixture(scope="module")
 def chain4():
     rng = rng_stream(51, "harness-tests")
     return build_dual(random_chain(4, rng))
+
+
+def bridge_mc_row(dp, x, y, func, count, seed):
+    """MC bridge-identity row built as the suites build it: one draw set, one walk."""
+    z, w = sample_twisted_batch(build_twisted(dp), count, seed)
+    rho = np.abs(z) ** 2
+    vals = bridge_values(dp, x, y, func, count, seed, offsets=rho)
+    return _bridge_mc(x, y, func, z, w, rho, vals, f"bridge_identity[x={x},y={y}]")
 
 
 def test_bridge_identity_constant_reduces_to_green(chain4):
@@ -41,9 +51,7 @@ def test_bridge_identity_exponential_exact_and_bracketed(chain4):
     # the exact value both sides agree on
     target = green(chain4, chi)[0, 3] * mgf(chain4, chi)
     assert rep.lhs == pytest.approx(target, rel=1e-12)
-    mc = verify_bridge_identity(
-        chain4, 0, 3, functional=ExpField(chi, chain4.m), count=100_000, seed=3
-    )
+    mc = bridge_mc_row(chain4, 0, 3, ExpField(chi, chain4.m), 100_000, seed=3)
     assert mc.passed
     spread = np.hypot(mc.se_lhs, mc.se_rhs)
     assert abs(mc.lhs - target) <= 4.0 * max(mc.se_lhs, 1e-12)
@@ -52,15 +60,8 @@ def test_bridge_identity_exponential_exact_and_bracketed(chain4):
 
 
 def test_bridge_identity_cross_mc_generic_functional(chain4):
-    rep = verify_bridge_identity(
-        chain4, 1, 2, functional=ProductField(), count=100_000, seed=4
-    )
+    rep = bridge_mc_row(chain4, 1, 2, ProductField(), 100_000, seed=4)
     assert rep.mode == "mc" and rep.passed
-
-
-def test_bridge_identity_rejects_functional_with_chi(chain4):
-    with pytest.raises(ValueError, match="either a functional or chi"):
-        verify_bridge_identity(chain4, 0, 1, functional=ProductField(), chi=np.ones(4), count=100)
 
 
 def test_occupation_identity_constant_is_green_diagonal(chain4):

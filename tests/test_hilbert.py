@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from twistlab.hilbert import (
-    KIND_BLOCK,
     KIND_TOL,
     LevyModel,
     TruncatedOperator,
@@ -44,7 +43,7 @@ def test_kind_validation():
             TruncatedOperator(mat, kind)
 
 
-@pytest.mark.parametrize("dim", [3, KIND_BLOCK, 2 * KIND_BLOCK + 5])
+@pytest.mark.parametrize("dim", [3, 64, 133])
 def test_kind_checks_catch_one_entry_in_any_block(dim):
     rng = rng_stream(dim, "hilbert-tests")
     a = 3.0 * rng.standard_normal((dim, dim))
@@ -271,6 +270,22 @@ def test_levy_convergent_and_divergent():
     assert zero.converged and zero.partial_sums[-1] == 0.0
     with pytest.raises(ValueError):
         LevyModel(a=np.array([1.0, 0.0]), b=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LevyModel(a=np.array([np.nan, 1.0]), b=np.array([1.0, 1.0])), "finite"),
+        (lambda: LevyModel(a=np.array([1.0, 1.0]), b=np.array([np.nan, 1.0])), "finite"),
+        (lambda: circle_model(float("nan"), {1: 0.5}), "epsilon"),
+        (lambda: circle_model(1.0, {1: complex(np.nan, 0.0)}), "finite"),
+    ],
+    ids=["levy-a", "levy-b", "circle-epsilon", "circle-coefficient"],
+)
+def test_models_reject_nan_parameters(build, message):
+    # every comparison with NaN is false, so a range check alone lets NaN through
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_eta_kernel_series_and_symmetry():

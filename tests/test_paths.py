@@ -6,11 +6,10 @@ from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.paths import (
     BATCH,
     _sojourn_quadrature,
-    bridge_estimate,
+    _walk,
     bridge_targets,
     bridge_values,
     occupation_batch,
-    sample_path,
 )
 from twistlab.seeding import rng_stream
 from twistlab.twisted import green
@@ -26,35 +25,45 @@ class OpaqueExp:
         return self.exp_f(field)
 
 
+def walk_one(dp, start, seed):
+    """States and holding times of one path: the stepping kernel on a batch of one."""
+    steps = list(_walk(dp, start, 1, rng_stream(seed, "single-path")))
+    return np.array([s[0] for _, s, _ in steps]), np.array([tau[0] for _, _, tau in steps])
+
+
+def bridge_mean_se(vals):
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
+
+
 def test_no_jump_chain_single_visit():
     spec = ChainSpec(q=np.ones(2), pi=np.zeros((2, 2)), mu=np.array([0.5, 0.5]))
     dp = build_dual(spec)
-    path = sample_path(dp, 0, seed=3)
-    assert path.states.tolist() == [0]
-    assert path.durations.size == 1 and path.durations[0] > 0
+    states, durations = walk_one(dp, 0, seed=3)
+    assert states.tolist() == [0]
+    assert durations.size == 1 and durations[0] > 0
 
 
 def test_march_chain_visits_in_order():
     dp = build_dual(nchain(5))
     for seed in range(5):
-        path = sample_path(dp, 0, seed=seed)
-        assert path.states.tolist() == [0, 1, 2, 3, 4]
-        assert np.all(path.durations > 0)
+        states, durations = walk_one(dp, 0, seed=seed)
+        assert states.tolist() == [0, 1, 2, 3, 4]
+        assert np.all(durations > 0)
 
 
 def test_path_follows_support():
     rng = rng_stream(41, "path-tests")
     dp = build_dual(random_chain(5, rng))
-    path = sample_path(dp, 2, seed=9)
-    for a, b in zip(path.states, path.states[1:]):
+    states, _ = walk_one(dp, 2, seed=9)
+    for a, b in zip(states, states[1:]):
         assert dp.pi[a, b] > 0
 
 
 def test_sample_path_deterministic():
     dp = build_dual(nchain(4))
-    p1 = sample_path(dp, 0, seed=42)
-    p2 = sample_path(dp, 0, seed=42)
-    assert np.array_equal(p1.durations, p2.durations)
+    _, d1 = walk_one(dp, 0, seed=42)
+    _, d2 = walk_one(dp, 0, seed=42)
+    assert np.array_equal(d1, d2)
 
 
 def test_occupation_conservation():
@@ -88,7 +97,7 @@ def test_bridge_total_mass_is_green():
     dp = build_dual(random_chain(4, rng))
     g = green(dp)
     one = ExpField(np.zeros(4), dp.m)
-    est, se = bridge_estimate(dp, 1, 3, one, 100_000, seed=12)
+    est, se = bridge_mean_se(bridge_values(dp, 1, 3, one, 100_000, seed=12))
     assert abs(est - g[1, 3]) <= 4.0 * se
 
 
@@ -96,7 +105,7 @@ def test_bridge_exponential_matches_damped_green():
     rng = rng_stream(45, "path-tests")
     dp = build_dual(random_chain(4, rng))
     chi = rng.uniform(0.2, 1.2, 4)
-    est, se = bridge_estimate(dp, 0, 2, ExpField(chi, dp.m), 100_000, seed=13)
+    est, se = bridge_mean_se(bridge_values(dp, 0, 2, ExpField(chi, dp.m), 100_000, seed=13))
     assert abs(est - green(dp, chi)[0, 2]) <= 4.0 * se
 
 
@@ -172,7 +181,7 @@ def test_bridge_unreachable_target_is_exact_zero():
     dp = build_dual(nchain(4))
     vals = bridge_values(dp, 2, 0, ExpField(np.zeros(4), dp.m), 5000, seed=15)
     assert np.all(vals == 0.0)
-    est, se = bridge_estimate(dp, 2, 0, ExpField(np.zeros(4), dp.m), 5000, seed=15)
+    est, se = bridge_mean_se(vals)
     assert est == 0.0 and se == 0.0
 
 
