@@ -49,6 +49,12 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _require_finite(**arrays):
+    for label, a in arrays.items():
+        if not np.isfinite(a).all():  # false for NaN as well as for inf
+            raise ChainError(f"{label} has a non-finite entry")
+
+
 def _reaches_killing(pi: np.ndarray) -> np.ndarray:
     """Which states can reach a state with a jump-probability deficit."""
     deficit = pi.sum(axis=1) < 1.0 - 1e-12
@@ -66,10 +72,10 @@ def _reaches_killing(pi: np.ndarray) -> np.ndarray:
 class ChainSpec:
     """Killed-chain data: rates ``q``, jump matrix ``pi``, initial law ``mu``.
 
-    Validated at construction: q > 0, pi entrywise in [0, 1] with row sums
-    at most 1, mu a probability vector, every state able to reach a killing
-    state, and spectral radius of pi strictly below 1 (dense eigensolver).
-    Arrays are frozen read-only.
+    Validated at construction: finite entries, q > 0, pi entrywise in
+    [0, 1] with row sums at most 1, mu a probability vector, every state
+    able to reach a killing state, and spectral radius of pi strictly
+    below 1 (dense eigensolver).  Arrays are frozen read-only.
     """
 
     q: np.ndarray
@@ -87,6 +93,7 @@ class ChainSpec:
             raise ChainError(f"pi must be {n}x{n}, got {pi.shape}")
         if mu.shape != (n,):
             raise ChainError(f"mu must have length {n}, got {mu.shape}")
+        _require_finite(q=q, pi=pi, mu=mu)
         if not np.all(q > 0):
             raise ChainError("all jump rates q must be positive")
         if np.any(pi < 0) or np.any(pi > 1):
@@ -155,15 +162,16 @@ class DualPair:
 def dual_pair_from_generator(L, m) -> DualPair:
     """Assemble a `DualPair` from a generator matrix and a positive measure.
 
-    Checks the M-matrix structure of ``-L``, inverts it for the potential,
-    verifies the residual, and requires ``m (-L) >= 0`` so that ``m`` is of
-    the form ``mu V`` for a nonnegative initial law.
+    Requires finite entries, checks the M-matrix structure of ``-L``,
+    inverts it for the potential, verifies the residual, and requires
+    ``m (-L) >= 0`` so that ``m`` is ``mu V`` for a nonnegative initial law.
     """
     L = np.array(L, dtype=float)
     m = np.array(m, dtype=float)
     n = m.size
     if L.shape != (n, n):
         raise ChainError(f"generator must be {n}x{n}, got {L.shape}")
+    _require_finite(L=L, m=m)
     if np.any(m <= 0):
         raise ChainError("reference measure must be strictly positive")
     scale = max(1.0, float(np.abs(L).max()))
@@ -255,9 +263,9 @@ def energy_quadratic(dp: DualPair, z: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...i,...i,i->...", w, np.conj(z), dp.m))
 
 
-def energy_decomposition(dp: DualPair, z: np.ndarray, report: EnergyReport | None = None) -> np.ndarray:
+def energy_decomposition(dp: DualPair, z: np.ndarray) -> np.ndarray:
     """Conductance/killing evaluation of the same quadratic form."""
-    rep = report if report is not None else energy_report(dp)
+    rep = energy_report(dp)
     diff = np.abs(z[..., :, None] - z[..., None, :]) ** 2
     pair = 0.5 * np.einsum("xy,...xy->...", rep.conductances, diff)
     kill = np.einsum("x,...x->...", rep.killing, np.abs(z) ** 2)

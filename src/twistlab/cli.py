@@ -2,8 +2,8 @@
 
 Exit codes: number of failing rows (capped at 125); 2 for input/parse
 errors (message carries the offending line), for a flag the command does
-not read, for an integer flag below 1 and for a ``--tol`` that is not
-finite and positive; 3 for numerical failures.
+not read and for an integer flag below 1; 3 for numerical failures.  No
+flag moves a row's pass bound: each suite fixes its own.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
 Configuration is by explicit flags; environment variables are ignored.
@@ -46,7 +46,6 @@ FLAGS = {
     "input": dict(required=True, help="input file (chain or model)"),
     "seed": dict(type=int, default=1, help="master seed (positive)"),
     "samples": dict(type=int, default=100_000, help="Monte Carlo sample count"),
-    "tol": dict(type=float, default=1e-10, help="exact-mode tolerance"),
     "n": dict(type=int, default=5, help="number of chain states"),
     "dim": dict(type=int, default=6, help="operator dimension"),
     "k-max": dict(type=int, default=128, help="basis truncation"),
@@ -54,14 +53,14 @@ FLAGS = {
 
 # each command accepts exactly the flags its suite reads (plus --out)
 COMMANDS = {
-    "verify-iso": ("input", "seed", "samples", "tol"),
+    "verify-iso": ("input", "seed", "samples"),
     "verify-q": ("input", "seed", "samples"),
     "mass-gap": ("input", "seed"),
     "mgf-check": ("input", "seed"),
     "example-chain": ("n", "seed", "samples"),
-    "trace-check": ("input", "seed", "tol"),
-    "det2-check": ("dim", "seed", "samples", "tol"),
-    "circle-check": ("input", "k-max", "tol"),
+    "trace-check": ("input", "seed"),
+    "det2-check": ("dim", "seed", "samples"),
+    "circle-check": ("input", "k-max"),
     "levy-check": ("input",),
 }
 
@@ -84,12 +83,12 @@ def _dispatch(args) -> list:
     if args.command == "example-chain":
         return example_suite(args.n, count=args.samples, seed=args.seed)
     if args.command == "det2-check":
-        return det2_suite(args.dim, count=args.samples, seed=args.seed, tol=args.tol)
+        return det2_suite(args.dim, count=args.samples, seed=args.seed)
     if args.command == "circle-check":
         model = load_circle_model(args.input)
         if args.k_max < model.bandwidth:
             raise SpecFileError(f"--k-max {args.k_max} is below the drift bandwidth {model.bandwidth}")
-        return circle_suite(model, K=args.k_max, tol=args.tol)
+        return circle_suite(model, K=args.k_max)
     if args.command == "levy-check":
         return levy_suite(load_levy_model(args.input))
 
@@ -99,7 +98,7 @@ def _dispatch(args) -> list:
             f"verify-q takes at most {CM_MAX_STATES} states (its monotonicity sweep grows as 3^n); got {dp.n}"
         )
     if args.command == "verify-iso":
-        return iso_suite(dp, count=args.samples, seed=args.seed, tol=args.tol)
+        return iso_suite(dp, count=args.samples, seed=args.seed)
     if args.command == "verify-q":
         return q_suite(dp, count=args.samples, seed=args.seed)
     if args.command == "mass-gap":
@@ -109,7 +108,7 @@ def _dispatch(args) -> list:
     if args.command == "mgf-check":
         return mgf_suite(dp, seed=args.seed)
     if args.command == "trace-check":
-        return trace_suite(dp, seed=args.seed, tol=args.tol)
+        return trace_suite(dp, seed=args.seed)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -126,9 +125,6 @@ def main(argv=None) -> int:
     low = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if isinstance(v, int) and v < 1]
     if low:
         print(f"error: {', '.join(low)} must be at least 1", file=sys.stderr)
-        return 2
-    if not 0.0 < getattr(args, "tol", 1.0) < np.inf:
-        print(f"error: --tol must be finite and positive, got {args.tol}", file=sys.stderr)
         return 2
     try:
         reports = _dispatch(args)

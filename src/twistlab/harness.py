@@ -13,9 +13,9 @@ every Monte Carlo row on it, and walks each of its killed-path sets once,
 evaluating all of the bridge functionals on that set in one
 `bridge_targets` call.
 
-All thresholds: exact rows at an absolute tolerance (default 1e-10), MC
-rows at 4 standard errors; wide enough that a suite of dozens of rows has
-negligible family-wise false-alarm probability.
+Each row fixes its own bound: exact rows pass at the tolerance stated where
+they are built (an absolute 1e-10 for the identity and trace rows), MC rows
+at 4 SE, wide enough for negligible family-wise false alarms.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def verify_bridge_identity(
     x: int,
     y: int,
     chi=None,
-    tol: float = 1e-10,
     name: str | None = None,
 ) -> VerificationReport:
     """Exact bridge identity for the exponential functional exp(-<chi, l>_m).
@@ -106,14 +105,16 @@ def verify_bridge_identity(
     ``G_chi(x, y) * Phi(chi)``, computed along the two determinant routes;
     with chi = None the right side is the Green density counted on the jump
     chain instead, expected visits over rate and weight.  With x = y this is
-    the occupation identity.  Monte Carlo rows of the identity come from
-    `_bridge_mc` on a suite's shared draws and walk.
+    the occupation identity; the row passes at an absolute 1e-10.  Monte
+    Carlo rows come from `_bridge_mc` on a suite's shared draws and walk.
     """
+    if not (0 <= int(x) < dp.n and 0 <= int(y) < dp.n):
+        raise ValueError("states out of range")
     t0 = time.perf_counter()
     g = green(dp, chi)[x, y]
     lhs = g * (partition(dp, chi) / partition(dp))
     rhs = _path_green(dp, x, y) if chi is None else g * mgf(dp, chi)
-    rep = exact_report(name or f"bridge_identity[x={x},y={y}]", lhs, rhs, tol=tol)
+    rep = exact_report(name or f"bridge_identity[x={x},y={y}]", lhs, rhs, tol=1e-10)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -151,12 +152,12 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     return rows
 
 
-def verify_trace(dp: DualPair, keep, points=None, tol: float = 1e-10) -> VerificationReport:
+def verify_trace(dp: DualPair, keep, points=None) -> VerificationReport:
     """Moment-level consistency between a chain and its trace on ``keep``.
 
     The traced potential must equal the restricted potential, and every
     point-moment computed on the full chain must match the one computed on
-    the trace, both to ``tol``.
+    the trace, both to an absolute 1e-10.
     """
     t0 = time.perf_counter()
     keep_sorted = sorted({int(k) for k in keep})
@@ -175,18 +176,18 @@ def verify_trace(dp: DualPair, keep, points=None, tol: float = 1e-10) -> Verific
             part = permanent(g_part[np.ix_(here, here)])
             resid = max(resid, abs(full - part))
     label = f"trace_consistency[|Y|={len(keep_sorted)}]"
-    rep = exact_report(label, resid, 0.0, tol=tol)
+    rep = exact_report(label, resid, 0.0, tol=1e-10)
     return rep.with_seconds(time.perf_counter() - t0)
 
 
-def trace_suite(dp: DualPair, seed: int = 0, tol: float = 1e-10):
+def trace_suite(dp: DualPair, seed: int = 0):
     """Traces onto three random proper subsets, plus the full-set identity row."""
     rng = rng_stream(seed, "trace-suite")
-    rows = [verify_trace(dp, range(dp.n), tol=tol, points=range(min(dp.n, 3)))]
+    rows = [verify_trace(dp, range(dp.n), points=range(min(dp.n, 3)))]
     for _ in range(3):
         size = int(rng.integers(1, dp.n)) if dp.n > 1 else 1
         keep = sorted(rng.choice(dp.n, size=size, replace=False).tolist())
-        rows.append(verify_trace(dp, keep, tol=tol))
+        rows.append(verify_trace(dp, keep))
     return rows
 
 
@@ -213,7 +214,8 @@ def mgf_suite(dp: DualPair, seed: int = 0):
     worst = 0.0
     for _ in range(5):
         s = rng.uniform(0.0, 2.0, dp.n)
-        worst = max(worst, abs(mgf(dp, s) - partition(dp, s) / base) / max(mgf(dp, s), 1e-300))
+        phi = mgf(dp, s)
+        worst = max(worst, abs(phi - partition(dp, s) / base) / max(phi, 1e-300))
     rows = [exact_report("mgf_equals_partition_ratio", worst, 0.0, tol=1e-12)]
     s = rng.uniform(0.0, 1.0, dp.n)
     worst_tr = max(resolvent_trace_residual(dp, s, u) for u in range(dp.n))
@@ -226,7 +228,7 @@ def mgf_suite(dp: DualPair, seed: int = 0):
     return rows
 
 
-def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e-10):
+def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     """Identity battery on a chain: exact rows, MC brackets, cross-MC rows."""
     rng = rng_stream(seed, "iso-suite")
     n = dp.n
@@ -240,12 +242,12 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0, tol: float = 1e
         dp, x, [(y, exp_f, rho), (y, prod_f, rho), (x, prod_f, rho)], count, seed
     )
     return [
-        verify_bridge_identity(dp, x, y, tol=tol, name=f"bridge_f1_exact[{x},{y}]"),
-        verify_bridge_identity(dp, x, y, chi=chi, tol=tol, name=f"bridge_exp_exact[{x},{y}]"),
+        verify_bridge_identity(dp, x, y, name=f"bridge_f1_exact[{x},{y}]"),
+        verify_bridge_identity(dp, x, y, chi=chi, name=f"bridge_exp_exact[{x},{y}]"),
         _bridge_mc(x, y, exp_f, z, w, rho, exp_xy, f"bridge_exp_mc[{x},{y}]"),
         _bridge_mc(x, y, prod_f, z, w, rho, prod_xy, f"bridge_product_mc[{x},{y}]"),
-        verify_bridge_identity(dp, x, x, tol=tol, name=f"occupation_f1_exact[{x}]"),
-        verify_bridge_identity(dp, x, x, chi=chi, tol=tol, name=f"occupation_exp_exact[{x}]"),
+        verify_bridge_identity(dp, x, x, name=f"occupation_f1_exact[{x}]"),
+        verify_bridge_identity(dp, x, x, chi=chi, name=f"occupation_exp_exact[{x}]"),
         _bridge_mc(x, x, prod_f, z, w, rho, prod_xx, f"occupation_product_mc[{x}]"),
         # the twisted field correlation itself must bracket the Green density
         mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y]),
@@ -298,14 +300,11 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
             mc_vs_exact(f"example_n{n}_moment_k{k}", w * rho[:, x] ** k, w, float(math.factorial(k)))
         )
     for j in (1, 2, 3):
-        rows.append(
-            mc_report(
-                f"example_n{n}_size_biased_m{j}",
-                *_size_biased(w, rho[:, x], j),
-                float(math.factorial(j + 1)),
-                0.0,
-            )
-        )
+        # E[rho^{j+1}] / E[rho] against (j + 1)!, at the larger of its real and imaginary SEs
+        r, se_re, se_im = _ratio(w * rho[:, x] ** (j + 1), w * rho[:, x])
+        se, target = max(se_re, se_im), math.factorial(j + 1)
+        zscore = _score(r.real - target, se)
+        rows.append(mc_report(f"example_n{n}_size_biased_m{j}", r.real, se, target, 0.0, z=zscore))
 
     chi = rng.uniform(0.2, 1.0, n)
     exp_f = ExpField(chi, dp.m)
@@ -314,16 +313,10 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
     for j, vals in zip((1, 2, 3), local_times):
         rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", vals, np.ones(count), math.factorial(j)))
 
-    gap = energy_report(dp).mass_gap
-    rows.append(exact_report(f"example_n{n}_mass_gap_vs_closed_form", gap, 2.0 * sin(pi / (2 * (n + 1))) ** 2))
+    gap, closed = energy_report(dp).mass_gap, 2.0 * sin(pi / (2 * (n + 1))) ** 2
+    rows.append(exact_report(f"example_n{n}_mass_gap_vs_closed_form", gap, closed, tol=1e-10))
 
     rows.append(verify_bridge_identity(dp, x, x, name=f"example_n{n}_occupation_f1_exact"))
     rows.append(verify_bridge_identity(dp, x, x, chi=chi, name=f"example_n{n}_occupation_exp_exact"))
     rows.append(_bridge_mc(x, x, exp_f, z, w, rho, occ_exp, f"example_n{n}_occupation_exp_mc"))
     return rows
-
-
-def _size_biased(w, rho_x, j):
-    """Estimate E[rho^{j+1}] / E[rho] with its delta-method SE."""
-    r, se_re, se_im = _ratio(w * rho_x ** (j + 1), w * rho_x)
-    return r.real, max(se_re, se_im)

@@ -82,12 +82,12 @@ class TruncatedOperator:
         return self.mat.shape[0]
 
 
-def _matrix(op, expected_kind=None) -> np.ndarray:
+def _matrix(op, expected_kind) -> np.ndarray:
     if isinstance(op, TruncatedOperator):
-        if expected_kind is not None and op.kind != expected_kind:
+        if op.kind != expected_kind:
             raise ValueError(f"expected a {expected_kind} operator, got {op.kind}")
         return op.mat
-    return TruncatedOperator(np.asarray(op, dtype=float), expected_kind or "general").mat
+    return TruncatedOperator(np.asarray(op, dtype=float), expected_kind).mat
 
 
 def random_skew(dim: int, rng: np.random.Generator) -> TruncatedOperator:
@@ -118,14 +118,14 @@ def det2(T) -> float:
     return float(prod.real)
 
 
-def det_multiplicativity(T1, T2, tol: float = 1e-10) -> VerificationReport:
-    """det(I + T1 + T2 + T1 T2) against det(I + T1) det(I + T2)."""
+def det_multiplicativity(T1, T2) -> VerificationReport:
+    """det(I + T1 + T2 + T1 T2) against det(I + T1) det(I + T2), to 1e-10 relative."""
     a = np.asarray(T1.mat if isinstance(T1, TruncatedOperator) else T1, dtype=float)
     b = np.asarray(T2.mat if isinstance(T2, TruncatedOperator) else T2, dtype=float)
     eye = np.eye(a.shape[0])
     lhs = np.linalg.det(eye + a + b + a @ b)
     rhs = np.linalg.det(eye + a) * np.linalg.det(eye + b)
-    return exact_report("det_multiplicativity", lhs, rhs, tol=tol, relative=True)
+    return exact_report("det_multiplicativity", lhs, rhs, tol=1e-10, relative=True)
 
 
 def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
@@ -409,7 +409,7 @@ def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), c
     return float(eta_y @ np.linalg.solve(m, eta_x))
 
 
-def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1e-10):
+def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0):
     """Determinant calculus and Gaussian identity battery at one dimension."""
     rng = rng_stream(seed, "det2-suite")
     t_gen = rng.standard_normal((dim, dim)) / math.sqrt(dim)
@@ -418,13 +418,12 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1
             "det2_vs_det_exp_trace",
             det2(t_gen) * math.exp(float(np.trace(t_gen))),
             float(np.linalg.det(np.eye(dim) + t_gen)),
-            tol=tol,
+            tol=1e-10,
             relative=True,
         )
     ]
     t2 = rng.standard_normal((dim, dim)) / math.sqrt(dim)
-    rep_mult = det_multiplicativity(t_gen, t2, tol=tol)
-    rows.append(rep_mult)
+    rows.append(det_multiplicativity(t_gen, t2))
 
     b_op = random_skew(dim, rng)
     bbt = b_op.mat @ b_op.mat.T
@@ -433,7 +432,7 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0, tol: float = 1
             "det2_skew_vs_sqrt_gram",
             det2(b_op),
             math.sqrt(float(np.linalg.det(np.eye(dim) + bbt))),
-            tol=tol,
+            tol=1e-10,
             relative=True,
         )
     )
@@ -465,7 +464,7 @@ def _coupling_square_sum(model: CircleDriftModel, K: int) -> float:
     return total
 
 
-def circle_suite(model: CircleDriftModel, K: int = 128, tol: float = 1e-10):
+def circle_suite(model: CircleDriftModel, K: int = 128):
     """Drift-coupling battery: operator norm, square-sum convergence, kernels.
 
     Builds the operator once and makes two dense solves, for the base and
@@ -482,7 +481,7 @@ def circle_suite(model: CircleDriftModel, K: int = 128, tol: float = 1e-10):
             "circle_frobenius_vs_frequency_sum",
             float(np.sum(op.mat**2)),
             _coupling_square_sum(model, K),
-            tol=tol,
+            tol=1e-10,
             relative=True,
         ),
         exact_report("circle_hs_converged", 1.0 if report.converged else 0.0, 1.0, tol=0.5),

@@ -70,6 +70,10 @@ def _batches(count: int, seed: int, stream: str):
 
 def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
     """Occupation fields of ``count`` paths from ``start``: (count, n) array, lifetimes."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not 0 <= int(start) < dp.n:
+        raise ValueError("states out of range")
     fields = np.zeros((count, dp.n))
     lives = np.zeros(count)
     for lo, b, rng in _batches(count, seed, "occupation-batch"):

@@ -1,10 +1,10 @@
 """Verification reports and the flat CSV format shared by all suites.
 
-Exact-mode rows compare closed forms at an absolute or relative tolerance;
-Monte Carlo rows compare estimates at a z-score threshold of ``Z_MAX`` = 4
-standard errors, deliberately wide so that suites running dozens of
-comparisons keep a negligible family-wise false-alarm rate.  Info rows
-record a value and a deviation without asserting anything.
+Exact rows compare closed forms at the absolute or relative tolerance that
+each row fixes where it is built; Monte Carlo rows compare the caller's
+z-score with ``Z_MAX`` = 4 standard errors, deliberately wide so that
+suites running dozens of comparisons keep a negligible family-wise
+false-alarm rate.  Info rows record a value and a deviation only.
 
 The CSV columns are fixed: name, mode, lhs, rhs, se_lhs, se_rhs, z, pass,
 seconds.  The ``seconds`` column is always written as 0.000 so that a
@@ -62,7 +62,7 @@ class VerificationReport:
         return replace(self, seconds=seconds)
 
 
-def exact_report(name, lhs, rhs, tol=1e-10, relative=False) -> VerificationReport:
+def exact_report(name, lhs, rhs, tol, relative=False) -> VerificationReport:
     lhs = float(lhs)
     rhs = float(rhs)
     resid = abs(lhs - rhs)
@@ -79,27 +79,13 @@ def exact_report(name, lhs, rhs, tol=1e-10, relative=False) -> VerificationRepor
     )
 
 
-def mc_report(name, lhs, se_lhs, rhs, se_rhs, z=None) -> VerificationReport:
-    """Monte Carlo comparison row.
-
-    When lhs and rhs come from paired samples, pass the paired z to ``z``;
-    otherwise it is formed from the two standard errors (conservative under
-    common random numbers).  Zero total SE with equal values passes with
-    z = 0; with unequal values it fails with z = inf.
-    """
-    lhs = float(lhs)
-    rhs = float(rhs)
-    if z is None:
-        spread = math.hypot(se_lhs, se_rhs) if (se_lhs or se_rhs) else 0.0
-        if spread == 0.0:
-            z = 0.0 if lhs == rhs else float("inf")
-        else:
-            z = abs(lhs - rhs) / spread
+def mc_report(name, lhs, se_lhs, rhs, se_rhs, z) -> VerificationReport:
+    """Monte Carlo comparison row at the caller's z-score ``z``."""
     return VerificationReport(
         name=name,
         mode="mc",
-        lhs=lhs,
-        rhs=rhs,
+        lhs=float(lhs),
+        rhs=float(rhs),
         se_lhs=float(se_lhs),
         se_rhs=float(se_rhs),
         z=float(z),

@@ -109,7 +109,7 @@ def test_criterion_3_bridge_identity():
         x = int(rng.integers(4))
         y = int(rng.integers(4))
         chi = rng.uniform(0.1, 1.0, 4)
-        exact = verify_bridge_identity(dp, x, y, chi=chi, tol=1e-10)
+        exact = verify_bridge_identity(dp, x, y, chi=chi)
         worst_exact = max(worst_exact, exact.z)
         z, w = sample_twisted_batch(build_twisted(dp), 100_000, 2000 + c)
         rho = np.abs(z) ** 2
@@ -136,7 +136,7 @@ def test_criterion_4_occupation_identity():
         dp = build_dual(random_chain(n, rng))
         g = green(dp)
         for x in range(n):
-            rep = verify_bridge_identity(dp, x, x, tol=1e-10)
+            rep = verify_bridge_identity(dp, x, x)
             worst_exact = max(worst_exact, rep.z, abs(rep.lhs - g[x, x]))
     rows = example_suite(3, count=100_000, seed=3)
     sb = [r for r in rows if "size_biased" in r.name]
@@ -251,7 +251,7 @@ def test_criterion_8_trace_consistency():
         keep = sorted(rng.choice(n, size=size, replace=False).tolist())
         traced = trace_chain(dp, keep)
         worst_pot = max(worst_pot, float(np.abs(traced.V - dp.V[np.ix_(keep, keep)]).max()))
-        rep = verify_trace(dp, keep, tol=1e-10)
+        rep = verify_trace(dp, keep)
         worst_mom = max(worst_mom, rep.z)
     elapsed = time.perf_counter() - t0
     ok = worst_pot <= 1e-10 and worst_mom <= 1e-10

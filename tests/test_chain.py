@@ -114,7 +114,7 @@ def test_energy_decomposition_matches_quadratic_form():
     direct = dp.m * dp.q * (2.0 - dp.pi.sum(1) - pi_hat.sum(1)) / 2.0
     assert np.allclose(rep.killing, direct, atol=1e-12)
     z = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
-    assert np.allclose(energy_decomposition(dp, z, rep), energy_quadratic(dp, z), atol=1e-10)
+    assert np.allclose(energy_decomposition(dp, z), energy_quadratic(dp, z), atol=1e-10)
 
 
 def test_trace_full_set_is_identity():
@@ -158,6 +158,28 @@ def test_spec_validation_rejects_bad_inputs():
         ChainSpec(q=np.ones(2), pi=np.zeros((2, 2)), mu=np.array([0.5, 0.2]))
     with pytest.raises(ChainError):  # row sum above one
         ChainSpec(q=np.ones(2), pi=np.array([[0.6, 0.6], [0.0, 0.0]]), mu=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("field", ["q", "pi", "mu"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite_entries(field, bad):
+    data = dict(q=[1.0, 1.0], pi=[[0.0, 0.5], [0.3, 0.0]], mu=[0.5, 0.5])
+    ChainSpec(**data)  # the finite chain is valid
+    data[field] = np.array(data[field])
+    data[field].flat[0] = bad
+    with pytest.raises(ChainError, match=f"{field} has a non-finite entry"):
+        ChainSpec(**data)
+
+
+@pytest.mark.parametrize("field", ["L", "m"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dual_pair_from_generator_rejects_non_finite_entries(field, bad):
+    data = dict(L=-np.eye(2), m=np.ones(2))
+    dual_pair_from_generator(**data)  # the finite pair is valid
+    data[field] = data[field].copy()
+    data[field].flat[1] = bad
+    with pytest.raises(ChainError, match=f"{field} has a non-finite entry"):
+        dual_pair_from_generator(**data)
 
 
 def test_build_dual_rejects_vanishing_reference_measure():

@@ -64,6 +64,12 @@ def test_bridge_identity_cross_mc_generic_functional(chain4):
     assert rep.mode == "mc" and rep.passed
 
 
+def test_bridge_identity_rejects_states_out_of_range(chain4):
+    for x, y in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+        with pytest.raises(ValueError, match="states out of range"):
+            verify_bridge_identity(chain4, x, y)
+
+
 def test_occupation_identity_constant_is_green_diagonal(chain4):
     g = green(chain4)
     for x in range(4):

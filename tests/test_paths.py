@@ -256,3 +256,10 @@ def test_bridge_targets_reject_a_bad_target():
             bridge_targets(dp, 0, [good, bad], 10, seed=1)
     with pytest.raises(ValueError):
         bridge_targets(dp, 3, [good], 10, seed=1)
+
+
+def test_occupation_batch_rejects_a_bad_start_or_count():
+    dp = build_dual(nchain(3))
+    for start, count, message in ((-1, 10, "states out of range"), (3, 10, "states out of range"), (0, 0, "count")):
+        with pytest.raises(ValueError, match=message):
+            occupation_batch(dp, start, count, seed=1)
