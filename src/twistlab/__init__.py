@@ -14,11 +14,10 @@ from .chain import (
     ChainError,
     ChainSpec,
     DualPair,
-    EnergyReport,
     NumericalError,
     build_dual,
     dual_pair_from_generator,
-    energy_report,
+    mass_gap,
     nchain,
     random_chain,
     trace_chain,

@@ -5,9 +5,10 @@ strictly substochastic jump matrix ``pi`` and an initial law ``mu``.  The
 generator is ``L = M_q (pi - I)``, so ``-L`` is a nonsingular M-matrix, the
 potential ``V = (-L)^{-1}`` is entrywise nonnegative, and ``m = mu V`` is a
 strictly positive reference measure.  The m-adjoint generator, the
-symmetric/skew split of ``L``, the spectral mass gap of the symmetric part
-and the trace (Schur complement) of the chain on a subset of states are all
-computed densely: everything here is desk scale, O(n^3) throughout.
+symmetric/skew split of ``L``, the energy form Re<-L z, z̄>_m and its
+spectral mass gap (from the symmetric part), and the trace (Schur
+complement) of the chain on a subset of states are all computed densely:
+everything here is desk scale, O(n^3) throughout.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ __all__ = [
     "ChainError",
     "ChainSpec",
     "DualPair",
-    "EnergyReport",
     "NumericalError",
     "build_dual",
     "dual_pair_from_generator",
-    "energy_decomposition",
     "energy_quadratic",
-    "energy_report",
+    "mass_gap",
     "nchain",
     "random_chain",
     "trace_chain",
@@ -225,23 +224,11 @@ def build_dual(spec: ChainSpec) -> DualPair:
     return dual_pair_from_generator(L, m)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Mass gap and the conductance/killing split of the energy form."""
+def mass_gap(dp: DualPair) -> float:
+    """Spectral mass gap: the least eigenvalue of the m-symmetrised ``-A``.
 
-    mass_gap: float
-    conductances: np.ndarray
-    killing: np.ndarray
-
-
-def energy_report(dp: DualPair) -> EnergyReport:
-    """Spectral mass gap and nonnegative decomposition of the energy form.
-
-    The gap is the least eigenvalue of the m-symmetrised ``-A``.  The
-    quadratic form Re<-L z, z̄>_m decomposes as
-    ``0.5 * sum_xy C_xy |z_x - z_y|^2 + sum_x kill_x |z_x|^2`` with
-    symmetric conductances ``C_xy = m_x q_x (pi + pi_hat)_xy / 2`` and
-    killing weights ``(mu + mu_hat) / 2 >= 0``.
+    It is the best constant in Re<-L z, z̄>_m >= gap * <z, z̄>_m, and it is
+    positive for every killed chain; a gap that is not raises.
     """
     s = np.sqrt(dp.m)
     sym = (-dp.A) * s[:, None] / s[None, :]
@@ -251,25 +238,13 @@ def energy_report(dp: DualPair) -> EnergyReport:
         raise NumericalError(
             f"mass gap {gap:.3e} is not positive; strict submarkovianity is violated"
         )
-    w = dp.m[:, None] * dp.q[:, None] * dp.pi
-    cond = (w + w.T) / 2.0
-    killing = (dp.mu + dp.mu_hat) / 2.0
-    return EnergyReport(mass_gap=gap, conductances=_readonly(cond), killing=_readonly(killing))
+    return gap
 
 
 def energy_quadratic(dp: DualPair, z: np.ndarray) -> np.ndarray:
     """Re <-L z, z̄>_m for a batch of complex vectors shaped (..., n)."""
     w = z @ (-dp.L).T
     return np.real(np.einsum("...i,...i,i->...", w, np.conj(z), dp.m))
-
-
-def energy_decomposition(dp: DualPair, z: np.ndarray) -> np.ndarray:
-    """Conductance/killing evaluation of the same quadratic form."""
-    rep = energy_report(dp)
-    diff = np.abs(z[..., :, None] - z[..., None, :]) ** 2
-    pair = 0.5 * np.einsum("xy,...xy->...", rep.conductances, diff)
-    kill = np.einsum("x,...x->...", rep.killing, np.abs(z) ** 2)
-    return pair + kill
 
 
 def trace_chain(dp: DualPair, keep) -> DualPair:

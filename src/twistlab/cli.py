@@ -97,6 +97,8 @@ def _dispatch(args) -> list:
         raise SpecFileError(
             f"verify-q takes at most {CM_MAX_STATES} states (its monotonicity sweep grows as 3^n); got {dp.n}"
         )
+    if args.command == "trace-check" and dp.n < 2:
+        raise SpecFileError("trace-check needs at least 2 states: a 1-state chain has no proper subset")
     if args.command == "verify-iso":
         return iso_suite(dp, count=args.samples, seed=args.seed)
     if args.command == "verify-q":

@@ -1,13 +1,14 @@
 """Field functionals fed to the Monte Carlo harnesses.
 
 A functional is a pure vectorised evaluator over nonnegative fields: it
-accepts arrays shaped ``(..., n)`` and returns ``(...)``.  A functional may
-also provide ``sojourn_integral(field, y, tau, m_y)``, the per-row value of
-``(1/m_y) * int_0^tau F(field + u e_y / m_y) du`` over a stay of length
-``tau`` at state ``y``; the bridge sampler uses it in place of quadrature.
-`ExpField`, `ProductField` and `MonomialField` integrate their sojourns in
-closed form, written so that nothing cancels for short stays; quadrature
-serves any other functional and raises when it misses its tolerance.
+accepts arrays shaped ``(..., n)`` and returns ``(...)``.  A bridge
+functional must also provide ``sojourn_integral(field, y, tau, m_y)``, the
+per-row value of ``(1/m_y) * int_0^tau F(field + u e_y / m_y) du`` over a
+stay of length ``tau`` at state ``y``, and the bridge sampler rejects one
+that does not.  `ExpField`, `ProductField` and `MonomialField` integrate
+their sojourns in closed form, written so that nothing cancels for short
+stays; `BumpField` has no closed form and serves only the twisted-field
+rows.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ class ExpField:
     def __init__(self, chi, m):
         self.chi = np.asarray(chi, dtype=float)
         self.weights = self.chi * np.asarray(m, dtype=float)
-        if np.any(self.chi < 0):
-            raise ValueError("chi must be nonnegative")
+        if not np.all(np.isfinite(self.chi) & (self.chi >= 0)):  # false for NaN
+            raise ValueError("chi must be finite and nonnegative")
 
     def __call__(self, field):
         return np.exp(-(np.asarray(field) @ self.weights))

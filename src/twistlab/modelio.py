@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .chain import ChainError, ChainSpec
-from .hilbert import CircleDriftModel, LevyModel
+from .hilbert import CircleDriftModel, LevyModel, circle_model
 
 __all__ = ["SpecFileError", "load_chain_spec", "load_circle_model", "load_levy_model"]
 
@@ -123,14 +123,17 @@ def load_chain_spec(path) -> ChainSpec:
 
 
 def load_circle_model(path) -> CircleDriftModel:
-    """Parse a drift model: fields epsilon and b_hat (list of [k, re, im])."""
+    """Parse a drift model: fields epsilon and b_hat (list of [k, re, im]).
+
+    A frequency -k left out is implied by conjugation (`circle_model`); a
+    pair that is given and not conjugate is an error at the b_hat list.
+    """
     root = _compose(path)
     fields = _mapping(root, ("epsilon", "b_hat"), "circle model")
     eps = _scalar(fields["epsilon"], float, "epsilon")
     if eps <= 0:
         raise SpecFileError("epsilon must be positive", _line(fields["epsilon"]))
     table: dict[int, complex] = {}
-    lines: dict[int, int] = {}
     for entry in _sequence(fields["b_hat"], "b_hat"):
         triple = _float_list(entry, "b_hat entry", 3)
         k = int(triple[0])
@@ -139,22 +142,10 @@ def load_circle_model(path) -> CircleDriftModel:
         if k in table:
             raise SpecFileError(f"duplicate frequency {k}", _line(entry))
         table[k] = complex(triple[1], triple[2])
-        lines[k] = _line(entry)
-    for k, c in list(table.items()):
-        mirror = table.get(-k)
-        if mirror is None:
-            table[-k] = np.conj(c)
-        elif abs(mirror - np.conj(c)) > 1e-12 * max(1.0, abs(c)):
-            raise SpecFileError(
-                f"coefficients at {k} and {-k} are not conjugate (drift must be real)", lines[k]
-            )
     try:
-        ks = np.array(sorted(table), dtype=int)
-        return CircleDriftModel(
-            epsilon=eps, ks=ks, coeffs=np.array([table[int(k)] for k in ks], dtype=complex)
-        )
+        return circle_model(eps, table)
     except ValueError as exc:
-        raise SpecFileError(str(exc), _line(root)) from exc
+        raise SpecFileError(str(exc), _line(fields["b_hat"])) from exc
 
 
 def load_levy_model(path) -> LevyModel:

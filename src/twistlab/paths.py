@@ -12,12 +12,11 @@ running occupation field (plus an optional per-path offset).  Paths depend
 only on (start, count, seed), so `bridge_targets` evaluates any number of
 (y, functional, offsets) targets in lockstep on one walk, and each suite
 walks each of its path sets once; `bridge_values` is its one-target case.
-A functional that knows the sojourn integral in closed form provides
+A bridge functional must provide that sojourn integral in closed form as
 ``sojourn_integral(field, y, tau, m_y)``, as `ExpField`, `ProductField` and
-`MonomialField` do; any other functional goes through Gauss-Legendre
-quadrature with node doubling, which raises `NumericalError` when it misses
-its tolerance.  Every walk is bounded by ``MAX_JUMPS`` sojourns and raises
-`NumericalError` beyond it.
+`MonomialField` do; `bridge_targets` rejects any other functional with
+`ValueError` before it walks.  Every walk is bounded by ``MAX_JUMPS``
+sojourns and raises `NumericalError` beyond it.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -25,8 +24,6 @@ bit-identical results and replicas may run in parallel.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,40 +82,6 @@ def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
     return fields, lives
 
 
-@lru_cache(maxsize=None)
-def _leggauss(k: int):
-    return np.polynomial.legendre.leggauss(k)
-
-
-def _sojourn_quadrature(functional, fields, taus, y, m_y, tol, max_nodes):
-    """(1/m_y) * int_0^tau F(field + u e_y / m_y) du per row, by node doubling.
-
-    Returns once the largest relative change between successive node
-    counts is below ``tol``; raises `NumericalError` if it is not by
-    ``max_nodes`` nodes.
-    """
-    k = 8
-    prev = None
-    while True:
-        nodes, weights = _leggauss(k)
-        u = (nodes[None, :] + 1.0) * (taus[:, None] / 2.0)
-        pts = np.repeat(fields[:, None, :], k, axis=1)
-        pts[:, :, y] += u / m_y
-        vals = np.asarray(functional(pts), dtype=float)
-        est = (vals @ weights) * (taus / 2.0) / m_y
-        if prev is not None:
-            err = float(np.max(np.abs(est - prev) / np.maximum(1e-30, np.abs(est))))
-            if err < tol:
-                return est
-            if 2 * k > max_nodes:
-                raise NumericalError(
-                    f"sojourn quadrature missed tolerance {tol:g} at {k} nodes "
-                    f"(relative change {err:.3g})"
-                )
-        prev = est
-        k *= 2
-
-
 def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list:
     """Per-path bridge accumulations of several targets on one walk from x.
 
@@ -141,7 +104,10 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
         if not any(o is offsets for o in groups):
             groups.append(offsets)
         group = next(g for g, o in enumerate(groups) if o is offsets)
-        plan.append((int(y), functional, getattr(functional, "sojourn_integral", None), group))
+        sojourn = getattr(functional, "sojourn_integral", None)
+        if sojourn is None:
+            raise ValueError(f"{type(functional).__name__} has no sojourn_integral")
+        plan.append((int(y), sojourn, group))
     starts = [None if o is None else np.asarray(o, dtype=float) for o in groups]
     if any(o is not None and o.shape != (count, dp.n) for o in starts):
         raise ValueError(f"offsets must be (count, {dp.n})")
@@ -153,14 +119,11 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
                 fields[g] = o[lo : lo + b]
         accs = [out[lo : lo + b] for out in outs]
         for rows, states, taus in _walk(dp, int(x), b, rng):
-            for acc, (y, functional, closed_form, group) in zip(accs, plan):
+            for acc, (y, sojourn, group) in zip(accs, plan):
                 here = states == y
                 if here.any():
-                    at, stay = rows[here], taus[here]
-                    if closed_form is not None:
-                        acc[at] += closed_form(fields[group, at], y, stay, dp.m[y])
-                    else:
-                        acc[at] += _sojourn_quadrature(functional, fields[group, at], stay, y, dp.m[y], 1e-8, 64)
+                    at = rows[here]
+                    acc[at] += sojourn(fields[group, at], y, taus[here], dp.m[y])
             fields[:, rows, states] += taus / dp.m[states]
     return outs
 
@@ -178,7 +141,6 @@ def bridge_values(
 
     ``offsets`` (count, n), when given, shifts the field seen by the
     functional path by path; the sample mean is then an unbiased estimator
-    of the bridge integral of ``F(l + offset)``.  Quadrature, where used,
-    stops at relative change 1e-8 and raises past 64 nodes.
+    of the bridge integral of ``F(l + offset)``.
     """
     return bridge_targets(dp, x, [(y, functional, offsets)], count, seed)[0]

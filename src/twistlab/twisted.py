@@ -48,8 +48,8 @@ def _chi_vector(chi, n: int) -> np.ndarray:
     v = np.asarray(chi, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"chi must have length {n}, got shape {v.shape}")
-    if np.any(v < 0):
-        raise ValueError("chi must be nonnegative")
+    if not np.all(np.isfinite(v) & (v >= 0)):  # false for NaN
+        raise ValueError("chi must be finite and nonnegative")
     return v
 
 

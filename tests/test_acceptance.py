@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from twistlab.chain import build_dual, energy_report, nchain, random_chain, trace_chain
+from twistlab.chain import build_dual, mass_gap, nchain, random_chain, trace_chain
 from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.harness import (
     _bridge_mc,
@@ -225,7 +225,7 @@ def test_criterion_7_worked_example():
         vals = bridge_values(dp5, x, x, MonomialField(np.bincount([x] * j, minlength=5)), 100_000, seed=7)
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         worst_z = max(worst_z, abs(vals.mean() - target) / se)
-    gap = energy_report(dp5).mass_gap
+    gap = mass_gap(dp5)
     # -A of the march chain has eigenvalues 1 - cos(k pi / (n + 1))
     closed = 2.0 * np.sin(np.pi / 12) ** 2
     elapsed = time.perf_counter() - t0

@@ -6,9 +6,8 @@ from twistlab.chain import (
     ChainSpec,
     build_dual,
     dual_pair_from_generator,
-    energy_decomposition,
     energy_quadratic,
-    energy_report,
+    mass_gap,
     nchain,
     random_chain,
     trace_chain,
@@ -77,7 +76,7 @@ def test_double_dual_returns_original_generator():
 
 def test_mass_gap_scalar_chain():
     spec = ChainSpec(q=np.ones(1), pi=np.zeros((1, 1)), mu=np.ones(1))
-    assert energy_report(build_dual(spec)).mass_gap == pytest.approx(1.0, abs=1e-14)
+    assert mass_gap(build_dual(spec)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mass_gap_march_chain_matches_tridiagonal_eigensolver():
@@ -88,7 +87,7 @@ def test_mass_gap_march_chain_matches_tridiagonal_eigensolver():
         for i in range(n - 1):
             tri[i, i + 1] = tri[i + 1, i] = -0.5
         oracle = np.linalg.eigvalsh(tri)[0]
-        assert energy_report(dp).mass_gap == pytest.approx(oracle, abs=1e-12)
+        assert mass_gap(dp) == pytest.approx(oracle, abs=1e-12)
         # known closed form of the eigensolver value for this tridiagonal
         assert oracle == pytest.approx(1.0 - np.cos(np.pi / (n + 1)), abs=1e-12)
 
@@ -96,7 +95,7 @@ def test_mass_gap_march_chain_matches_tridiagonal_eigensolver():
 def test_energy_lower_bound_on_random_vectors():
     rng = rng_stream(14, "chain-tests")
     dp = build_dual(random_chain(5, rng))
-    gap = energy_report(dp).mass_gap
+    gap = mass_gap(dp)
     z = rng.standard_normal((1000, 5)) + 1j * rng.standard_normal((1000, 5))
     energies = energy_quadratic(dp, z)
     norms = np.einsum("ki,ki,i->k", z, np.conj(z), dp.m).real
@@ -104,17 +103,23 @@ def test_energy_lower_bound_on_random_vectors():
 
 
 def test_energy_decomposition_matches_quadratic_form():
+    # Re<-L z, z̄>_m = 0.5 sum_xy C_xy |z_x - z_y|^2 + sum_x kill_x |z_x|^2 with
+    # symmetric conductances C_xy = m_x q_x (pi + pi_hat)_xy / 2 and killing
+    # weights kill = (mu + mu_hat) / 2 >= 0
     rng = rng_stream(15, "chain-tests")
     dp = build_dual(random_chain(6, rng))
-    rep = energy_report(dp)
-    assert np.allclose(rep.conductances, rep.conductances.T, atol=1e-14)
-    assert np.all(rep.killing >= -1e-14)
+    w = dp.m[:, None] * dp.q[:, None] * dp.pi
+    conductances = (w + w.T) / 2.0
+    killing = (dp.mu + dp.mu_hat) / 2.0
+    assert np.all(killing >= -1e-14)
     # killing weights agree with the direct q (2 - pi 1 - pi_hat 1) / 2 form
     pi_hat = dp.L_hat / dp.q[:, None] + np.eye(6)
     direct = dp.m * dp.q * (2.0 - dp.pi.sum(1) - pi_hat.sum(1)) / 2.0
-    assert np.allclose(rep.killing, direct, atol=1e-12)
+    assert np.allclose(killing, direct, atol=1e-12)
     z = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
-    assert np.allclose(energy_decomposition(dp, z), energy_quadratic(dp, z), atol=1e-10)
+    diff = np.abs(z[:, :, None] - z[:, None, :]) ** 2
+    split = 0.5 * np.einsum("xy,kxy->k", conductances, diff) + np.abs(z) ** 2 @ killing
+    assert np.allclose(split, energy_quadratic(dp, z), atol=1e-10)
 
 
 def test_trace_full_set_is_identity():

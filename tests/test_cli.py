@@ -106,7 +106,6 @@ q_moment_vs_derivative_oracle_k3,exact,10.4521418672,10.4521418114,0,0,5.5807323
     (
         ["trace-check", "--input", "{chain}", "--seed", "2"],
         """\
-trace_consistency[|Y|=4],exact,0,0,0,0,0,1,0.000
 trace_consistency[|Y|=3],exact,3.19744231092e-14,0,0,0,3.19744231092e-14,1,0.000
 trace_consistency[|Y|=3],exact,2.48689957516e-14,0,0,0,2.48689957516e-14,1,0.000
 trace_consistency[|Y|=2],exact,2.48689957516e-14,0,0,0,2.48689957516e-14,1,0.000
@@ -118,7 +117,6 @@ trace_consistency[|Y|=2],exact,2.48689957516e-14,0,0,0,2.48689957516e-14,1,0.000
 det2_vs_det_exp_trace,exact,1.26554291865,1.26554291865,0,0,1.33226762955e-15,1,0.000
 det_multiplicativity,exact,0.377305555467,0.377305555467,0,0,5.55111512313e-17,1,0.000
 det2_skew_vs_sqrt_gram,exact,1.91936671083,1.91936671083,0,0,4.4408920985e-16,1,0.000
-det2_skew_at_least_one,exact,0,0,0,0,0,1,0.000
 char_skew_vs_det2,mc,0.520950210728,0.521005180697,0.004053059432,0,0.431029633525,1,0.000
 char_complex_vs_det2,mc,0.0469971217399,0.0477354023035,0.000711550478166,0,1.03756597222,1,0.000
 pairing_vs_resolvent,mc,-1.21099543452,-1.24371051742,0.0207427800116,0,1.5771792829,1,0.000
@@ -399,6 +397,14 @@ def test_verify_q_rejects_chains_beyond_the_sweep_limit(tmp_path, monkeypatch, c
     assert main(["verify-q", "--input", str(seven), "--samples", "2000"]) == 2
     err = capsys.readouterr().err
     assert "at most 6 states" in err and len(err.strip().splitlines()) == 1
+
+
+def test_trace_check_rejects_a_one_state_chain(tmp_path, capsys):
+    one = tmp_path / "one.yaml"
+    one.write_text(ONE_STATE)
+    assert main(["trace-check", "--input", str(one)]) == 2
+    err = capsys.readouterr().err
+    assert "at least 2 states" in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

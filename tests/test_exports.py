@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,10 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace = {}
     exec(f"from twistlab.{name} import *", namespace)
     assert set(mod.__all__) <= namespace.keys()
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"## Library sketch(.*?)\n## ", readme, re.S).group(1)
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library sketch)", "exec"), {})

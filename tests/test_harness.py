@@ -192,7 +192,7 @@ def test_verify_trace_full_and_march():
     dp = build_dual(nchain(4))
     full = verify_trace(dp, range(4))
     assert full.passed and full.z <= 1e-12
-    rep = verify_trace(dp, [0, 3], points=[0, 3])
+    rep = verify_trace(dp, [0, 3])
     assert rep.passed
     # hand value: permanent of the restricted Green block [[1,1],[0,1]] is 1
     traced_moment = q_moment(dp, [0, 3])
@@ -241,15 +241,3 @@ def test_csv_writer_deterministic(chain4, tmp_path):
     assert header == "name,mode,lhs,rhs,se_lhs,se_rhs,z,pass,seconds"
     # the wall-clock column is fixed; runtimes go to the console only
     assert all(line.endswith(",0.000") for line in text1.splitlines()[1:])
-
-
-def test_shipped_suites_integrate_sojourns_in_closed_form(monkeypatch):
-    from twistlab import paths
-
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("sojourn quadrature reached")
-
-    monkeypatch.setattr(paths, "_sojourn_quadrature", no_quadrature)
-    dp = build_dual(random_chain(4, rng_stream(53, "harness-tests")))
-    assert len(iso_suite(dp, count=2000, seed=3)) > 0
-    assert len(example_suite(3, count=2000, seed=1)) > 0

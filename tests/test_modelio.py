@@ -3,6 +3,7 @@ import pytest
 import yaml
 
 from twistlab import modelio
+from twistlab.hilbert import circle_model
 from twistlab.modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -102,11 +103,19 @@ def test_load_circle_model(tmp_path):
     model = load_circle_model(write(tmp_path, text))
     assert model.bandwidth == 1
     assert model.ks.tolist() == [-1, 1] and model.coeffs.tolist() == [0.5, 0.5]
+    # a file that lists both signs of a frequency gives the model that fills one in
+    text = "epsilon: 0.7\nb_hat:\n  - [-2, 0.1, 0.3]\n  - [1, 0.5, 0.2]\n  - [2, 0.1, -0.3]\n  - [0, 0.4, 0.0]\n"
+    model = load_circle_model(write(tmp_path, text))
+    built = circle_model(0.7, {1: 0.5 + 0.2j, 2: 0.1 - 0.3j, 0: 0.4})
+    assert model.epsilon == built.epsilon
+    assert model.ks.tolist() == built.ks.tolist() == [-2, -1, 0, 1, 2]
+    assert np.array_equal(model.coeffs, built.coeffs)
 
 
 def test_circle_model_conjugate_conflict(tmp_path, monkeypatch):
     text = "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.2]\n  - [-1, 0.5, 0.2]\n"
-    load_error(monkeypatch, load_circle_model, write(tmp_path, text), match="conjugate")
+    err = load_error(monkeypatch, load_circle_model, write(tmp_path, text), match="conjugate")
+    assert err.line == 3  # the b_hat list
     load_error(monkeypatch, load_circle_model, write(tmp_path, "epsilon: -1\nb_hat: []\n"), match="epsilon")
 
 

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
+from twistlab.functionals import ExpField
+from twistlab.hilbert import circle_B_matrix, circle_model, eta_kernel
 from twistlab.seeding import rng_stream
 from twistlab.twisted import (
     CM_MAX_STATES,
@@ -86,6 +88,30 @@ def test_chi_must_be_a_nonnegative_vector_of_the_chain_length():
         for bad in (np.ones(2), np.ones((3, 1)), 0.5):
             with pytest.raises(ValueError, match="length 3"):
                 fn(dp, bad)
+
+
+def damped_circle_kernel(weights):
+    model = circle_model(1.0, {1: 0.5})
+    return eta_kernel(model, circle_B_matrix(model, 4), 0.7, 1.9, chi_points=[0.7], chi_weights=weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "damp",
+    [
+        lambda dp, v: mgf(dp, v),
+        lambda dp, v: partition(dp, v),
+        lambda dp, v: green(dp, v),
+        lambda dp, v: ExpField(v, dp.m),
+        lambda dp, v: damped_circle_kernel(v[:1]),
+    ],
+    ids=["mgf", "partition", "green", "exp-field", "eta-kernel"],
+)
+def test_non_finite_damping_is_rejected(damp, bad):
+    # every comparison with NaN is false, so a sign check alone lets NaN through
+    dp = build_dual(nchain(3))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        damp(dp, np.array([bad, 0.0, 0.0]))
 
 
 def test_partition_definition_random_chain():
