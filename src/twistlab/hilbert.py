@@ -392,6 +392,8 @@ def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), c
         raise ValueError("chi_points and chi_weights must have equal length")
     if not all(math.isfinite(p) and p >= 0 for p in chi_weights):
         raise ValueError("chi weights must be finite and nonnegative")
+    if not all(math.isfinite(v) for v in (x, y, *chi_points)):
+        raise ValueError("x, y and chi points must be finite")
 
     K = op.dim // 2
     eta_x = _eta_vector(model, K, x)

@@ -139,6 +139,8 @@ def load_circle_model(path) -> CircleDriftModel:
         k = int(triple[0])
         if triple[0] != k:
             raise SpecFileError("frequency must be an integer", _line(entry))
+        if abs(k) > np.iinfo(np.int64).max:
+            raise SpecFileError(f"frequency {k} is outside ±(2**63 - 1)", _line(entry))
         if k in table:
             raise SpecFileError(f"duplicate frequency {k}", _line(entry))
         table[k] = complex(triple[1], triple[2])

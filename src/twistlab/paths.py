@@ -16,7 +16,11 @@ A bridge functional must provide that sojourn integral in closed form as
 ``sojourn_integral(field, y, tau, m_y)``, as `ExpField`, `ProductField` and
 `MonomialField` do; `bridge_targets` rejects any other functional with
 `ValueError` before it walks.  Every walk is bounded by ``MAX_JUMPS``
-sojourns and raises `NumericalError` beyond it.
+sojourns: a start whose expected count e_x (I - pi)^{-1} 1 reaches it is
+refused with `NumericalError` before any draw, and a walk that still runs
+past it raises the same.  Jumps are found by bisection (`_walk`), which
+takes each path to the state a linear search over its row takes it to
+from the same uniform, so streams and paths are the linear search's.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -41,10 +45,17 @@ def _walk(dp: DualPair, start: int, b: int, rng):
 
     Yields ``(rows, states, taus)`` per step: the indices of the live
     paths, their current states and the holding times just drawn.  Each
-    step draws the holds of the live paths, then one uniform per live path
-    for the jump; a path whose uniform passes its row's total is killed.
+    step draws the holds of the live paths, then one uniform u per live
+    path for the jump: the next state is the count of the row's cumulative
+    jump probabilities that are <= u, and a count of n kills.  The rows are
+    nondecreasing (pi >= 0), so with +inf padding to width 2^w > n the
+    count is found by branch-free bisection, w gathers per step, and equals
+    the count a comparison with the whole row gives.
     """
-    cum = np.cumsum(dp.pi, axis=1)
+    width = 1 << dp.n.bit_length()
+    cum = np.full((dp.n, width), np.inf)
+    cum[:, : dp.n] = np.cumsum(dp.pi, axis=1)
+    cum = cum.ravel()
     rows = np.arange(b)
     states = np.full(b, start, dtype=int)
     for _ in range(MAX_JUMPS):
@@ -52,15 +63,29 @@ def _walk(dp: DualPair, start: int, b: int, rng):
             return
         taus = rng.exponential(1.0 / dp.q[states])
         yield rows, states, taus
-        nxt = (rng.random(rows.size)[:, None] >= cum[states]).sum(axis=1)
+        u = rng.random(rows.size)
+        at = states * width - 1  # flat index of the last entry known to be <= u
+        step = width
+        while step > 1:
+            step >>= 1
+            at += step * (cum[at + step] <= u)
+        nxt = at + 1 - states * width
         live = nxt < dp.n
         rows, states = rows[live], nxt[live]
     if rows.size:
         raise NumericalError("path did not terminate; jump matrix too close to stochastic")
 
 
-def _batches(count: int, seed: int, stream: str):
-    """(offset, size, generator) per fixed-size batch, each on its own stream."""
+def _batches(dp: DualPair, start: int, count: int, seed: int, stream: str):
+    """(offset, size, generator) per fixed-size batch, each on its own stream.
+
+    First refuses a start whose expected sojourn count reaches ``MAX_JUMPS``.
+    """
+    visits = np.linalg.solve(np.eye(dp.n) - dp.pi, np.ones(dp.n))
+    # rounding pi's entries to doubles moves each count by up to eps * max(visits)
+    # of itself, so a count that close to the bound reaches it; NaN is refused too
+    if not visits[start] * (1.0 + np.finfo(float).eps * visits.max()) < MAX_JUMPS:
+        raise NumericalError(f"path did not terminate: {visits[start]:.6g} expected sojourns from state {start} reach {MAX_JUMPS}")
     for idx, lo in enumerate(range(0, count, BATCH)):
         yield lo, min(BATCH, count - lo), rng_stream(seed, stream, idx)
 
@@ -73,7 +98,7 @@ def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
         raise ValueError("states out of range")
     fields = np.zeros((count, dp.n))
     lives = np.zeros(count)
-    for lo, b, rng in _batches(count, seed, "occupation-batch"):
+    for lo, b, rng in _batches(dp, int(start), count, seed, "occupation-batch"):
         times, life = fields[lo : lo + b], lives[lo : lo + b]
         for rows, states, taus in _walk(dp, int(start), b, rng):
             times[rows, states] += taus
@@ -112,7 +137,7 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
     if any(o is not None and o.shape != (count, dp.n) for o in starts):
         raise ValueError(f"offsets must be (count, {dp.n})")
     outs = [np.zeros(count) for _ in plan]
-    for lo, b, rng in _batches(count, seed, "bridge-batch"):
+    for lo, b, rng in _batches(dp, int(x), count, seed, "bridge-batch"):
         fields = np.zeros((len(starts), b, dp.n))
         for g, o in enumerate(starts):
             if o is not None:

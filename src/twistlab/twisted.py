@@ -131,16 +131,24 @@ def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
 
     The field is Gaussian with E[z_x z̄_y] = (-M_m A)^{-1}; the weight is
     ``exp(i * 2 Re(z)^T skew_form Im(z))``, unit modulus by construction.
-    Deterministic given (seed, count).
+    Deterministic given (seed, count).  One (count, n) buffer takes the
+    normals of Re(z), then those of Im(z), then the phase terms, so the peak
+    is four (count, n) float arrays: Re(z), Im(z) and the complex z.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = rng_stream(seed, "twisted-field")
-    xi = rng.standard_normal((2, count, tm.dp.n))
-    re = xi[0] @ tm.half_factor.T
-    im = xi[1] @ tm.half_factor.T
-    phase = 2.0 * ((re @ tm.skew_form) * im).sum(axis=1)
-    return re + 1j * im, np.exp(1j * phase)
+    buf = rng.standard_normal((count, tm.dp.n))
+    re = buf @ tm.half_factor.T
+    rng.standard_normal(out=buf)
+    im = buf @ tm.half_factor.T
+    np.matmul(re, tm.skew_form, out=buf)
+    buf *= im
+    phase = 2.0 * buf.sum(axis=1)
+    del buf
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z, np.exp(1j * phase)
 
 
 def permanent(mat) -> float:

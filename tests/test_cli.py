@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,10 @@ pi:
   - [0.999, 0.0]
 mu: [0.5, 0.5]
 """
+
+# each jump survives with probability 0.999999: 1e6 expected sojourns per
+# path, which reaches paths.MAX_JUMPS
+NEAR_STOCHASTIC = SLOW_KILL.replace("0.999", "0.999999")
 
 PIN_CHAIN = """\
 states: 4
@@ -232,6 +237,30 @@ def test_path_walks_are_bounded(tmp_path, monkeypatch, capsys):
     assert "did not terminate" in capsys.readouterr().err
 
 
+def test_over_budget_walk_is_refused_before_drawing(tmp_path, capsys):
+    path = tmp_path / "near.yaml"
+    path.write_text(NEAR_STOCHASTIC)
+    started = time.perf_counter()
+    assert main(["verify-iso", "--input", str(path), "--samples", "100000"]) == 3
+    assert time.perf_counter() - started < 5.0
+    assert "did not terminate: 1e+06 expected sojourns" in capsys.readouterr().err
+
+
+def test_walk_within_budget_still_stops_at_the_bound(tmp_path, monkeypatch):
+    # 1000 expected sojourns pass the up-front check at a bound of 2000, and
+    # about 13% of paths outlive it, so the bound in the walk itself raises
+    from twistlab import paths
+    from twistlab.chain import NumericalError, build_dual
+    from twistlab.modelio import load_chain_spec
+
+    path = tmp_path / "slow.yaml"
+    path.write_text(SLOW_KILL)
+    dp = build_dual(load_chain_spec(str(path)))
+    monkeypatch.setattr(paths, "MAX_JUMPS", 2000)
+    with pytest.raises(NumericalError, match="^path did not terminate; jump matrix"):
+        paths.occupation_batch(dp, 0, 200, seed=1)
+
+
 def test_mass_gap_prints_value(tmp_path, capsys):
     path = tmp_path / "one.yaml"
     path.write_text(ONE_STATE)
@@ -366,13 +395,16 @@ def test_out_of_range_integer_flags_exit_two(argv, message, tmp_path, capsys):
     "argv, message",
     [
         (["mass-gap", "--input", "{infinite}"], "line 2: q entry must be finite, got 'inf'"),
+        (["circle-check", "--input", "{huge}"], "line 4: frequency 100000000000000000000 is outside ±(2**63 - 1)"),
     ],
-    ids=["input-inf"],
+    ids=["input-inf", "frequency-beyond-int64"],
 )
 def test_non_finite_or_negative_values_exit_two(argv, message, tmp_path, capsys):
     infinite = tmp_path / "infinite.yaml"
     infinite.write_text(CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"))
-    assert main([a.format(infinite=infinite) for a in argv]) == 2
+    huge = tmp_path / "huge.yaml"
+    huge.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [1e20, 0.5, 0.0]\n")
+    assert main([a.format(infinite=infinite, huge=huge) for a in argv]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
 

@@ -299,6 +299,16 @@ def test_eta_kernel_series_and_symmetry():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["x", "y", "chi-point"])
+def test_eta_kernel_rejects_non_finite_points(where, bad):
+    model = circle_model(1.0, {1: 0.5})
+    op = circle_B_matrix(model, 4)
+    x, y, u = (bad if where == name else 0.7 for name in ("x", "y", "chi-point"))
+    with pytest.raises(ValueError, match="must be finite"):
+        eta_kernel(model, op, x, y, chi_points=[u], chi_weights=[0.5])
+
+
 def test_eta_kernel_damping_monotone():
     model = circle_model(1.0, {1: 0.5})
     u = 1.1

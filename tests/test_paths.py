@@ -61,6 +61,69 @@ def test_path_follows_support():
         assert dp.pi[a, b] > 0
 
 
+class StubRng:
+    """Generator stand-in for `_walk`: holds of one and uniforms picked per state.
+
+    A path at state x draws an entry of row x of ``uniforms``: on the first
+    call the i-th path draws entry i; later calls pick an entry at random,
+    or half the time the last one, which must kill, so walks stay short.
+    The caller sets ``states`` to each step's states before the next draw.
+    """
+
+    def __init__(self, uniforms, seed):
+        self.uniforms = uniforms
+        self.pick = np.random.default_rng(seed)
+        self.states = self.drawn = None
+
+    def exponential(self, scale):
+        return np.ones_like(scale)
+
+    def random(self, size):
+        k = self.uniforms.shape[1]
+        if self.drawn is None:
+            col = np.arange(size) % k
+        else:
+            col = np.where(self.pick.random(size) < 0.5, k - 1, self.pick.integers(k, size=size))
+        self.drawn = self.uniforms[self.states, col]
+        return self.drawn
+
+
+def linear_step(cum, rows, states, u):
+    """The referee jump search: count the row's cumulative probabilities <= u."""
+    nxt = (u[:, None] >= cum[states]).sum(axis=1)
+    live = nxt < cum.shape[0]
+    return rows[live], nxt[live]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [nchain(n) for n in (1, 2, 9)]
+    + [random_chain(n, rng_stream(n, "bisection")) for n in (1, 2, 7, 8, 9, 15, 16, 17, 128)],
+    ids=[f"march-n{n}" for n in (1, 2, 9)] + [f"random-n{n}" for n in (1, 2, 7, 8, 9, 15, 16, 17, 128)],
+)
+def test_walk_bisection_takes_the_linear_search_jump(spec):
+    # uniforms at 0, at every cumulative jump probability (the march chain's
+    # zero jumps repeat them), one ulp below and above each, at the row total
+    # and at or above it: the bisection must pick what the linear count picks
+    dp = build_dual(spec)
+    cum = np.cumsum(dp.pi, axis=1)
+    ones = np.ones((dp.n, 1))
+    uniforms = np.hstack(
+        [0.0 * ones, cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+         np.nextafter(1.0, 0.0) * ones, ones, 2.0 * ones]
+    )
+    b = uniforms.shape[1]
+    for start in range(dp.n):
+        rng = StubRng(uniforms, seed=start)
+        want_rows, want_states = np.arange(b), np.full(b, start)
+        for rows, states, _ in _walk(dp, start, b, rng):
+            if rng.drawn is not None:
+                want_rows, want_states = linear_step(cum, want_rows, want_states, rng.drawn)
+            assert np.array_equal(rows, want_rows) and np.array_equal(states, want_states)
+            rng.states = states
+        assert linear_step(cum, want_rows, want_states, rng.drawn)[0].size == 0
+
+
 def test_sample_path_deterministic():
     dp = build_dual(nchain(4))
     _, d1 = walk_one(dp, 0, seed=42)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,38 @@ def test_sampler_draws_the_field_from_its_stream_and_twists_by_the_skew_form():
     assert np.array_equal(z.imag, xi[1] @ tm.half_factor.T)
     for zi, wi in zip(z, w):
         assert abs(wi - np.exp(2j * (zi.real @ tm.skew_form @ zi.imag))) <= 1e-12
+
+
+def two_draw_sample(tm, count, seed):
+    """The sampler as one (2, count, n) draw and complex temporaries: the referee."""
+    xi = rng_stream(seed, "twisted-field").standard_normal((2, count, tm.dp.n))
+    re = xi[0] @ tm.half_factor.T
+    im = xi[1] @ tm.half_factor.T
+    phase = 2.0 * ((re @ tm.skew_form) * im).sum(axis=1)
+    return re + 1j * im, np.exp(1j * phase)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4097])
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 128])
+def test_sampler_matches_the_two_draw_formula_bit_for_bit(n, count):
+    tm = build_twisted(build_dual(random_chain(n, rng_stream(n, "sampler-bits"))))
+    z, w = sample_twisted_batch(tm, count, seed=9)
+    z_ref, w_ref = two_draw_sample(tm, count, seed=9)
+    assert z.tobytes() == z_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+def test_sampler_peak_memory_is_four_field_arrays():
+    # four (count, n) float64 arrays (Re z, Im z and the complex z) plus a
+    # few per-row values; the two-draw formula peaks at six arrays
+    tm = build_twisted(build_dual(random_chain(64, rng_stream(64, "sampler-bits"))))
+    count = 20_000
+    tracemalloc.start()
+    try:
+        sample_twisted_batch(tm, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * (32 * 64 + 64)
 
 
 def test_sampler_correlation_brackets_green():
