@@ -24,9 +24,7 @@ __all__ = [
     "CircleDriftModel",
     "LevyModel",
     "SeriesReport",
-    "TruncatedOperator",
     "circle_B_matrix",
-    "circle_hs_check",
     "circle_model",
     "circle_suite",
     "det2",
@@ -44,61 +42,14 @@ __all__ = [
 KIND_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Finite matrix standing in for a Hilbert-space operator.
-
-    ``kind`` is one of symmetric-nonneg, skew, general; entries must be
-    finite, and symmetry or skewness is checked at construction to 1e-12
-    (relative).
-    """
-
-    mat: np.ndarray
-    kind: str = "general"
-
-    def __post_init__(self):
-        mat = _readonly(self.mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        # max and min propagate NaN, so the scale itself shows NaN and inf entries
-        top = float(max(mat.max(), -mat.min()))
-        if not np.isfinite(top):
-            raise ValueError("operator matrix has a non-finite entry")
-        scale = max(1.0, top)
-        if self.kind == "skew":
-            if float(np.abs(mat + mat.T).max()) > KIND_TOL * scale:
-                raise ValueError("matrix is not skew-symmetric")
-        elif self.kind == "symmetric-nonneg":
-            if float(np.abs(mat - mat.T).max()) > KIND_TOL * scale:
-                raise ValueError("matrix is not symmetric")
-            low = float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
-            if low < -KIND_TOL * scale:
-                raise ValueError(f"matrix has negative eigenvalue {low:.3e}")
-        elif self.kind != "general":
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def _matrix(op, expected_kind) -> np.ndarray:
-    if isinstance(op, TruncatedOperator):
-        if op.kind != expected_kind:
-            raise ValueError(f"expected a {expected_kind} operator, got {op.kind}")
-        return op.mat
-    return TruncatedOperator(np.asarray(op, dtype=float), expected_kind).mat
-
-
-def random_skew(dim: int, rng: np.random.Generator) -> TruncatedOperator:
+def random_skew(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim))
-    return TruncatedOperator((a - a.T) / 2.0, "skew")
+    return (a - a.T) / 2.0
 
 
-def random_symmetric_nonneg(dim: int, rng: np.random.Generator) -> TruncatedOperator:
+def random_symmetric_nonneg(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim))
-    return TruncatedOperator(a @ a.T / dim, "symmetric-nonneg")
+    return a @ a.T / dim
 
 
 def det2(T) -> float:
@@ -108,8 +59,7 @@ def det2(T) -> float:
     gives 0 (reported, not an error).  For real input the eigenvalues pair
     into conjugates and the product is returned as a real number.
     """
-    mat = np.asarray(T.mat if isinstance(T, TruncatedOperator) else T)
-    lam = np.linalg.eigvals(mat)
+    lam = np.linalg.eigvals(np.asarray(T))
     scale = max(1.0, float(np.abs(lam).max()))
     if np.any(np.abs(1.0 + lam) < 1e-14 * scale):
         return 0.0
@@ -121,8 +71,8 @@ def det2(T) -> float:
 
 def det_multiplicativity(T1, T2) -> VerificationReport:
     """det(I + T1 + T2 + T1 T2) against det(I + T1) det(I + T2), to 1e-10 relative."""
-    a = np.asarray(T1.mat if isinstance(T1, TruncatedOperator) else T1, dtype=float)
-    b = np.asarray(T2.mat if isinstance(T2, TruncatedOperator) else T2, dtype=float)
+    a = np.asarray(T1, dtype=float)
+    b = np.asarray(T2, dtype=float)
     eye = np.eye(a.shape[0])
     lhs = np.linalg.det(eye + a + b + a @ b)
     rhs = np.linalg.det(eye + a) * np.linalg.det(eye + b)
@@ -142,14 +92,29 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     Wick-compensated forms of (b) and (c) multiply the weight by the
     constant e^{tr C}, which cancels from every ratio and z-score in any
     truncation, so (b) and (c) check them and they have no rows of their own.
+
+    C must be symmetric with a nonnegative spectrum and B skew, both
+    finite, each to ``KIND_TOL`` relative to its largest entry.
     """
-    cm = _matrix(C, "symmetric-nonneg")
-    bm = _matrix(B, "skew")
-    d = cm.shape[0]
+    cm = np.asarray(C, dtype=float)
+    bm = np.asarray(B, dtype=float)
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
-    if bm.shape != (d, d) or f1.shape != (d,) or f2.shape != (d,):
+    d = f1.size
+    if cm.shape != (d, d) or bm.shape != (d, d) or f1.shape != (d,) or f2.shape != (d,):
         raise ValueError("dimension mismatch between C, B, f1, f2")
+    # max and min propagate NaN, so the largest entry itself shows NaN and inf entries
+    c_top, b_top = (float(max(m.max(), -m.min())) for m in (cm, bm))
+    if not (math.isfinite(c_top) and math.isfinite(b_top)):
+        raise ValueError("operator matrix has a non-finite entry")
+    c_tol, b_tol = KIND_TOL * max(1.0, c_top), KIND_TOL * max(1.0, b_top)
+    if float(np.abs(bm + bm.T).max()) > b_tol:
+        raise ValueError("matrix is not skew-symmetric")
+    if float(np.abs(cm - cm.T).max()) > c_tol:
+        raise ValueError("matrix is not symmetric")
+    low = float(np.linalg.eigvalsh(cm)[0])
+    if low < -c_tol:
+        raise ValueError(f"matrix has negative eigenvalue {low:.3e}")
     rng = rng_stream(seed, "gaussian-identities")
     phi1 = rng.standard_normal((count, d))
     phi2 = rng.standard_normal((count, d))
@@ -216,9 +181,13 @@ def circle_model(epsilon: float, coeffs: dict) -> CircleDriftModel:
 
     A frequency -k that is not given is filled in with the conjugate of the
     coefficient at k; `CircleDriftModel` checks the pairs that are given.
-    Frequencies are stored in increasing order.
+    Frequencies are stored in increasing order, as int64, so each one and
+    its negative must lie in ±(2**63 - 1).
     """
     table = {operator.index(k): complex(c) for k, c in coeffs.items()}
+    for k in table:
+        if abs(k) > np.iinfo(np.int64).max:
+            raise ValueError(f"frequency {k} is outside ±(2**63 - 1)")
     for k, c in list(table.items()):
         table.setdefault(-k, c.conjugate())
     ks = sorted(table)
@@ -229,41 +198,10 @@ def circle_model(epsilon: float, coeffs: dict) -> CircleDriftModel:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """Partial sums of a nonnegative series on a ladder of truncations.
+    """Sum of a nonnegative series and its convergence verdict."""
 
-    The convergence verdict compares dyadic block sums
-    S(p) - S(p/2) against S(p/2) - S(p/4) for the largest power of two
-    p <= top: decaying blocks (ratio below 0.9) certify convergence,
-    non-decaying blocks flag divergence.  Truncations below 8 terms only
-    certify identically-zero tails.
-    """
-
-    partial_sums: tuple
+    total: float
     converged: bool
-
-
-def _series_report(partial, top: int) -> SeriesReport:
-    top = int(top)
-    p = 4
-    while p * 2 <= top:
-        p *= 2
-    ladder = sorted({max(1, p // 4), max(1, p // 2), min(p, top), top})
-    sums = [float(partial(k)) for k in ladder]
-    incrs = [b - a for a, b in zip(sums, sums[1:])]
-    if top >= 8:
-        at = dict(zip(ladder, sums))
-        block1 = at[p // 2] - at[p // 4]
-        block2 = at[p] - at[p // 2]
-        if block1 > 1e-15:
-            converged = block2 <= 0.9 * block1 + 1e-15
-        else:
-            converged = block2 <= 1e-12
-    else:
-        converged = (not incrs) or incrs[-1] <= 1e-12
-    return SeriesReport(
-        partial_sums=tuple(sums),
-        converged=converged,
-    )
 
 
 def hs_partial_sum(model: CircleDriftModel, K: int) -> float:
@@ -286,7 +224,7 @@ def hs_partial_sum(model: CircleDriftModel, K: int) -> float:
     return total
 
 
-def circle_B_matrix(model: CircleDriftModel, K: int) -> TruncatedOperator:
+def circle_B_matrix(model: CircleDriftModel, K: int) -> np.ndarray:
     """Skew coupling operator on the truncated periodic Sobolev basis.
 
     Returns the matrix of (-A)^{-1} S in the orthonormal basis of
@@ -329,20 +267,30 @@ def circle_B_matrix(model: CircleDriftModel, K: int) -> TruncatedOperator:
         weights=np.concatenate([part, -part]),
         minlength=size * size,
     )
-    return TruncatedOperator(mat.reshape(size, size), "skew")
-
-
-def circle_hs_check(model: CircleDriftModel, K: int) -> SeriesReport:
-    """Square-sum partial sums of the drift coupling up to K, with a divergence flag."""
-    return _series_report(lambda kk: hs_partial_sum(model, kk), K)
+    return mat.reshape(size, size)
 
 
 def levy_hs_check(model: "LevyModel") -> SeriesReport:
-    """Partial sums of sum_k (b_k / a_k)^2 with a divergence flag."""
+    """Sum of (b_k / a_k)^2 over k = 1..K with a divergence flag.
+
+    With S(j) the sum of the first j terms and p the largest power of two
+    with 4 <= p <= K, the flag compares the dyadic block sums
+    S(p) - S(p/2) against S(p/2) - S(p/4): decaying blocks (ratio below
+    0.9) certify convergence, non-decaying blocks flag divergence.  Below
+    8 terms only a zero tail after the largest power of two below K
+    certifies.
+    """
     terms = (model.b / model.a) ** 2
     n = terms.size
     cums = np.concatenate([[0.0], np.cumsum(terms)])
-    return _series_report(lambda k: cums[min(int(k), n)], n)
+    if n >= 8:
+        p = 1 << (n.bit_length() - 1)
+        block1 = cums[p // 2] - cums[p // 4]
+        block2 = cums[p] - cums[p // 2]
+        converged = block2 <= 0.9 * block1 + 1e-15 if block1 > 1e-15 else block2 <= 1e-12
+    else:
+        converged = n == 1 or cums[n] - cums[1 << ((n - 1).bit_length() - 1)] <= 1e-12
+    return SeriesReport(total=float(cums[n]), converged=bool(converged))
 
 
 @dataclass(frozen=True)
@@ -395,10 +343,10 @@ def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), c
     if not all(math.isfinite(v) for v in (x, y, *chi_points)):
         raise ValueError("x, y and chi points must be finite")
 
-    K = op.dim // 2
+    K = op.shape[0] // 2
     eta_x = _eta_vector(model, K, x)
     eta_y = _eta_vector(model, K, y)
-    m = np.eye(op.dim) - op.mat
+    m = np.eye(op.shape[0]) - op
     for u, p in zip(chi_points, chi_weights):
         eta_u = _eta_vector(model, K, u)
         m = m + p * np.outer(eta_u, eta_u)
@@ -422,7 +370,7 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0):
     rows.append(det_multiplicativity(t_gen, t2))
 
     b_op = random_skew(dim, rng)
-    bbt = b_op.mat @ b_op.mat.T
+    bbt = b_op @ b_op.T
     rows.append(
         exact_report(
             "det2_skew_vs_sqrt_gram",
@@ -458,7 +406,7 @@ def _coupling_square_sum(model: CircleDriftModel, K: int) -> float:
 
 
 def circle_suite(model: CircleDriftModel, K: int = 128):
-    """Drift-coupling battery: operator norm, square-sum convergence, kernels.
+    """Drift-coupling battery: operator norm, square sum, kernels.
 
     Builds the operator once and makes two dense solves, for the base and
     the damped kernel.  The Frobenius row checks the real-basis build
@@ -468,17 +416,15 @@ def circle_suite(model: CircleDriftModel, K: int = 128):
     tail bound sum_{k > K} 2/k^2 < 2/K.
     """
     op = circle_B_matrix(model, K)
-    report = circle_hs_check(model, K)
     rows = [
         exact_report(
             "circle_frobenius_vs_frequency_sum",
-            float(np.sum(op.mat**2)),
+            float(np.sum(op**2)),
             _coupling_square_sum(model, K),
             tol=1e-10,
             relative=True,
         ),
-        exact_report("circle_hs_converged", 1.0 if report.converged else 0.0, 1.0, tol=0.5),
-        info_report("circle_hs_partial_sum", report.partial_sums[-1], report.partial_sums[-1]),
+        info_report("circle_hs_partial_sum", hs_partial_sum(model, K)),
     ]
     x, y = 0.7, 1.9
     a = math.sqrt(model.epsilon)
@@ -507,5 +453,5 @@ def levy_suite(model: LevyModel):
     report = levy_hs_check(model)
     return [
         exact_report("levy_series_converged", 1.0 if report.converged else 0.0, 1.0, tol=0.5),
-        info_report("levy_partial_sum", report.partial_sums[-1], report.partial_sums[-1]),
+        info_report("levy_partial_sum", report.total),
     ]

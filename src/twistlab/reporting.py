@@ -4,7 +4,7 @@ Exact rows compare closed forms at the absolute or relative tolerance that
 each row fixes where it is built; Monte Carlo rows compare the caller's
 z-score with ``Z_MAX`` = 4 standard errors, deliberately wide so that
 suites running dozens of comparisons keep a negligible family-wise
-false-alarm rate.  Info rows record a value and a deviation only.
+false-alarm rate.  Info rows record a value only.
 
 The CSV columns are fixed: name, mode, lhs, rhs, se_lhs, se_rhs, z, pass,
 seconds.  The ``seconds`` column is always written as 0.000 so that a
@@ -44,8 +44,8 @@ Z_MAX = 4.0
 class VerificationReport:
     """One lhs-vs-rhs comparison: exact, Monte Carlo, or informational.
 
-    ``z`` holds the z-score in mc mode and the absolute residual in exact
-    and info modes.
+    ``z`` holds the z-score in mc mode, the absolute residual in exact
+    mode and 0 in info mode.
     """
 
     name: str
@@ -104,17 +104,11 @@ def mc_vs_exact(name, num, den, target) -> VerificationReport:
     return mc_report(name, r.real, se_re, float(target), 0.0, z=z)
 
 
-def info_report(name, lhs, rhs) -> VerificationReport:
-    """Logged-only row: recorded deviation, always passing."""
+def info_report(name, value) -> VerificationReport:
+    """Logged-only row: ``value`` on both sides, always passing."""
+    value = float(value)
     return VerificationReport(
-        name=name,
-        mode="info",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        se_lhs=0.0,
-        se_rhs=0.0,
-        z=abs(float(lhs) - float(rhs)),
-        passed=True,
+        name=name, mode="info", lhs=value, rhs=value, se_lhs=0.0, se_rhs=0.0, z=0.0, passed=True
     )
 
 

@@ -111,9 +111,9 @@ q_moment_vs_derivative_oracle_k3,exact,10.4521418672,10.4521418114,0,0,5.5807323
     (
         ["trace-check", "--input", "{chain}", "--seed", "2"],
         """\
-trace_consistency[|Y|=3],exact,3.19744231092e-14,0,0,0,3.19744231092e-14,1,0.000
-trace_consistency[|Y|=3],exact,2.48689957516e-14,0,0,0,2.48689957516e-14,1,0.000
-trace_consistency[|Y|=2],exact,2.48689957516e-14,0,0,0,2.48689957516e-14,1,0.000
+trace_consistency[|Y|=3],exact,2.22044604925e-16,0,0,0,2.22044604925e-16,1,0.000
+trace_consistency[|Y|=3],exact,2.22044604925e-16,0,0,0,2.22044604925e-16,1,0.000
+trace_consistency[|Y|=2],exact,2.22044604925e-16,0,0,0,2.22044604925e-16,1,0.000
 """,
     ),
     (
@@ -131,7 +131,6 @@ pairing_vs_resolvent,mc,-1.21099543452,-1.24371051742,0.0207427800116,0,1.577179
         ["circle-check", "--input", "{circle}", "--k-max", "32"],
         """\
 circle_frobenius_vs_frequency_sum,exact,0.666150009601,0.666150009601,0,0,2.22044604925e-16,1,0.000
-circle_hs_converged,exact,1,1,0,0,0,1,0.000
 circle_hs_partial_sum,info,0.852193688379,0.852193688379,0,0,0,1,0.000
 circle_kernel_vs_closed_form,exact,0.969103202824,0.967514578769,0,0,0.0015886240547,1,0.000
 circle_damping_decreases_kernel,exact,0,0,0,0,0,1,0.000
@@ -329,6 +328,11 @@ def test_circle_and_levy_checks(tmp_path, capsys):
     circle = tmp_path / "circle.yaml"
     circle.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n")
     assert main(["circle-check", "--input", str(circle), "--k-max", "128"]) == 0
+    # finitely many drift frequencies give a finite square sum, so no truncation may fail
+    assert main(["circle-check", "--input", str(circle), "--k-max", "4"]) == 0
+    far = tmp_path / "far.yaml"
+    far.write_text("epsilon: 1.0\nb_hat:\n  - [60, 0.5, 0.0]\n")
+    assert main(["circle-check", "--input", str(far), "--k-max", "64"]) == 0
     k = np.arange(1.0, 201.0)
     good = tmp_path / "levy.yaml"
     good.write_text(

@@ -199,22 +199,22 @@ def test_verify_trace_full_and_march():
     assert traced_moment == pytest.approx(1.0, rel=1e-12)
 
 
-def test_verify_trace_solves_each_green_matrix_once(monkeypatch):
-    from twistlab import harness, twisted
+def test_verify_trace_fails_a_trace_without_the_schur_correction(monkeypatch):
+    from twistlab import chain, harness
 
-    calls = []
-    real = twisted.green
+    def restricted(dp, keep):  # L_T = L_YY, as if the excursions off Y were dropped
+        return chain.dual_pair_from_generator(dp.L[np.ix_(keep, keep)], dp.m[keep])
 
-    def counting(dp, chi=None):
-        calls.append(dp.n)
-        return real(dp, chi)
-
-    monkeypatch.setattr(twisted, "green", counting)
-    monkeypatch.setattr(harness, "green", counting)
     dp = build_dual(random_chain(8, rng_stream(53, "harness-tests")))
-    rep = verify_trace(dp, [0, 2, 3, 5, 7])
-    assert rep.passed
-    assert calls == [8, 5]  # one solve for the chain, one for its trace
+    keep = [0, 2, 3, 5, 7]
+    assert verify_trace(dp, keep).passed
+    # the Phi comparison alone sees the missing correction, not only the potential's
+    s_full = np.zeros(dp.n)
+    s_full[keep] = 1.0 / len(keep)
+    assert abs(mgf(restricted(dp, keep), s_full[keep]) - mgf(dp, s_full)) > 1e-6
+    monkeypatch.setattr(harness, "trace_chain", restricted)
+    rep = verify_trace(dp, keep)
+    assert not rep.passed and rep.z > 1e-6
 
 
 def test_verify_trace_random(chain4):
