@@ -31,7 +31,6 @@ from .twisted import (
     complete_monotonicity_check,
     green,
     mgf,
-    partition,
     permanent,
     q_moment,
     q_moment_oracle,

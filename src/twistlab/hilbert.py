@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NumericalError, _readonly
-from .reporting import VerificationReport, exact_report, info_report, mc_vs_exact
+from .reporting import exact_report, info_report, mc_vs_exact
 from .seeding import rng_stream
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "circle_suite",
     "det2",
     "det2_suite",
-    "det_multiplicativity",
     "eta_kernel",
     "gaussian_char_identities",
     "hs_partial_sum",
@@ -57,26 +56,21 @@ def det2(T) -> float:
 
     Equals det(I + T) e^{-tr T} in finite dimension; an eigenvalue at -1
     gives 0 (reported, not an error).  For real input the eigenvalues pair
-    into conjugates and the product is returned as a real number.
+    into conjugates and the product is returned as a real number; one out
+    of float range raises `NumericalError`.
     """
     lam = np.linalg.eigvals(np.asarray(T))
     scale = max(1.0, float(np.abs(lam).max()))
     if np.any(np.abs(1.0 + lam) < 1e-14 * scale):
         return 0.0
-    prod = complex(np.prod((1.0 + lam) * np.exp(-lam)))
-    if abs(prod.imag) > 1e-10 * max(1.0, abs(prod)):
+    with np.errstate(all="ignore"):  # out of range is raised below
+        prod = np.prod((1.0 + lam) * np.exp(-lam))
+        size = float(np.abs(prod))
+    if not np.finfo(float).tiny <= size < math.inf:  # false for NaN
+        raise NumericalError(f"renormalised determinant leaves float range (modulus {size:.3g})")
+    if abs(prod.imag) > 1e-10 * max(1.0, size):
         raise NumericalError("conjugate eigenvalue pairing failed for a real operator")
     return float(prod.real)
-
-
-def det_multiplicativity(T1, T2) -> VerificationReport:
-    """det(I + T1 + T2 + T1 T2) against det(I + T1) det(I + T2), to 1e-10 relative."""
-    a = np.asarray(T1, dtype=float)
-    b = np.asarray(T2, dtype=float)
-    eye = np.eye(a.shape[0])
-    lhs = np.linalg.det(eye + a + b + a @ b)
-    rhs = np.linalg.det(eye + a) * np.linalg.det(eye + b)
-    return exact_report("det_multiplicativity", lhs, rhs, tol=1e-10, relative=True)
 
 
 def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
@@ -366,8 +360,9 @@ def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0):
             relative=True,
         )
     ]
-    t2 = rng.standard_normal((dim, dim)) / math.sqrt(dim)
-    rows.append(det_multiplicativity(t_gen, t2))
+    # a second operator, no longer read, is still drawn so that B, C, f1, f2
+    # and the pinned Gaussian rows that read them do not move
+    rng.standard_normal((dim, dim))
 
     b_op = random_skew(dim, rng)
     bbt = b_op @ b_op.T

@@ -8,8 +8,9 @@ field is ``rho_u = z_u z̄_u``.  With this normalisation the chi-damped field
 correlation under the twisted measure equals the Green density
 ``G_chi(x, y) = ((-L + M_chi)^{-1})_{xy} / m_y`` exactly, the Laplace
 transform of the squared-field law in the m-weighted pairing is
-``Phi(s) = det(-L) / det(-L + M_s)``, and the k-point moments are
-permanents of ``G_0`` on the chosen points.
+``Phi(s) = det(-L) / det(-L + M_s)``, whose log-derivative in s_u is
+``-m_u G_s(u, u)``, and the k-point moments are permanents of ``G_0`` on
+the chosen points.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ __all__ = [
     "green",
     "mgf",
     "mgf_mixed_derivative",
-    "partition",
     "permanent",
     "q_moment",
     "q_moment_oracle",
-    "resolvent_trace_residual",
     "sample_twisted_batch",
 ]
 
@@ -51,16 +50,6 @@ def _chi_vector(chi, n: int) -> np.ndarray:
     if not np.all(np.isfinite(v) & (v >= 0)):  # false for NaN
         raise ValueError("chi must be finite and nonnegative")
     return v
-
-
-def partition(dp: DualPair, chi=None) -> float:
-    """det(M_m (-L) + M_{chi m})^{-1}, by LU factorisation (slogdet)."""
-    chiv = _chi_vector(chi, dp.n)
-    mat = dp.m[:, None] * (-dp.L) + np.diag(chiv * dp.m)
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0:
-        raise NumericalError("twisted partition matrix is singular or negative")
-    return float(np.exp(-logdet))
 
 
 def green(dp: DualPair, chi=None) -> np.ndarray:
@@ -252,30 +241,6 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     d = mgf_mixed_derivative(dp, counts)
     sign = (-1.0) ** len(pts)
     return float(sign * d / np.prod(dp.m[pts]))
-
-
-def resolvent_trace_residual(dp: DualPair, s, u: int) -> float:
-    """|d/dt log det(I + R M_{t e_u}) at 0 - Tr(R M_{e_u})| for R = (-L + M_s)^{-1}.
-
-    Central differences at step h = 1e-3 with one Richardson step; checks
-    the first-order term of the log-determinant expansion against the trace.
-    """
-    h = 1e-3
-    sv = _chi_vector(s, dp.n)
-    r_mat = np.linalg.solve(-dp.L + np.diag(sv), np.eye(dp.n))
-    e_u = np.zeros(dp.n)
-    e_u[u] = 1.0
-
-    def logdet(t: float) -> float:
-        sign, val = np.linalg.slogdet(np.eye(dp.n) + r_mat @ np.diag(t * e_u))
-        if sign <= 0:
-            raise NumericalError("perturbed determinant lost positivity")
-        return val
-
-    d1 = (logdet(h) - logdet(-h)) / (2 * h)
-    d2 = (logdet(h / 2) - logdet(-h / 2)) / h
-    deriv = (4.0 * d2 - d1) / 3.0
-    return float(abs(deriv - r_mat[u, u]))
 
 
 # the sweep evaluates Phi at 3^n grid points, each shifted C(n + 4, 4) ways

@@ -145,19 +145,41 @@ def test_suites_walk_each_path_set_once_per_batch(chain4, monkeypatch):
     assert walks == [(1, paths.BATCH), (1, 500)]
 
 
-def _visits(dp):
-    return np.linalg.inv(np.eye(dp.n) - dp.pi)
+def _killed(dp, chi):
+    """Visit counts of the jump chain killed at the extra rate chi, and its total rates."""
+    rate = dp.q + (0.0 if chi is None else chi)
+    return np.linalg.inv(np.eye(dp.n) - (dp.q / rate)[:, None] * dp.pi), rate
+
+
+def _start_rate(dp, x, y, chi=None):  # the holding rate of x where that of y belongs
+    visits, rate = _killed(dp, chi)
+    return visits[x, y] / (rate[x] * dp.m[y])
+
+
+def _first_visit_dropped(dp, x, y, chi=None):  # the visit at the start left uncounted
+    visits, rate = _killed(dp, chi)
+    return (visits - np.eye(dp.n))[x, y] / (rate[y] * dp.m[y])
+
+
+def _exact_rows(names):
+    """The named rows of `iso_suite` (x = 1, y = 2) and `example_suite` on small draws."""
+    dp = build_dual(random_chain(4, rng_stream(53, "harness-tests")))
+    got = {r.name: r for r in iso_suite(dp, count=2000, seed=3) + example_suite(3, count=2000, seed=1)}
+    return [got[name] for name in names]
 
 
 @pytest.mark.parametrize(
     "wrong, rows",
     [
-        # the holding rate of x where that of y belongs
-        (lambda dp, x, y: _visits(dp)[x, y] / (dp.q[x] * dp.m[y]), ["bridge_f1_exact[1,2]"]),
-        # the visit at the start left uncounted
+        (_start_rate, ["bridge_f1_exact[1,2]", "bridge_exp_exact[1,2]"]),
         (
-            lambda dp, x, y: (_visits(dp) - np.eye(dp.n))[x, y] / (dp.q[y] * dp.m[y]),
-            ["occupation_f1_exact[1]", "example_n3_occupation_f1_exact"],
+            _first_visit_dropped,
+            [
+                "occupation_f1_exact[1]",
+                "occupation_exp_exact[1]",
+                "example_n3_occupation_f1_exact",
+                "example_n3_occupation_exp_exact",
+            ],
         ),
     ],
     ids=["start-rate", "first-visit-dropped"],
@@ -165,15 +187,33 @@ def _visits(dp):
 def test_f1_exact_rows_fail_on_a_wrong_path_side(wrong, rows, monkeypatch):
     from twistlab import harness
 
-    dp = build_dual(random_chain(4, rng_stream(53, "harness-tests")))
-
-    def f1_rows():
-        got = {r.name: r for r in iso_suite(dp, count=2000, seed=3) + example_suite(3, count=2000, seed=1)}
-        return [got[name] for name in rows]
-
-    assert all(r.passed for r in f1_rows())
+    assert all(r.passed for r in _exact_rows(rows))
     monkeypatch.setattr(harness, "_path_green", wrong)
-    assert not any(r.passed for r in f1_rows())
+    assert not any(r.passed for r in _exact_rows(rows))
+
+
+def test_exp_exact_rows_fail_on_a_green_damped_twice(monkeypatch):
+    from twistlab import harness
+
+    rows = ["bridge_exp_exact[1,2]", "occupation_exp_exact[1]", "example_n3_occupation_exp_exact"]
+    assert all(r.passed for r in _exact_rows(rows))
+    real = harness.green
+    monkeypatch.setattr(harness, "green", lambda dp, chi=None: real(dp, None if chi is None else 2.0 * chi))
+    assert not any(r.passed for r in _exact_rows(rows))
+
+
+def test_log_derivative_row_fails_on_a_transform_damped_by_s_times_m(chain4, monkeypatch):
+    from twistlab import harness
+
+    def on_sm(dp, s):  # det(-L) / det(-L + M_{s m}): the pairing's weight counted twice
+        return float(np.exp(np.linalg.slogdet(-dp.L)[1] - np.linalg.slogdet(-dp.L + np.diag(s * dp.m))[1]))
+
+    def row():
+        return next(r for r in mgf_suite(chain4, seed=9) if r.name == "logdet_derivative_vs_trace")
+
+    assert row().passed
+    monkeypatch.setattr(harness, "_phi_any", on_sm)
+    assert not row().passed
 
 
 def test_positivity_battery(chain4):
