@@ -30,7 +30,7 @@ import numpy as np
 from .chain import DualPair, build_dual, energy_quadratic, mass_gap, nchain, trace_chain
 from .functionals import BumpField, ExpField, MonomialField, ProductField
 # bridge_values is not called here; bench/layertrace.py patches and checks its harness binding
-from .paths import bridge_targets, bridge_values  # noqa: F401
+from .paths import _refuse_over_budget, bridge_targets, bridge_values  # noqa: F401
 from .reporting import (
     VerificationReport,
     exact_report,
@@ -215,9 +215,9 @@ def mgf_suite(dp: DualPair, seed: int = 0):
     """
     rng = rng_stream(seed, "mgf-suite")
     s = rng.uniform(0.0, 1.0, dp.n)
-    g_s, h, worst = green(dp, s), 1e-3, 0.0
+    g_s, h, worst, phi = green(dp, s), 1e-3, 0.0, _phi_any(dp)
     for u, e_u in enumerate(np.eye(dp.n)):
-        d1, d2 = ((math.log(_phi_any(dp, s + t * e_u)) - math.log(_phi_any(dp, s - t * e_u))) / (2 * t) for t in (h, h / 2))
+        d1, d2 = ((math.log(phi(s + t * e_u)) - math.log(phi(s - t * e_u))) / (2 * t) for t in (h, h / 2))
         worst = max(worst, abs((4.0 * d2 - d1) / 3.0 + dp.m[u] * g_s[u, u]))
     rows = [exact_report("logdet_derivative_vs_trace", worst, 0.0, tol=1e-8)]
     g0 = green(dp)
@@ -235,6 +235,7 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     x = int(rng.integers(n))
     y = int(rng.integers(n))
     chi = rng.uniform(0.0, 1.0, n)
+    _refuse_over_budget(dp, x)  # before the draw that the walk would waste
     z, w = sample_twisted_batch(build_twisted(dp), count, seed)
     rho = np.abs(z) ** 2
     exp_f, prod_f = ExpField(chi, dp.m), ProductField()
@@ -293,6 +294,7 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
         worst = max(worst, abs(mgf(dp, s) - target) / target)
     rows.append(exact_report(f"example_n{n}_mgf_factorisation", worst, 0.0, tol=1e-12))
 
+    _refuse_over_budget(dp, x)
     z, w = sample_twisted_batch(build_twisted(dp), count, seed)
     rho = np.abs(z) ** 2
     for k in (1, 2, 3):

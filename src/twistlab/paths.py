@@ -76,16 +76,18 @@ def _walk(dp: DualPair, start: int, b: int, rng):
         raise NumericalError("path did not terminate; jump matrix too close to stochastic")
 
 
-def _batches(dp: DualPair, start: int, count: int, seed: int, stream: str):
-    """(offset, size, generator) per fixed-size batch, each on its own stream.
-
-    First refuses a start whose expected sojourn count reaches ``MAX_JUMPS``.
-    """
+def _refuse_over_budget(dp: DualPair, start: int) -> None:
+    """Raise `NumericalError` if the expected sojourn count from ``start`` reaches ``MAX_JUMPS``."""
     visits = np.linalg.solve(np.eye(dp.n) - dp.pi, np.ones(dp.n))
     # rounding pi's entries to doubles moves each count by up to eps * max(visits)
     # of itself, so a count that close to the bound reaches it; NaN is refused too
     if not visits[start] * (1.0 + np.finfo(float).eps * visits.max()) < MAX_JUMPS:
         raise NumericalError(f"path did not terminate: {visits[start]:.6g} expected sojourns from state {start} reach {MAX_JUMPS}")
+
+
+def _batches(dp: DualPair, start: int, count: int, seed: int, stream: str):
+    """(offset, size, generator) per fixed-size batch, each on its own stream."""
+    _refuse_over_budget(dp, start)
     for idx, lo in enumerate(range(0, count, BATCH)):
         yield lo, min(BATCH, count - lo), rng_stream(seed, stream, idx)
 

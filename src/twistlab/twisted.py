@@ -54,9 +54,8 @@ def _chi_vector(chi, n: int) -> np.ndarray:
 
 def green(dp: DualPair, chi=None) -> np.ndarray:
     """Damped Green density G_chi(x, y) = ((-L + M_chi)^{-1})_{xy} / m_y."""
-    chiv = _chi_vector(chi, dp.n)
     try:
-        res = np.linalg.solve(-dp.L + np.diag(chiv), np.eye(dp.n))
+        res = np.linalg.solve(-dp.L + np.diag(_chi_vector(chi, dp.n)), np.eye(dp.n))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"damped resolvent is singular: {exc}") from exc
     return res / dp.m[None, :]
@@ -64,18 +63,21 @@ def green(dp: DualPair, chi=None) -> np.ndarray:
 
 def mgf(dp: DualPair, s) -> float:
     """Laplace transform Phi(s) = det(-L) / det(-L + M_s) for s >= 0."""
-    sv = _chi_vector(s, dp.n)
-    return _phi_any(dp, sv)
+    return _phi_any(dp)(_chi_vector(s, dp.n))
 
 
-def _phi_any(dp: DualPair, s: np.ndarray) -> float:
-    # same ratio without the sign restriction on s; used by the difference
-    # oracles which need small negative excursions
+def _phi_any(dp: DualPair):
+    # s -> Phi(s) with det(-L) taken once and no sign restriction on s, for
+    # the difference oracles' many evaluations and small negative excursions
     s0, l0 = np.linalg.slogdet(-dp.L)
-    s1, l1 = np.linalg.slogdet(-dp.L + np.diag(s))
-    if s0 <= 0 or s1 <= 0:
-        raise NumericalError("determinant lost positivity while evaluating Phi")
-    return float(np.exp(l0 - l1))
+
+    def phi(s: np.ndarray) -> float:
+        s1, l1 = np.linalg.slogdet(-dp.L + np.diag(s))
+        if s0 <= 0 or s1 <= 0:
+            raise NumericalError("determinant lost positivity while evaluating Phi")
+        return float(np.exp(l0 - l1))
+
+    return phi
 
 
 @dataclass(frozen=True)
@@ -206,8 +208,7 @@ def mgf_mixed_derivative(dp: DualPair, counts) -> float:
         raise ValueError("difference stencils support orders up to 3 per coordinate")
     active = np.flatnonzero(counts)
     order = int(counts.sum())
-    if order == 0:
-        return mgf(dp, np.zeros(dp.n))
+    phi = _phi_any(dp)
 
     def estimate(step: float) -> float:
         total = 0.0
@@ -217,16 +218,13 @@ def mgf_mixed_derivative(dp: DualPair, counts) -> float:
             for a, (offset, weight) in zip(active, combo):
                 s[a] = offset * step
                 coeff *= weight
-            total += coeff * _phi_any(dp, s)
+            total += coeff * phi(s)
         return total / step**order
 
     table = [estimate(0.01 / 2**j) for j in range(3)]
     for level in (1, 2):
         factor = 4.0**level
-        table = [
-            (factor * table[j + 1] - table[j]) / (factor - 1.0)
-            for j in range(len(table) - 1)
-        ]
+        table = [(factor * table[j + 1] - table[j]) / (factor - 1.0) for j in range(len(table) - 1)]
     return table[0]
 
 
@@ -237,10 +235,8 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     at 0; the m factors come from the m-weighted pairing in Phi.
     """
     pts = [int(p) for p in points]
-    counts = np.bincount(pts, minlength=dp.n)
-    d = mgf_mixed_derivative(dp, counts)
-    sign = (-1.0) ** len(pts)
-    return float(sign * d / np.prod(dp.m[pts]))
+    d = mgf_mixed_derivative(dp, np.bincount(pts, minlength=dp.n))
+    return float((-1.0) ** len(pts) * d / np.prod(dp.m[pts]))
 
 
 # the sweep evaluates Phi at 3^n grid points, each shifted C(n + 4, 4) ways
@@ -267,50 +263,50 @@ def cm_grid(n: int) -> np.ndarray:
     return np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=n)))
 
 
+def _cm_phi(dp: DualPair, shifts: np.ndarray) -> np.ndarray:
+    """Phi at each point of `cm_grid` plus each row of ``shifts``: (3^n, len(shifts)).
+
+    det(-L + M_s) is the sum over sets S of prod_{i in S} s_i times the
+    minor of -L off S.  With s = g + d, every determinant is an entry of
+    ``gmon @ W @ dmon.T``: the monomials prod_{i in U} g_i and prod_{i in T}
+    d_i, and W[U, T] the minor off U ∪ T for disjoint U and T, else 0.
+    """
+    sets = np.arange(1 << dp.n)
+    member = (sets[:, None] >> np.arange(dp.n)) & 1 == 1
+    minors = np.array([np.linalg.det(-dp.L[np.ix_(~u, ~u)]) for u in member])
+    W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
+    gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (cm_grid(dp.n), shifts))
+    phi = minors[0] / (gmon @ W @ dmon.T)
+    if np.any(phi <= 0):
+        raise NumericalError("Phi lost positivity on the difference grid")
+    return phi
+
+
+def _cm_differences(n: int):
+    """Count vectors c of sum <= 4, zero first, and the (len - 1, len) matrix E.
+
+    Row c - 1 of E holds (-1)^{|sub|} prod_i C(c_i, sub_i) at every sub <= c,
+    so ``values @ E.T`` is (-1)^{|c|} times the forward difference along c.
+    """
+    counts = np.indices((5,) * n).reshape(n, -1).T
+    counts = counts[counts.sum(axis=1) <= 4]
+    binom = np.array([[comb(a, b) for b in range(5)] for a in range(5)], dtype=float)
+    return counts, (-1.0) ** counts.sum(axis=1) * binom[counts[1:, None], counts].prod(axis=2)
+
+
 def complete_monotonicity_check(dp: DualPair) -> CMReport:
     """Check that mixed forward differences of Phi alternate in sign.
 
     For Phi, Phi^{1/2} and Phi^{1/3} and every direction multiset of size
     k <= 4, the forward difference at step h = 1e-2 at every point of
     `cm_grid` must carry sign (-1)^k up to a slack of -1e-12.  Violations
-    are counted, not raised.
+    are counted, not raised.  Phi is `_cm_phi`'s principal-minor expansion:
+    -L of a killed chain is a nonsingular M-matrix, so its principal minors
+    are positive and the expansion sums positive terms only.  One binomial
+    matrix (`_cm_differences`) takes every signed difference.
     """
-    h, slack, max_order = 1e-2, 1e-12, 4
-    n = dp.n
-    grid = cm_grid(n)
-    count_vecs = [
-        c for c in itertools.product(range(max_order + 1), repeat=n) if sum(c) <= max_order
-    ]
-    index = {c: i for i, c in enumerate(count_vecs)}
-    pts = grid[:, None, :] + h * np.array(count_vecs, dtype=float)[None, :, :]
-    flat = pts.reshape(-1, n)
-
-    mats = np.broadcast_to(-dp.L, (flat.shape[0], n, n)).copy()
-    idx = np.arange(n)
-    mats[:, idx, idx] += flat
-    dets = np.linalg.det(mats)
-    det0 = np.linalg.det(-dp.L)
-    phi = det0 / dets
-    if np.any(phi <= 0):
-        raise NumericalError("Phi lost positivity on the difference grid")
-    phi = phi.reshape(grid.shape[0], len(count_vecs))
-
-    violations = 0
-    checks = 0
-    min_signed = np.inf
-    for expo in (1.0, 1.0 / 2.0, 1.0 / 3.0):
-        values = phi**expo
-        for order in range(1, max_order + 1):
-            for multiset in itertools.combinations_with_replacement(range(n), order):
-                counts = np.bincount(multiset, minlength=n)
-                diff = np.zeros(grid.shape[0])
-                for sub in itertools.product(*[range(c + 1) for c in counts]):
-                    coeff = (-1.0) ** (order - sum(sub))
-                    for total, taken in zip(counts, sub):
-                        coeff *= comb(total, taken)
-                    diff += coeff * values[:, index[tuple(sub)]]
-                signed = ((-1.0) ** order) * diff
-                checks += grid.shape[0]
-                violations += int(np.count_nonzero(signed < -slack))
-                min_signed = min(min_signed, float(signed.min()))
-    return CMReport(checks=checks, violations=violations, min_signed_value=float(min_signed))
+    counts, diff = _cm_differences(dp.n)
+    phi = _cm_phi(dp, 1e-2 * counts)
+    signed = np.stack([phi**e @ diff.T for e in (1.0, 1.0 / 2.0, 1.0 / 3.0)])
+    violations = int(np.count_nonzero(signed < -1e-12))
+    return CMReport(checks=signed.size, violations=violations, min_signed_value=float(signed.min()))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from twistlab.hilbert import circle_B_matrix, circle_model, eta_kernel
 from twistlab.seeding import rng_stream
 from twistlab.twisted import (
     CM_MAX_STATES,
+    _cm_differences,
+    _cm_phi,
     build_twisted,
     cm_grid,
     complete_monotonicity_check,
@@ -257,18 +260,96 @@ def test_complete_monotonicity_random_chain():
     assert report.checks > 0
 
 
-def test_complete_monotonicity_flags_a_transform_of_no_positive_law():
+def negative_rate_chain():
     # a generator with a negative off-diagonal rate gives Phi = 2 / ((1 + s1)(1 + s2) + 1);
     # at the origin its mixed third derivatives, and the mixed second derivatives of
     # its square and cube roots, have the wrong sign
-    dp = dataclasses.replace(build_dual(nchain(2)), L=-np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    return dataclasses.replace(build_dual(nchain(2)), L=-np.array([[1.0, 1.0], [-1.0, 1.0]]))
+
+
+def test_complete_monotonicity_flags_a_transform_of_no_positive_law():
+    dp = negative_rate_chain()
     assert mgf(dp, np.array([0.5, 1.0])) == pytest.approx(2.0 / (1.5 * 2.0 + 1.0), rel=1e-12)
     report = complete_monotonicity_check(dp)
-    assert report.violations > 0
+    assert (report.checks, report.violations) == (378, 84)
     assert report.min_signed_value < -1e-12
     assert cm_grid(CM_MAX_STATES).shape == (3**CM_MAX_STATES, CM_MAX_STATES)
     with pytest.raises(ValueError, match="at most"):
         cm_grid(CM_MAX_STATES + 1)
+
+
+def cm_referee(dp):
+    """The sweep as nested loops: batched LU determinants on the shifted grid,
+    then one forward difference per (root, order, multiset) from the binomial
+    coefficients of each sub-multiset."""
+    h, slack, max_order = 1e-2, 1e-12, 4
+    n = dp.n
+    grid = cm_grid(n)
+    count_vecs = [c for c in itertools.product(range(max_order + 1), repeat=n) if sum(c) <= max_order]
+    index = {c: i for i, c in enumerate(count_vecs)}
+    flat = (grid[:, None, :] + h * np.array(count_vecs, dtype=float)[None, :, :]).reshape(-1, n)
+    mats = np.broadcast_to(-dp.L, (flat.shape[0], n, n)).copy()
+    mats[:, np.arange(n), np.arange(n)] += flat
+    phi = (np.linalg.det(-dp.L) / np.linalg.det(mats)).reshape(grid.shape[0], len(count_vecs))
+    violations = checks = 0
+    min_signed = np.inf
+    for expo in (1.0, 1.0 / 2.0, 1.0 / 3.0):
+        values = phi**expo
+        for order in range(1, max_order + 1):
+            for multiset in itertools.combinations_with_replacement(range(n), order):
+                counts = np.bincount(multiset, minlength=n)
+                diff = np.zeros(grid.shape[0])
+                for sub in itertools.product(*[range(c + 1) for c in counts]):
+                    coeff = (-1.0) ** (order - sum(sub))
+                    for total, taken in zip(counts, sub):
+                        coeff *= math.comb(total, taken)
+                    diff += coeff * values[:, index[tuple(sub)]]
+                signed = ((-1.0) ** order) * diff
+                checks += grid.shape[0]
+                violations += int(np.count_nonzero(signed < -slack))
+                min_signed = min(min_signed, float(signed.min()))
+    return checks, violations, min_signed
+
+
+def test_complete_monotonicity_matches_the_nested_loop_referee():
+    rng = rng_stream(33, "twisted-tests")
+    chains = [build_dual(random_chain(1 + k % 6, rng)) for k in range(20)] + [negative_rate_chain()]
+    for dp in chains:
+        checks, violations, min_signed = cm_referee(dp)
+        report = complete_monotonicity_check(dp)
+        assert (report.checks, report.violations) == (checks, violations)
+        assert report.min_signed_value == pytest.approx(min_signed, rel=0, abs=1e-14)
+
+
+def test_sweep_phi_grid_is_mgf_at_every_point():
+    rng = rng_stream(34, "twisted-tests")
+    for n in (1, 2, 3, 4):
+        dp = build_dual(random_chain(n, rng))
+        counts, _ = _cm_differences(n)
+        phi = _cm_phi(dp, 1e-2 * counts)
+        want = [[mgf(dp, g + 1e-2 * c) for c in counts] for g in cm_grid(n)]
+        np.testing.assert_allclose(phi, want, rtol=1e-13, atol=0)
+
+
+def test_difference_matrix_takes_exact_differences_of_an_exponential():
+    # exp(-<a, s>) at unit step: the signed difference along c at 0 is prod_i (1 - e^{-a_i})^{c_i}
+    rng = rng_stream(35, "twisted-tests")
+    for n in (1, 3, 5):
+        a = rng.uniform(0.5, 2.0, n)
+        counts, diff = _cm_differences(n)
+        assert counts.shape == (math.comb(n + 4, 4), n) and not counts[0].any()
+        assert sorted(map(tuple, counts)) == sorted(c for c in itertools.product(range(5), repeat=n) if sum(c) <= 4)
+        np.testing.assert_allclose(diff @ np.exp(-counts @ a), np.prod((1.0 - np.exp(-a)) ** counts[1:], axis=1), rtol=1e-12)
+
+
+def test_sweep_takes_at_most_two_to_the_n_determinants(monkeypatch):
+    taken = []  # matrices per call, so that a stacked call counts every determinant in it
+    for name in ("det", "slogdet"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, real=real: taken.append(int(np.prod(np.shape(a)[:-2]))) or real(a))
+    dp = build_dual(random_chain(6, rng_stream(36, "twisted-tests")))
+    complete_monotonicity_check(dp)
+    assert 0 < sum(taken) <= 2**6
 
 
 def test_derivative_vs_trace():
@@ -305,6 +386,7 @@ def test_q_moment_single_point_is_green_diagonal():
     rng = rng_stream(33, "twisted-tests")
     dp = build_dual(random_chain(4, rng))
     g = green(dp)
+    assert mgf_mixed_derivative(dp, np.zeros(4, dtype=int)) == 1.0  # order 0: Phi(0)
     for x in range(4):
         assert q_moment(dp, [x]) == pytest.approx(g[x, x], rel=1e-12)
         # derivative of the Laplace transform, with the m-weight of the pairing
