@@ -266,7 +266,7 @@ def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
         val = q_moment(dp, pts)
         oracle = q_moment_oracle(dp, pts)
         rows.append(
-            exact_report(f"q_moment_vs_derivative_oracle_k{k}", val, oracle, tol=1e-6, relative=True)
+            exact_report(f"q_moment_vs_derivative_oracle_k{k}", val, oracle, tol=1e-12, relative=True)
         )
     return rows
 

@@ -10,14 +10,17 @@ correlation under the twisted measure equals the Green density
 transform of the squared-field law in the m-weighted pairing is
 ``Phi(s) = det(-L) / det(-L + M_s)``, whose log-derivative in s_u is
 ``-m_u G_s(u, u)``, and the k-point moments are permanents of ``G_0`` on
-the chosen points.
+the chosen points.  det(-L + M_s) is multilinear in s with the principal
+minors of -L as coefficients, so Phi on the monotonicity sweep's grid and
+its exact Taylor coefficients at 0, the moments' second route, both come
+from those minors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -33,7 +36,6 @@ __all__ = [
     "complete_monotonicity_check",
     "green",
     "mgf",
-    "mgf_mixed_derivative",
     "permanent",
     "q_moment",
     "q_moment_oracle",
@@ -67,8 +69,8 @@ def mgf(dp: DualPair, s) -> float:
 
 
 def _phi_any(dp: DualPair):
-    # s -> Phi(s) with det(-L) taken once and no sign restriction on s, for
-    # the difference oracles' many evaluations and small negative excursions
+    # s -> Phi(s) with det(-L) taken once and no sign restriction on s, so
+    # that `harness.mgf_suite`'s central differences may step below s = 0
     s0, l0 = np.linalg.slogdet(-dp.L)
 
     def phi(s: np.ndarray) -> float:
@@ -172,71 +174,63 @@ def permanent(mat) -> float:
     return float(total)
 
 
-def q_moment(dp: DualPair, points) -> float:
-    """Permanental k-point moment candidate: per(G_0 on the chosen points).
-
-    Repetitions allowed.  The formula is pinned against
-    `q_moment_oracle` (derivatives of the Laplace transform), never
-    trusted on its own.
-    """
+def _points(dp: DualPair, points) -> list[int]:
     pts = [int(p) for p in points]
     if not 1 <= len(pts) <= 8:
         raise ValueError("between 1 and 8 points")
+    if not all(0 <= p < dp.n for p in pts):
+        raise ValueError("states out of range")
+    return pts
+
+
+def q_moment(dp: DualPair, points) -> float:
+    """Permanental k-point moment candidate: per(G_0 on the chosen points).
+
+    Repetitions allowed.  The formula is pinned against `q_moment_oracle`,
+    the Taylor coefficient of the Laplace transform computed from principal
+    minors of -L, never trusted on its own.
+    """
+    pts = _points(dp, points)
     g0 = green(dp)
     return permanent(g0[np.ix_(pts, pts)])
 
 
-_STENCILS = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
+def _principal_minors(dp: DualPair, states) -> tuple[np.ndarray, np.ndarray]:
+    """Every subset S of ``states`` and the minor det((-L) off S) of each.
 
-
-def mgf_mixed_derivative(dp: DualPair, counts) -> float:
-    """Mixed partial derivative of Phi at 0 by central product stencils.
-
-    ``counts[x]`` is the derivative order in coordinate x (at most 3 per
-    coordinate).  Steps h = 0.01, h/2 and h/4 feed two Richardson
-    extrapolation levels, which remove the leading even-order errors and
-    leave O(h^6).
+    Returns the (2^k, k) membership mask of the subsets, whose row i holds
+    the bits of i (bit j set when S holds ``states[j]``), and the 2^k minors
+    in the same order; the first is det(-L), the minor off the empty set.
     """
-    counts = np.asarray(counts, dtype=int)
-    if counts.shape != (dp.n,):
-        raise ValueError("counts must have one entry per state")
-    if counts.max() > 3:
-        raise ValueError("difference stencils support orders up to 3 per coordinate")
-    active = np.flatnonzero(counts)
-    order = int(counts.sum())
-    phi = _phi_any(dp)
-
-    def estimate(step: float) -> float:
-        total = 0.0
-        for combo in itertools.product(*[_STENCILS[counts[a]] for a in active]):
-            s = np.zeros(dp.n)
-            coeff = 1.0
-            for a, (offset, weight) in zip(active, combo):
-                s[a] = offset * step
-                coeff *= weight
-            total += coeff * phi(s)
-        return total / step**order
-
-    table = [estimate(0.01 / 2**j) for j in range(3)]
-    for level in (1, 2):
-        factor = 4.0**level
-        table = [(factor * table[j + 1] - table[j]) / (factor - 1.0) for j in range(len(table) - 1)]
-    return table[0]
+    states = np.asarray(states)
+    member = (np.arange(1 << states.size)[:, None] >> np.arange(states.size)) & 1 == 1
+    keep = np.ones((member.shape[0], dp.n), dtype=bool)
+    keep[:, states] = ~member
+    return member, np.array([np.linalg.det(-dp.L[np.ix_(u, u)]) for u in keep])
 
 
 def q_moment_oracle(dp: DualPair, points) -> float:
-    """Independent moment value from finite differences of Phi at step 0.01.
+    """Independent moment value: the Taylor coefficient of Phi at 0, exactly.
 
     E[rho_{x1} .. rho_{xk}] = (-1)^k (prod 1/m_{xi}) d^k Phi / d s_{x1}..d s_{xk}
-    at 0; the m factors come from the m-weighted pairing in Phi.
+    at 0; the m factors come from the m-weighted pairing in Phi.  On the
+    active states A, det(-L + M_s) = sum over S of s^S det((-L) off S), so
+    Phi (1 + sum_{S != {}} r_S s^S) = 1 with r_S the minor off S over
+    det(-L), and the coefficients of Phi on the box c' <= c follow from
+    Phi[c'] = -sum over nonempty S in supp c' of r_S Phi[c' - 1_S].
+    The cost is 2^|A| determinants at any n.
     """
-    pts = [int(p) for p in points]
-    d = mgf_mixed_derivative(dp, np.bincount(pts, minlength=dp.n))
-    return float((-1.0) ** len(pts) * d / np.prod(dp.m[pts]))
+    pts = _points(dp, points)
+    active, counts = np.unique(pts, return_counts=True)
+    member, minors = _principal_minors(dp, active)
+    steps, ratio = member[1:].astype(int), minors[1:] / minors[0]
+    coef = np.zeros(counts + 1)
+    coef.flat[0] = 1.0
+    for c in itertools.islice(np.ndindex(coef.shape), 1, None):
+        fits = (steps <= c).all(axis=1)
+        coef[c] = -ratio[fits] @ coef[tuple((np.array(c) - steps[fits]).T)]
+    c_fact = np.prod([factorial(j) for j in counts])
+    return float((-1.0) ** len(pts) * c_fact * coef[tuple(counts)] / np.prod(dp.m[pts]))
 
 
 # the sweep evaluates Phi at 3^n grid points, each shifted C(n + 4, 4) ways
@@ -271,9 +265,8 @@ def _cm_phi(dp: DualPair, shifts: np.ndarray) -> np.ndarray:
     ``gmon @ W @ dmon.T``: the monomials prod_{i in U} g_i and prod_{i in T}
     d_i, and W[U, T] the minor off U ∪ T for disjoint U and T, else 0.
     """
+    member, minors = _principal_minors(dp, np.arange(dp.n))
     sets = np.arange(1 << dp.n)
-    member = (sets[:, None] >> np.arange(dp.n)) & 1 == 1
-    minors = np.array([np.linalg.det(-dp.L[np.ix_(~u, ~u)]) for u in member])
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
     gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (cm_grid(dp.n), shifts))
     phi = minors[0] / (gmon @ W @ dmon.T)

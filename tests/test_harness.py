@@ -216,6 +216,17 @@ def test_log_derivative_row_fails_on_a_transform_damped_by_s_times_m(chain4, mon
     assert not row().passed
 
 
+def test_moment_rows_fail_on_a_determinant_for_the_permanent(chain4, monkeypatch):
+    from twistlab import twisted
+
+    def passed():
+        return [r.passed for r in q_suite(chain4, count=1000, seed=13) if r.name.startswith("q_moment_vs")]
+
+    assert passed() == [True, True, True]
+    monkeypatch.setattr(twisted, "permanent", lambda mat: float(np.linalg.det(mat)))
+    assert passed() == [True, False, False]  # one point: det and per agree
+
+
 def test_positivity_battery(chain4):
     rows = positivity_suite(chain4, count=100_000, seed=7)
     assert count_failures(rows) == 0

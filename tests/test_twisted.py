@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twistlab import twisted
 from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
 from twistlab.functionals import ExpField
 from twistlab.hilbert import circle_B_matrix, circle_model, eta_kernel
@@ -14,12 +15,12 @@ from twistlab.twisted import (
     CM_MAX_STATES,
     _cm_differences,
     _cm_phi,
+    _phi_any,
     build_twisted,
     cm_grid,
     complete_monotonicity_check,
     green,
     mgf,
-    mgf_mixed_derivative,
     permanent,
     q_moment,
     q_moment_oracle,
@@ -382,6 +383,41 @@ def test_permanent_small_and_bruteforce():
         permanent(np.zeros((15, 15)))
 
 
+STENCILS = {
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+}
+
+
+def mgf_mixed_derivative(dp, counts):
+    """Referee: mixed partial derivative of Phi at 0 by central product stencils.
+
+    ``counts[x]`` is the derivative order in coordinate x (at most 3).  Steps
+    h = 0.01, h/2 and h/4 feed two Richardson levels, leaving O(h^6).
+    """
+    counts = np.asarray(counts, dtype=int)
+    active = np.flatnonzero(counts)
+    phi = _phi_any(dp)
+
+    def estimate(step):
+        total = 0.0
+        for combo in itertools.product(*[STENCILS[counts[a]] for a in active]):
+            s = np.zeros(dp.n)
+            coeff = 1.0
+            for a, (offset, weight) in zip(active, combo):
+                s[a] = offset * step
+                coeff *= weight
+            total += coeff * phi(s)
+        return total / step ** int(counts.sum())
+
+    table = [estimate(0.01 / 2**j) for j in range(3)]
+    for level in (1, 2):
+        factor = 4.0**level
+        table = [(factor * table[j + 1] - table[j]) / (factor - 1.0) for j in range(len(table) - 1)]
+    return table[0]
+
+
 def test_q_moment_single_point_is_green_diagonal():
     rng = rng_stream(33, "twisted-tests")
     dp = build_dual(random_chain(4, rng))
@@ -400,10 +436,64 @@ def test_q_moment_march_chain_double_point():
 
 
 def test_q_moment_matches_derivative_oracle_k3():
+    # the finite-difference referee holds both routes to its own 1e-6 at k <= 3
     rng = rng_stream(34, "twisted-tests")
     dp = build_dual(random_chain(4, rng))
-    pts = [0, 1, 3]
-    assert q_moment(dp, pts) == pytest.approx(q_moment_oracle(dp, pts), rel=1e-6)
+    for pts in ([0, 1, 3], [2, 2], [1, 1, 1], [3, 0, 3]):
+        fd = mgf_mixed_derivative(dp, np.bincount(pts, minlength=4))
+        want = (-1.0) ** len(pts) * fd / np.prod(dp.m[pts])
+        assert q_moment(dp, pts) == pytest.approx(want, rel=1e-6)
+        assert q_moment_oracle(dp, pts) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_q_moment_oracle_is_exact_at_every_order(n):
+    # 1e-10 relative, fixed beforehand as about 2^8 k n eps at k = 8
+    rng = rng_stream(37, "twisted-tests", n)
+    for _ in range(3):
+        dp = build_dual(random_chain(n, rng))
+        for k in range(1, 9):
+            pts = rng.choice(n, size=k).tolist()
+            assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-10)
+
+
+def test_a_dropped_minor_fails_the_oracle_and_the_sweep(monkeypatch):
+    # zero the minor off the largest subset: r_S for S = {0, 1, 2} in the oracle,
+    # and the s_0 s_1 s_2 term on the sweep's grid
+    dp = build_dual(random_chain(3, rng_stream(38, "twisted-tests")))
+    counts, _ = _cm_differences(3)
+    moment, grid = q_moment(dp, [0, 1, 2]), [[mgf(dp, g + 1e-2 * c) for c in counts] for g in cm_grid(3)]
+    real = twisted._principal_minors
+
+    def drop_last(dp, states):
+        member, minors = real(dp, states)
+        minors[-1] = 0.0
+        return member, minors
+
+    monkeypatch.setattr(twisted, "_principal_minors", drop_last)
+    assert q_moment_oracle(dp, [0, 1, 2]) != pytest.approx(moment, rel=1e-10)
+    assert not np.allclose(_cm_phi(dp, 1e-2 * counts), grid, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("moment", [q_moment, q_moment_oracle], ids=["permanent", "oracle"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_moments_reject_states_out_of_range(bad, moment):
+    dp = build_dual(random_chain(4, rng_stream(39, "twisted-tests")))
+    with pytest.raises(ValueError, match="states out of range"):
+        moment(dp, [0, bad])
+    for count in (0, 9):
+        with pytest.raises(ValueError, match="between 1 and 8"):
+            moment(dp, [0] * count)
+
+
+def test_oracle_takes_at_most_two_to_the_k_determinants(monkeypatch):
+    taken = []
+    for name in ("det", "slogdet"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, real=real: taken.append(int(np.prod(np.shape(a)[:-2]))) or real(a))
+    dp = build_dual(random_chain(64, rng_stream(40, "twisted-tests")))
+    q_moment_oracle(dp, [3, 17, 60])
+    assert 0 < sum(taken) <= 2**3
 
 
 def test_q_moment_permutation_invariant():
