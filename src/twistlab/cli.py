@@ -1,9 +1,11 @@
 """Batch front-end: load inputs, run a named suite, emit a CSV report.
 
-Exit codes: number of failing rows (capped at 125); 2 for input/parse
-errors (message carries the offending line), for a flag the command does
-not read and for an integer flag below 1; 3 for numerical failures.  No
-flag moves a row's pass bound: each suite fixes its own.
+Exit codes: number of failing rows (capped at 125); 2 for input that is
+refused: a parse error (message carries the offending line), a chain the
+chain layer rejects (such as one whose ``mu`` misses a state), any input a
+suite refuses, a flag the command does not read and an integer flag below
+1; 3 for numerical failures.  No flag moves a row's pass bound: each suite
+fixes its own.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
 Configuration is by explicit flags; environment variables are ignored.
@@ -27,9 +29,8 @@ import numpy as np
 from .chain import NumericalError, build_dual
 from .harness import example_suite, iso_suite, mass_gap_suite, mgf_suite, q_suite, trace_suite
 from .hilbert import circle_suite, det2_suite, levy_suite
-from .modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
+from .modelio import load_chain_spec, load_circle_model, load_levy_model
 from .reporting import count_failures, print_reports, write_reports_csv
-from .twisted import CM_MAX_STATES
 
 __all__ = ["main"]
 
@@ -51,17 +52,30 @@ FLAGS = {
     "k-max": dict(type=int, default=128, help="basis truncation"),
 }
 
-# each command accepts exactly the flags its suite reads (plus --out)
+
+def _chain(args):
+    return build_dual(load_chain_spec(args.input))
+
+
+def _mass_gap(args) -> list:
+    rows, gap = mass_gap_suite(_chain(args), seed=args.seed)
+    print(float(gap))
+    return rows
+
+
+# name -> (flags, runner).  Each command accepts exactly the flags its suite
+# reads (plus --out); each suite refuses the inputs it cannot take.  The
+# runners look suites up in this module when called, so tests may patch them.
 COMMANDS = {
-    "verify-iso": ("input", "seed", "samples"),
-    "verify-q": ("input", "seed", "samples"),
-    "mass-gap": ("input", "seed"),
-    "mgf-check": ("input", "seed"),
-    "example-chain": ("n", "seed", "samples"),
-    "trace-check": ("input", "seed"),
-    "det2-check": ("dim", "seed", "samples"),
-    "circle-check": ("input", "k-max"),
-    "levy-check": ("input",),
+    "verify-iso": (("input", "seed", "samples"), lambda a: iso_suite(_chain(a), count=a.samples, seed=a.seed)),
+    "verify-q": (("input", "seed", "samples"), lambda a: q_suite(_chain(a), count=a.samples, seed=a.seed)),
+    "mass-gap": (("input", "seed"), _mass_gap),
+    "mgf-check": (("input", "seed"), lambda a: mgf_suite(_chain(a), seed=a.seed)),
+    "example-chain": (("n", "seed", "samples"), lambda a: example_suite(a.n, count=a.samples, seed=a.seed)),
+    "trace-check": (("input", "seed"), lambda a: trace_suite(_chain(a), seed=a.seed)),
+    "det2-check": (("dim", "seed", "samples"), lambda a: det2_suite(a.dim, count=a.samples, seed=a.seed)),
+    "circle-check": (("input", "k-max"), lambda a: circle_suite(load_circle_model(a.input), K=a.k_max)),
+    "levy-check": (("input",), lambda a: levy_suite(load_levy_model(a.input))),
 }
 
 
@@ -71,47 +85,12 @@ def _parser() -> argparse.ArgumentParser:
         description="Verification suites for killed chains, twisted fields and truncated operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in COMMANDS.items():
+    for name, (flags, _) in COMMANDS.items():
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
         p.add_argument("--out", default=None, help="CSV report path")
     return parser
-
-
-def _dispatch(args) -> list:
-    if args.command == "example-chain":
-        return example_suite(args.n, count=args.samples, seed=args.seed)
-    if args.command == "det2-check":
-        return det2_suite(args.dim, count=args.samples, seed=args.seed)
-    if args.command == "circle-check":
-        model = load_circle_model(args.input)
-        if args.k_max < model.bandwidth:
-            raise SpecFileError(f"--k-max {args.k_max} is below the drift bandwidth {model.bandwidth}")
-        return circle_suite(model, K=args.k_max)
-    if args.command == "levy-check":
-        return levy_suite(load_levy_model(args.input))
-
-    dp = build_dual(load_chain_spec(args.input))
-    if args.command == "verify-q" and dp.n > CM_MAX_STATES:
-        raise SpecFileError(
-            f"verify-q takes at most {CM_MAX_STATES} states (its monotonicity sweep grows as 3^n); got {dp.n}"
-        )
-    if args.command == "trace-check" and dp.n < 2:
-        raise SpecFileError("trace-check needs at least 2 states: a 1-state chain has no proper subset")
-    if args.command == "verify-iso":
-        return iso_suite(dp, count=args.samples, seed=args.seed)
-    if args.command == "verify-q":
-        return q_suite(dp, count=args.samples, seed=args.seed)
-    if args.command == "mass-gap":
-        rows, gap = mass_gap_suite(dp, seed=args.seed)
-        print(float(gap))
-        return rows
-    if args.command == "mgf-check":
-        return mgf_suite(dp, seed=args.seed)
-    if args.command == "trace-check":
-        return trace_suite(dp, seed=args.seed)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _fix_malloc_thresholds():
@@ -129,13 +108,13 @@ def main(argv=None) -> int:
         print(f"error: {', '.join(low)} must be at least 1", file=sys.stderr)
         return 2
     try:
-        reports = _dispatch(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+        reports = COMMANDS[args.command][1](args)
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # first: LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # SpecFileError, ChainError and every suite's own refusals
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print_reports(reports)
     if args.out:
         write_reports_csv(reports, args.out)

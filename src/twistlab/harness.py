@@ -180,7 +180,7 @@ def verify_trace(dp: DualPair, keep) -> VerificationReport:
 def trace_suite(dp: DualPair, seed: int = 0):
     """Traces onto three random proper subsets; a chain needs two states to have one."""
     if dp.n < 2:
-        raise ValueError("a 1-state chain has no proper subset to trace onto")
+        raise ValueError("tracing needs at least 2 states: a 1-state chain has no proper subset")
     rng = rng_stream(seed, "trace-suite")
     rows = []
     for _ in range(3):
@@ -256,9 +256,14 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
 
 
 def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
-    """Squared-field law battery: positivity, monotonicity, moment oracle."""
-    rows = positivity_suite(dp, count=count, seed=seed)
+    """Squared-field law battery: positivity, monotonicity, moment oracle.
+
+    The monotonicity sweep runs first, so that a chain beyond its state limit
+    is refused before any draw; it draws nothing, and its row still follows
+    the positivity rows.
+    """
     cm = complete_monotonicity_check(dp)
+    rows = positivity_suite(dp, count=count, seed=seed)
     rows.append(exact_report("cm_full_sweep_clean", cm.violations, 0.0, tol=0.5))
     rng = rng_stream(seed, "q-suite-points")
     for k in (1, 2, 3):

@@ -225,7 +225,7 @@ def circle_B_matrix(model: CircleDriftModel, K: int) -> np.ndarray:
     against round-off.
     """
     if K < model.bandwidth:
-        raise ValueError(f"truncation K={K} smaller than drift bandwidth {model.bandwidth}")
+        raise ValueError(f"truncation K={K} is below the drift bandwidth {model.bandwidth}")
     size = 2 * K + 1
     freq = np.arange(-K, K + 1)
     norm = np.sqrt(freq.astype(float) ** 2 + model.epsilon)

@@ -257,8 +257,8 @@ def cm_grid(n: int) -> np.ndarray:
     return np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=n)))
 
 
-def _cm_phi(dp: DualPair, shifts: np.ndarray) -> np.ndarray:
-    """Phi at each point of `cm_grid` plus each row of ``shifts``: (3^n, len(shifts)).
+def _cm_phi(dp: DualPair, grid: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Phi at each point of ``grid`` plus each row of ``shifts``: (len(grid), len(shifts)).
 
     det(-L + M_s) is the sum over sets S of prod_{i in S} s_i times the
     minor of -L off S.  With s = g + d, every determinant is an entry of
@@ -268,7 +268,7 @@ def _cm_phi(dp: DualPair, shifts: np.ndarray) -> np.ndarray:
     member, minors = _principal_minors(dp, np.arange(dp.n))
     sets = np.arange(1 << dp.n)
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
-    gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (cm_grid(dp.n), shifts))
+    gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (grid, shifts))
     phi = minors[0] / (gmon @ W @ dmon.T)
     if np.any(phi <= 0):
         raise NumericalError("Phi lost positivity on the difference grid")
@@ -296,10 +296,13 @@ def complete_monotonicity_check(dp: DualPair) -> CMReport:
     are counted, not raised.  Phi is `_cm_phi`'s principal-minor expansion:
     -L of a killed chain is a nonsingular M-matrix, so its principal minors
     are positive and the expansion sums positive terms only.  One binomial
-    matrix (`_cm_differences`) takes every signed difference.
+    matrix (`_cm_differences`) takes every signed difference.  `cm_grid`
+    refuses a chain beyond ``CM_MAX_STATES`` before anything that grows
+    with n is built.
     """
+    grid = cm_grid(dp.n)
     counts, diff = _cm_differences(dp.n)
-    phi = _cm_phi(dp, 1e-2 * counts)
+    phi = _cm_phi(dp, grid, 1e-2 * counts)
     signed = np.stack([phi**e @ diff.T for e in (1.0, 1.0 / 2.0, 1.0 / 3.0)])
     violations = int(np.count_nonzero(signed < -1e-12))
     return CMReport(checks=signed.size, violations=violations, min_signed_value=float(signed.min()))

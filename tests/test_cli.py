@@ -369,8 +369,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
         (b"states: 2\nq: [1.0,\x01 1.0]\n", "line 2: unacceptable character #x0001"),
         (b"states: 2\nq: [1.0, \xff]\n", "line 2: not UTF-8 text: byte 0xff"),
         (None, "No such file or directory"),
+        # a valid spec whose chain cannot reach state 1 from supp(mu)
+        (b"states: 2\nq: [1.0, 1.0]\npi: [[0, 0], [0.5, 0]]\nmu: [1.0, 0.0]\n", "reference measure vanishes at states [1]"),
     ],
-    ids=["control-character", "not-utf8", "missing-file"],
+    ids=["control-character", "not-utf8", "missing-file", "mu-misses-a-state"],
 )
 def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
     path = tmp_path / "chain.yaml"
@@ -390,7 +392,7 @@ def test_invalid_flags_exit_two(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["circle-check", "--input", "{circle}", "--k-max", "1"], "--k-max 1 is below the drift bandwidth 3"),
+        (["circle-check", "--input", "{circle}", "--k-max", "1"], "truncation K=1 is below the drift bandwidth 3"),
         (["example-chain", "--n", "0"], "--n must be at least 1"),
         (["det2-check", "--dim", "0"], "--dim must be at least 1"),
     ],
@@ -492,11 +494,11 @@ def test_readme_command_lines_parse():
     section = re.search(r"## Command line(.*?)\n## ", readme, re.S).group(1)
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     lines = [line for line in block.splitlines() if line.startswith("twistlab ")]
-    assert len(lines) == 9
+    assert {shlex.split(line)[1] for line in lines} == set(COMMANDS)
     for line in lines:
         _parser().parse_args(shlex.split(line)[1:])
     # every flag the section names is one that some command accepts
-    accepted = {"--out"} | {f"--{flag}" for flags in COMMANDS.values() for flag in flags}
+    accepted = {"--out"} | {f"--{flag}" for flags, _ in COMMANDS.values() for flag in flags}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert named and named <= accepted, sorted(named - accepted)
 
@@ -513,6 +515,20 @@ def test_numerical_failure_exit_three(tmp_path, monkeypatch, capsys):
     path.write_text(ONE_STATE)
     assert main(["mgf-check", "--input", str(path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_linalg_failure_exit_three_though_it_is_a_value_error(tmp_path, monkeypatch, capsys):
+    from twistlab import cli
+
+    def boom(dp, seed=0):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "mgf_suite", boom)
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_STATE)
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    assert main(["mgf-check", "--input", str(path)]) == 3
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
 def test_failure_count_capped():

@@ -322,12 +322,22 @@ def test_complete_monotonicity_matches_the_nested_loop_referee():
         assert report.min_signed_value == pytest.approx(min_signed, rel=0, abs=1e-14)
 
 
+def test_sweep_refuses_more_than_six_states_before_building_its_differences(monkeypatch):
+    def built(n):
+        raise AssertionError(f"difference matrix built for {n} states")
+
+    monkeypatch.setattr(twisted, "_cm_differences", built)
+    dp = build_dual(random_chain(CM_MAX_STATES + 1, rng_stream(39, "twisted-tests")))
+    with pytest.raises(ValueError, match="at most 6 states"):
+        complete_monotonicity_check(dp)
+
+
 def test_sweep_phi_grid_is_mgf_at_every_point():
     rng = rng_stream(34, "twisted-tests")
     for n in (1, 2, 3, 4):
         dp = build_dual(random_chain(n, rng))
         counts, _ = _cm_differences(n)
-        phi = _cm_phi(dp, 1e-2 * counts)
+        phi = _cm_phi(dp, cm_grid(n), 1e-2 * counts)
         want = [[mgf(dp, g + 1e-2 * c) for c in counts] for g in cm_grid(n)]
         np.testing.assert_allclose(phi, want, rtol=1e-13, atol=0)
 
@@ -472,7 +482,7 @@ def test_a_dropped_minor_fails_the_oracle_and_the_sweep(monkeypatch):
 
     monkeypatch.setattr(twisted, "_principal_minors", drop_last)
     assert q_moment_oracle(dp, [0, 1, 2]) != pytest.approx(moment, rel=1e-10)
-    assert not np.allclose(_cm_phi(dp, 1e-2 * counts), grid, rtol=1e-13, atol=0)
+    assert not np.allclose(_cm_phi(dp, cm_grid(3), 1e-2 * counts), grid, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("moment", [q_moment, q_moment_oracle], ids=["permanent", "oracle"])
