@@ -8,6 +8,9 @@ holds a control character is a `SpecFileError` too.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,28 @@ from .hilbert import CircleDriftModel, LevyModel, circle_model
 
 __all__ = ["SpecFileError", "load_chain_spec", "load_circle_model", "load_levy_model"]
 
-# libyaml's parser, when pyyaml was built with it, composes a 64-state chain
-# ten times faster than the pure-Python one, with the same nodes and marks
-LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+class _NoTags:
+    """Resolver hooks that do nothing, for a loader that only composes.
+
+    The loaders read each scalar's text and never a tag, so the YAML 1.1
+    implicit-tag regexes that a resolver runs on every scalar, and its
+    per-node path hooks, decide nothing here; every node gets tag None.
+    """
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+    def resolve(self, kind, value, implicit):
+        return None
+
+
+# libyaml's parser when pyyaml was built with it (the same nodes and marks as
+# the pure-Python one, about ten times faster), either without tag resolution
+LOADER = type("Loader", (_NoTags, yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader), {})
 
 
 class SpecFileError(ValueError):
@@ -33,6 +55,24 @@ class SpecFileError(ValueError):
 
 def _line(node) -> int:
     return node.start_mark.line + 1
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Run a load without cyclic-GC passes; restore the caller's setting.
+
+    A composed tree holds no reference cycles (only a recursive alias makes
+    one, and the collector frees it once it runs again), so the dozens of
+    collections that its tens of thousands of nodes and marks would trigger
+    free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _compose(path) -> yaml.Node:
@@ -66,7 +106,7 @@ def _mapping(node, known, what="document") -> dict:
         raise SpecFileError(f"{what} must be a mapping", _line(node))
     out = {}
     for key, val in node.value:
-        name = key.value
+        name = _scalar(key, str, "field name")
         if name not in known:
             raise SpecFileError(f"unknown field {name!r}", _line(key))
         if name in out:
@@ -78,14 +118,17 @@ def _mapping(node, known, what="document") -> dict:
     return out
 
 
+_KINDS = {int: "an integer", float: "a float"}
+
+
 def _scalar(node, cast, what):
     if not isinstance(node, yaml.ScalarNode):
         raise SpecFileError(f"{what} must be a scalar", _line(node))
     try:
         value = cast(node.value)
     except ValueError as exc:
-        raise SpecFileError(f"{what} must be a {cast.__name__}, got {node.value!r}", _line(node)) from exc
-    if cast is float and not np.isfinite(value):
+        raise SpecFileError(f"{what} must be {_KINDS[cast]}, got {node.value!r}", _line(node)) from exc
+    if cast is float and not math.isfinite(value):
         raise SpecFileError(f"{what} must be finite, got {node.value!r}", _line(node))
     return value
 
@@ -100,9 +143,11 @@ def _float_list(node, what, length=None) -> list[float]:
     items = _sequence(node, what)
     if length is not None and len(items) != length:
         raise SpecFileError(f"{what} must have {length} entries, got {len(items)}", _line(node))
-    return [_scalar(item, float, f"{what} entry") for item in items]
+    label = f"{what} entry"
+    return [_scalar(item, float, label) for item in items]
 
 
+@_collector_paused()
 def load_chain_spec(path) -> ChainSpec:
     """Parse a chain file: fields states, q, pi (row-major), mu."""
     root = _compose(path)
@@ -122,6 +167,7 @@ def load_chain_spec(path) -> ChainSpec:
         raise SpecFileError(str(exc), _line(root)) from exc
 
 
+@_collector_paused()
 def load_circle_model(path) -> CircleDriftModel:
     """Parse a drift model: fields epsilon and b_hat (list of [k, re, im]).
 
@@ -150,6 +196,7 @@ def load_circle_model(path) -> CircleDriftModel:
         raise SpecFileError(str(exc), _line(fields["b_hat"])) from exc
 
 
+@_collector_paused()
 def load_levy_model(path) -> LevyModel:
     """Parse a symbol model: fields a and b, matching positive/odd halves."""
     root = _compose(path)

@@ -368,11 +368,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     [
         (b"states: 2\nq: [1.0,\x01 1.0]\n", "line 2: unacceptable character #x0001"),
         (b"states: 2\nq: [1.0, \xff]\n", "line 2: not UTF-8 text: byte 0xff"),
+        (b"states: 2.5\nq: [1.0, 1.0]\npi: [[0, 0], [0, 0]]\nmu: [1.0, 0.0]\n", "line 1: states must be an integer, got '2.5'"),
         (None, "No such file or directory"),
         # a valid spec whose chain cannot reach state 1 from supp(mu)
         (b"states: 2\nq: [1.0, 1.0]\npi: [[0, 0], [0.5, 0]]\nmu: [1.0, 0.0]\n", "reference measure vanishes at states [1]"),
     ],
-    ids=["control-character", "not-utf8", "missing-file", "mu-misses-a-state"],
+    ids=["control-character", "not-utf8", "fractional-states", "missing-file", "mu-misses-a-state"],
 )
 def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
     path = tmp_path / "chain.yaml"

@@ -1,12 +1,20 @@
+import gc
+
 import numpy as np
 import pytest
 import yaml
 
-from twistlab import modelio
+from twistlab import modelio, random_chain
 from twistlab.hilbert import circle_model
 from twistlab.modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
 
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+# the shipped loader and the same no-tag hooks on pyyaml's pure-Python parser
+LOADERS = [modelio.LOADER, type("PureNoTagsLoader", (modelio._NoTags, yaml.BaseLoader), {})]
+# each one's twin on the same parser that resolves every tag, as the loaders did before
+RESOLVING = {
+    LOADERS[0]: yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader,
+    LOADERS[1]: yaml.SafeLoader,
+}
 
 GOOD_CHAIN = """\
 states: 3
@@ -25,14 +33,34 @@ def write(tmp_path, text, name="model.yaml"):
     return path
 
 
+def chain_yaml(spec) -> str:
+    """A chain file with every float written by `repr`, so it reads back exactly."""
+
+    def floats(values):
+        return "[" + ", ".join(repr(float(v)) for v in values) + "]"
+
+    lines = [f"states: {spec.n}", f"q: {floats(spec.q)}", "pi:"]
+    lines += [f"  - {floats(row)}" for row in spec.pi]
+    return "\n".join(lines + [f"mu: {floats(spec.mu)}"]) + "\n"
+
+
 def load_error(monkeypatch, load, path, match=None) -> SpecFileError:
-    """Load a malformed file with each YAML parser; all must fail on the same line."""
+    """Load a malformed file with each YAML parser, with and without tags.
+
+    All must fail on the same line, and each parser with the same message
+    whether or not it resolves tags (libyaml and pyyaml word syntax errors
+    differently).
+    """
     errors = []
     for loader in LOADERS:
-        monkeypatch.setattr(modelio, "LOADER", loader)
-        with pytest.raises(SpecFileError, match=match) as err:
-            load(path)
-        errors.append(err.value)
+        messages = set()
+        for variant in (loader, RESOLVING[loader]):
+            monkeypatch.setattr(modelio, "LOADER", variant)
+            with pytest.raises(SpecFileError, match=match) as err:
+                load(path)
+            messages.add(str(err.value))
+            errors.append(err.value)
+        assert len(messages) == 1, messages
     assert len({e.line for e in errors}) == 1, [str(e) for e in errors]
     return errors[0]
 
@@ -62,6 +90,18 @@ def test_wrong_vector_length_and_missing_field(tmp_path, monkeypatch):
     missing = write(tmp_path, GOOD_CHAIN.replace("mu: [1.0, 0.0, 0.0]\n", ""))
     load_error(monkeypatch, load_chain_spec, missing, match="missing field 'mu'")
     load_error(monkeypatch, load_chain_spec, write(tmp_path, GOOD_CHAIN + "extra: 1\n"), match="unknown field")
+
+
+def test_fractional_state_count_is_not_an_integer(tmp_path, monkeypatch):
+    bad = write(tmp_path, GOOD_CHAIN.replace("states: 3", "states: 2.5"))
+    err = load_error(monkeypatch, load_chain_spec, bad)
+    assert str(err) == "line 1: states must be an integer, got '2.5'"
+
+
+def test_non_scalar_field_name_is_rejected_at_its_line(tmp_path, monkeypatch):
+    bad = write(tmp_path, GOOD_CHAIN + "? [q, mu]\n: 1\n")
+    err = load_error(monkeypatch, load_chain_spec, bad)
+    assert str(err) == "line 8: field name must be a scalar"
 
 
 def test_duplicate_field_is_rejected_at_its_line(tmp_path, monkeypatch):
@@ -141,3 +181,72 @@ def test_load_levy_model(tmp_path, monkeypatch):
 def test_non_finite_numbers_are_rejected_at_their_line(load, text, line, tmp_path, monkeypatch):
     err = load_error(monkeypatch, load, write(tmp_path, text), match="must be finite")
     assert err.line == line
+
+
+def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypatch):
+    spec = random_chain(64, np.random.default_rng(7))
+
+    def chain(m):
+        return m.q, m.pi, m.mu
+
+    cases = [
+        (GOOD_CHAIN, load_chain_spec, chain),
+        (chain_yaml(spec), load_chain_spec, chain),
+        (
+            "epsilon: 0.7\nb_hat:\n  - [-2, 0.1, 0.3]\n  - [1, 0.5, 0.2]\n  - [0, 0.4, 0.0]\n",
+            load_circle_model,
+            lambda m: (m.epsilon, m.ks, m.coeffs),
+        ),
+        ("a: [1.0, 4.5, 9.25]\nb: [0.1, -2.0, 3.0e-1]\n", load_levy_model, lambda m: (m.a, m.b)),
+    ]
+    for i, (text, load, arrays) in enumerate(cases):
+        path = write(tmp_path, text, f"case{i}.yaml")
+        shipped = arrays(load(path))
+        monkeypatch.setattr(modelio, "LOADER", yaml.SafeLoader)
+        resolved = arrays(load(path))
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(shipped, resolved, strict=True)), text
+    # repr floats read back exactly
+    assert np.array_equal(load_chain_spec(tmp_path / "case1.yaml").pi, spec.pi)
+
+
+def test_load_runs_no_collector_pass(tmp_path):
+    path = write(tmp_path, chain_yaml(random_chain(128, np.random.default_rng(3))))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        spec = load_chain_spec(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert spec.n == 128
+    assert starts == []
+
+
+def test_load_never_resolves_a_tag(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tag was resolved")
+
+    monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", refuse)
+    path = write(tmp_path, chain_yaml(random_chain(128, np.random.default_rng(3))))
+    assert load_chain_spec(path).n == 128
+
+
+def test_load_restores_the_callers_collector_setting(tmp_path):
+    good = write(tmp_path, GOOD_CHAIN)
+    broken = write(tmp_path, "states: 3\nq: [1.0, 1.0\n", "broken.yaml")
+    for enabled in (True, False):
+        gc.enable() if enabled else gc.disable()
+        try:
+            load_chain_spec(good)
+            assert gc.isenabled() is enabled
+            with pytest.raises(SpecFileError):
+                load_chain_spec(broken)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
