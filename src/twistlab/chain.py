@@ -148,6 +148,12 @@ class DualPair:
     def n(self) -> int:
         return self.m.size
 
+    def state_index(self, p) -> int:
+        """``p`` as a state: a Python or numpy integer in 0..n-1, else `ValueError`."""
+        if not (isinstance(p, (int, np.integer)) and 0 <= p < self.n):
+            raise ValueError(f"states out of range: {p!r} is not an integer in 0..{self.n - 1}")
+        return int(p)
+
     @property
     def mu(self) -> np.ndarray:
         """Initial law reproducing m = mu V.

@@ -3,8 +3,8 @@
 Exit codes: number of failing rows (capped at 125); 2 for input that is
 refused: a parse error (message carries the offending line), a chain the
 chain layer rejects (such as one whose ``mu`` misses a state), any input a
-suite refuses, a flag the command does not read and an integer flag below
-1; 3 for numerical failures.  No flag moves a row's pass bound: each suite
+suite refuses, a flag the command does not read, an integer flag below 1
+and an ``--out`` path that cannot be written; 3 for numerical failures.  No flag moves a row's pass bound: each suite
 fixes its own.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
@@ -117,7 +117,11 @@ def main(argv=None) -> int:
         return 2
     print_reports(reports)
     if args.out:
-        write_reports_csv(reports, args.out)
+        try:
+            write_reports_csv(reports, args.out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return count_failures(reports)
 
 

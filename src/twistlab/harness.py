@@ -42,7 +42,6 @@ from .reporting import (
 )
 from .seeding import rng_stream
 from .twisted import (
-    _phi_any,
     build_twisted,
     complete_monotonicity_check,
     green,
@@ -109,8 +108,7 @@ def verify_bridge_identity(
     identity; the row passes at an absolute 1e-10.  Monte Carlo rows come
     from `_bridge_mc` on a suite's shared draws and walk.
     """
-    if not (0 <= int(x) < dp.n and 0 <= int(y) < dp.n):
-        raise ValueError("states out of range")
+    x, y = dp.state_index(x), dp.state_index(y)
     t0 = time.perf_counter()
     phi = mgf(dp, chi)
     lhs = green(dp, chi)[x, y] * phi
@@ -209,16 +207,17 @@ def mass_gap_suite(dp: DualPair, seed: int = 0):
 def mgf_suite(dp: DualPair, seed: int = 0):
     """Laplace-transform rows: log-derivative against the Green diagonal, monotone damping.
 
-    d/ds_u log Phi(s) = -m_u G_s(u, u) at a random s in [0, 1)^n, by central
-    differences at h = 1e-3 and h/2 with one Richardson step; the stencil
-    may leave s >= 0 by h, so it reads Phi without `mgf`'s sign check.
+    det(-L + M_s) is affine in each s_u, with the minor off u as its slope,
+    so d/ds_u log Phi(s) = 1 - Phi(s) / Phi(s + e_u) exactly: one unit step
+    forward, no truncation error.  By Cramer's rule it equals
+    -m_u G_s(u, u); the row is the largest gap over u at a random s in
+    [0, 1)^n, with Phi from `mgf` at s and at the n points s + e_u.
     """
     rng = rng_stream(seed, "mgf-suite")
     s = rng.uniform(0.0, 1.0, dp.n)
-    g_s, h, worst, phi = green(dp, s), 1e-3, 0.0, _phi_any(dp)
-    for u, e_u in enumerate(np.eye(dp.n)):
-        d1, d2 = ((math.log(phi(s + t * e_u)) - math.log(phi(s - t * e_u))) / (2 * t) for t in (h, h / 2))
-        worst = max(worst, abs((4.0 * d2 - d1) / 3.0 + dp.m[u] * g_s[u, u]))
+    g_s, phi = green(dp, s), mgf(dp, s)
+    slopes = np.array([1.0 - phi / mgf(dp, s + e_u) for e_u in np.eye(dp.n)])
+    worst = float(np.abs(slopes + dp.m * np.diag(g_s)).max())
     rows = [exact_report("logdet_derivative_vs_trace", worst, 0.0, tol=1e-8)]
     g0 = green(dp)
     bumped = green(dp, np.full(dp.n, 0.3))

@@ -8,7 +8,7 @@ holds a control character is a `SpecFileError` too.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import gc
 import math
 from pathlib import Path
@@ -57,22 +57,26 @@ def _line(node) -> int:
     return node.start_mark.line + 1
 
 
-@contextlib.contextmanager
-def _collector_paused():
+def _collector_paused(load):
     """Run a load without cyclic-GC passes; restore the caller's setting.
 
     A composed tree holds no reference cycles (only a recursive alias makes
     one, and the collector frees it once it runs again), so the dozens of
     collections that its tens of thousands of nodes and marks would trigger
-    free nothing.
+    free nothing.  Nothing allocates after the re-enable, so a pass falls due in the caller.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+
+    @functools.wraps(load)
+    def paused(path):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return load(path)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 def _compose(path) -> yaml.Node:
@@ -147,7 +151,7 @@ def _float_list(node, what, length=None) -> list[float]:
     return [_scalar(item, float, label) for item in items]
 
 
-@_collector_paused()
+@_collector_paused
 def load_chain_spec(path) -> ChainSpec:
     """Parse a chain file: fields states, q, pi (row-major), mu."""
     root = _compose(path)
@@ -167,7 +171,7 @@ def load_chain_spec(path) -> ChainSpec:
         raise SpecFileError(str(exc), _line(root)) from exc
 
 
-@_collector_paused()
+@_collector_paused
 def load_circle_model(path) -> CircleDriftModel:
     """Parse a drift model: fields epsilon and b_hat (list of [k, re, im]).
 
@@ -196,7 +200,7 @@ def load_circle_model(path) -> CircleDriftModel:
         raise SpecFileError(str(exc), _line(fields["b_hat"])) from exc
 
 
-@_collector_paused()
+@_collector_paused
 def load_levy_model(path) -> LevyModel:
     """Parse a symbol model: fields a and b, matching positive/odd halves."""
     root = _compose(path)

@@ -96,13 +96,12 @@ def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
     """Occupation fields of ``count`` paths from ``start``: (count, n) array, lifetimes."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 0 <= int(start) < dp.n:
-        raise ValueError("states out of range")
+    start = dp.state_index(start)
     fields = np.zeros((count, dp.n))
     lives = np.zeros(count)
-    for lo, b, rng in _batches(dp, int(start), count, seed, "occupation-batch"):
+    for lo, b, rng in _batches(dp, start, count, seed, "occupation-batch"):
         times, life = fields[lo : lo + b], lives[lo : lo + b]
-        for rows, states, taus in _walk(dp, int(start), b, rng):
+        for rows, states, taus in _walk(dp, start, b, rng):
             times[rows, states] += taus
             life[rows] += taus
     fields /= dp.m
@@ -122,30 +121,28 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not 0 <= int(x) < dp.n:
-        raise ValueError("states out of range")
+    x = dp.state_index(x)
     groups, plan = [], []  # distinct offsets objects, compared by identity
     for y, functional, offsets in targets:
-        if not 0 <= int(y) < dp.n:
-            raise ValueError("states out of range")
+        y = dp.state_index(y)
         if not any(o is offsets for o in groups):
             groups.append(offsets)
         group = next(g for g, o in enumerate(groups) if o is offsets)
         sojourn = getattr(functional, "sojourn_integral", None)
         if sojourn is None:
             raise ValueError(f"{type(functional).__name__} has no sojourn_integral")
-        plan.append((int(y), sojourn, group))
+        plan.append((y, sojourn, group))
     starts = [None if o is None else np.asarray(o, dtype=float) for o in groups]
     if any(o is not None and o.shape != (count, dp.n) for o in starts):
         raise ValueError(f"offsets must be (count, {dp.n})")
     outs = [np.zeros(count) for _ in plan]
-    for lo, b, rng in _batches(dp, int(x), count, seed, "bridge-batch"):
+    for lo, b, rng in _batches(dp, x, count, seed, "bridge-batch"):
         fields = np.zeros((len(starts), b, dp.n))
         for g, o in enumerate(starts):
             if o is not None:
                 fields[g] = o[lo : lo + b]
         accs = [out[lo : lo + b] for out in outs]
-        for rows, states, taus in _walk(dp, int(x), b, rng):
+        for rows, states, taus in _walk(dp, x, b, rng):
             for acc, (y, sojourn, group) in zip(accs, plan):
                 here = states == y
                 if here.any():

@@ -53,7 +53,7 @@ def report(number, passed, detail, elapsed):
 
 def log_derivative_residual(dp, s, u, h=1e-3):
     """|d/ds_u log Phi(s) + m_u G_s(u, u)|, central differences of log `mgf`
-    at steps h and h/2 with one Richardson step, as `mgf_suite` takes it."""
+    at steps h and h/2 with one Richardson step."""
     def central(step):
         e_u = step * np.eye(dp.n)[u]
         return (np.log(mgf(dp, s + e_u)) - np.log(mgf(dp, s - e_u))) / (2 * step)

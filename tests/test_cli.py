@@ -136,7 +136,7 @@ circle_damping_decreases_kernel,exact,0,0,0,0,0,1,0.000
     (
         ["mgf-check", "--input", "{chain}", "--seed", "2"],
         """\
-logdet_derivative_vs_trace,exact,3.26072502332e-13,0,0,0,3.26072502332e-13,1,0.000
+logdet_derivative_vs_trace,exact,1.11022302463e-15,0,0,0,1.11022302463e-15,1,0.000
 green_monotone_in_chi,exact,0,0,0,0,0,1,0.000
 """,
     ),
@@ -382,6 +382,15 @@ def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
     assert main(["mass-gap", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_report_path_exits_two(tmp_path, capsys):
+    path = tmp_path / "chain.yaml"
+    path.write_text(CHAIN)
+    out = tmp_path / "nodir" / "x.csv"
+    assert main(["mgf-check", "--input", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: No such file or directory" in err and len(err.strip().splitlines()) == 1
 
 
 def test_invalid_flags_exit_two(tmp_path):

@@ -65,7 +65,7 @@ def test_bridge_identity_cross_mc_generic_functional(chain4):
 
 
 def test_bridge_identity_rejects_states_out_of_range(chain4):
-    for x, y in ((-1, 0), (0, -1), (4, 0), (0, 4)):
+    for x, y in ((-1, 0), (0, -1), (4, 0), (0, 4), (1.5, 0), (0, 1.5)):
         with pytest.raises(ValueError, match="states out of range"):
             verify_bridge_identity(chain4, x, y)
 
@@ -202,18 +202,27 @@ def test_exp_exact_rows_fail_on_a_green_damped_twice(monkeypatch):
     assert not any(r.passed for r in _exact_rows(rows))
 
 
+def log_derivative_row(dp):
+    return next(r for r in mgf_suite(dp, seed=9) if r.name == "logdet_derivative_vs_trace")
+
+
 def test_log_derivative_row_fails_on_a_transform_damped_by_s_times_m(chain4, monkeypatch):
     from twistlab import harness
 
     def on_sm(dp, s):  # det(-L) / det(-L + M_{s m}): the pairing's weight counted twice
         return float(np.exp(np.linalg.slogdet(-dp.L)[1] - np.linalg.slogdet(-dp.L + np.diag(s * dp.m))[1]))
 
-    def row():
-        return next(r for r in mgf_suite(chain4, seed=9) if r.name == "logdet_derivative_vs_trace")
+    assert log_derivative_row(chain4).passed
+    monkeypatch.setattr(harness, "mgf", on_sm)
+    assert not log_derivative_row(chain4).passed
 
-    assert row().passed
-    monkeypatch.setattr(harness, "_phi_any", lambda dp: lambda s: on_sm(dp, s))
-    assert not row().passed
+
+def test_log_derivative_row_fails_on_a_green_blind_to_chi(chain4, monkeypatch):
+    from twistlab import harness
+
+    real = harness.green
+    monkeypatch.setattr(harness, "green", lambda dp, chi=None: real(dp))  # G_0 whatever chi is
+    assert not log_derivative_row(chain4).passed
 
 
 def test_moment_rows_fail_on_a_determinant_for_the_permanent(chain4, monkeypatch):

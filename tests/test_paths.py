@@ -298,15 +298,18 @@ def test_bridge_targets_reject_a_bad_target():
     f = ProductField()
     good = (1, f, np.zeros((10, 3)))
     no_closed_form = (1, BumpField(np.zeros(3)), None)
-    for bad in ((3, f, None), (-1, f, None), (1, f, np.zeros((10, 2))), (1, f, np.zeros((9, 3))), no_closed_form):
+    bad_states = ((3, f, None), (-1, f, None), (1.5, f, None))
+    for bad in bad_states + ((1, f, np.zeros((10, 2))), (1, f, np.zeros((9, 3))), no_closed_form):
         with pytest.raises(ValueError):
             bridge_targets(dp, 0, [good, bad], 10, seed=1)
-    with pytest.raises(ValueError):
-        bridge_targets(dp, 3, [good], 10, seed=1)
+    for x in (3, 1.5):
+        with pytest.raises(ValueError, match="states out of range"):
+            bridge_targets(dp, x, [good], 10, seed=1)
 
 
 def test_occupation_batch_rejects_a_bad_start_or_count():
     dp = build_dual(nchain(3))
-    for start, count, message in ((-1, 10, "states out of range"), (3, 10, "states out of range"), (0, 0, "count")):
+    out_of_range = ((-1, 10, "states out of range"), (3, 10, "states out of range"), (1.5, 10, "states out of range"))
+    for start, count, message in out_of_range + ((0, 0, "count"),):
         with pytest.raises(ValueError, match=message):
             occupation_batch(dp, start, count, seed=1)
