@@ -261,7 +261,10 @@ def trace_chain(dp: DualPair, keep) -> DualPair:
     restricts as is.  The implied initial law absorbs any mass killed before
     first reaching ``keep`` and may be a sub-probability.
     """
-    keep = np.asarray(sorted({int(k) for k in keep}), dtype=int)
+    keep = list(keep)
+    if not all(isinstance(k, (int, np.integer)) for k in keep):
+        raise ChainError(f"keep must hold integer state indices, got {keep!r}")
+    keep = np.asarray(sorted(set(keep)), dtype=int)
     if keep.size == 0:
         raise ChainError("keep must be a nonempty set of states")
     if keep.min() < 0 or keep.max() >= dp.n:

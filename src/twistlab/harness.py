@@ -162,9 +162,10 @@ def verify_trace(dp: DualPair, keep) -> VerificationReport:
     to all three is a bound on values of order one.
     """
     t0 = time.perf_counter()
-    keep_sorted = sorted({int(k) for k in keep})
+    keep = list(keep)
+    traced = trace_chain(dp, keep)
+    keep_sorted = sorted(set(keep))
     size = len(keep_sorted)
-    traced = trace_chain(dp, keep_sorted)
     resid = float(np.abs(traced.V - dp.V[np.ix_(keep_sorted, keep_sorted)]).max())
     for s in (np.full(size, 1.0 / size), np.arange(1, size + 1) / size**2):
         s_full = np.zeros(dp.n)

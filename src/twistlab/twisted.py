@@ -42,6 +42,12 @@ __all__ = [
     "sample_twisted_batch",
 ]
 
+# Rows per sampler block.  Count is cut into near-equal spans, never full
+# blocks plus a remainder: a 1-row block goes through gemv and OpenBLAS's
+# small-matrix kernel (up to 18 rows at n = 64) both round differently from
+# the one-shot dgemm, while spans above 512 rows give its bits exactly.
+SAMPLE_BLOCK = 1024
+
 
 def _chi_vector(chi, n: int) -> np.ndarray:
     if chi is None:
@@ -114,24 +120,36 @@ def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
 
     The field is Gaussian with E[z_x z̄_y] = (-M_m A)^{-1}; the weight is
     ``exp(i * 2 Re(z)^T skew_form Im(z))``, unit modulus by construction.
-    Deterministic given (seed, count).  One (count, n) buffer takes the
-    normals of Re(z), then those of Im(z), then the phase terms, so the peak
-    is four (count, n) float arrays: Re(z), Im(z) and the complex z.
+    Deterministic given (seed, count).  All normals of Re(z) are drawn
+    before those of Im(z), from one stream, in row spans of at most
+    `SAMPLE_BLOCK` rows.  The only (count, n) array is the returned complex
+    z; the rest of the peak is three (`SAMPLE_BLOCK`, n) float buffers and
+    per-row vectors: the phase, and the complex weights made from it.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = rng_stream(seed, "twisted-field")
-    buf = rng.standard_normal((count, tm.dp.n))
-    re = buf @ tm.half_factor.T
-    rng.standard_normal(out=buf)
-    im = buf @ tm.half_factor.T
-    np.matmul(re, tm.skew_form, out=buf)
-    buf *= im
-    phase = 2.0 * buf.sum(axis=1)
-    del buf
-    z = np.empty(re.shape, dtype=complex)
-    z.real, z.imag = re, im
-    return z, np.exp(1j * phase)
+    blocks = -(-count // SAMPLE_BLOCK)
+    cuts = [count * i // blocks for i in range(blocks + 1)]
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    normals, field, re = (np.empty((min(count, SAMPLE_BLOCK), tm.dp.n)) for _ in range(3))
+    z = np.empty((count, tm.dp.n), dtype=complex)
+    phase = np.empty(count)
+    for lo, hi in spans:
+        rows = hi - lo
+        rng.standard_normal(out=normals[:rows])
+        np.matmul(normals[:rows], tm.half_factor.T, out=field[:rows])
+        z.real[lo:hi] = field[:rows]
+    for lo, hi in spans:
+        rows = hi - lo
+        rng.standard_normal(out=normals[:rows])
+        np.matmul(normals[:rows], tm.half_factor.T, out=field[:rows])
+        z.imag[lo:hi] = field[:rows]
+        re[:rows] = z.real[lo:hi]
+        np.matmul(re[:rows], tm.skew_form, out=normals[:rows])
+        normals[:rows] *= field[:rows]
+        normals[:rows].sum(axis=1, out=phase[lo:hi])
+    return z, np.exp(2j * phase)
 
 
 def permanent(mat) -> float:

@@ -154,6 +154,18 @@ def test_trace_idempotent():
     assert np.allclose(once.m, direct.m, atol=1e-12)
 
 
+@pytest.mark.parametrize("keep", [[0, 1.5], [1.0, 2.0]])
+def test_trace_refuses_non_integer_states(keep):
+    with pytest.raises(ChainError, match="integer state indices"):
+        trace_chain(build_dual(nchain(4)), keep)
+
+
+def test_trace_takes_numpy_integer_states():
+    dp = build_dual(nchain(4))
+    traced = trace_chain(dp, np.array([2, 0, 2]))
+    assert np.array_equal(traced.L, trace_chain(dp, [0, 2]).L)
+
+
 def test_spec_validation_rejects_bad_inputs():
     with pytest.raises(ChainError):
         ChainSpec(q=np.array([1.0, -1.0]), pi=np.zeros((2, 2)), mu=np.array([1.0, 0.0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistlab.chain import build_dual, nchain, random_chain
+from twistlab.chain import ChainError, build_dual, nchain, random_chain
 from twistlab.functionals import ExpField, ProductField
 from twistlab.harness import (
     _bridge_mc,
@@ -275,6 +275,12 @@ def test_verify_trace_fails_a_trace_without_the_schur_correction(monkeypatch):
     monkeypatch.setattr(harness, "trace_chain", restricted)
     rep = verify_trace(dp, keep)
     assert not rep.passed and rep.z > 1e-6
+
+
+@pytest.mark.parametrize("keep", [[0, 1.5], [1.0, 2.0]])
+def test_verify_trace_refuses_non_integer_states(keep):
+    with pytest.raises(ChainError, match="integer state indices"):
+        verify_trace(build_dual(nchain(4)), keep)
 
 
 def test_verify_trace_random(chain4):
