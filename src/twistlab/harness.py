@@ -31,15 +31,8 @@ from .chain import DualPair, build_dual, energy_quadratic, mass_gap, nchain, tra
 from .functionals import BumpField, ExpField, MonomialField, ProductField
 # bridge_values is not called here; bench/layertrace.py patches and checks its harness binding
 from .paths import _refuse_over_budget, bridge_targets, bridge_values  # noqa: F401
-from .reporting import (
-    VerificationReport,
-    exact_report,
-    info_report,
-    mc_report,
-    mc_vs_exact,
-    score as _score,
-    weighted_ratio as _ratio,
-)
+from .reporting import Estimate, VerificationReport, exact_report, info_report, mc_vs_estimate, mc_vs_exact
+from .reporting import weighted_ratio as _ratio
 from .seeding import rng_stream
 from .twisted import (
     build_twisted,
@@ -69,17 +62,16 @@ def _bridge_mc(x, y, func, z, w, rho, path_vals, name):
 
     ``rho`` is the draws' squared field and ``path_vals`` the bridge values
     of ``func`` from x weighted at y, one path per draw with that draw's
-    ``rho`` as the path's offset.  The two sides share the draws; the row
-    scores their paired difference and the imaginary part of each side.
+    ``rho`` as the path's offset.  The two sides share the draws, so their
+    weighted ratios go to `mc_vs_estimate` with the ratio of their paired
+    difference as the gap: the row scores that gap's real part and the
+    imaginary part of each side.
     """
     t0 = time.perf_counter()
     lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
     rhs_num = w * path_vals
-    rl, sel_re, sel_im = _ratio(lhs_num, w)
-    rr, ser_re, ser_im = _ratio(rhs_num, w)
-    rd, sed_re, _ = _ratio(lhs_num - rhs_num, w)
-    z_max = max(_score(rd.real, sed_re), _score(rl.imag, sel_im), _score(rr.imag, ser_im))
-    rep = mc_report(name, rl.real, sel_re, rr.real, ser_re, z=z_max)
+    lhs, rhs = _ratio(lhs_num, w), _ratio(rhs_num, w)
+    rep = mc_vs_estimate(name, lhs, rhs, _ratio(lhs_num - rhs_num, w))
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -134,19 +126,20 @@ def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     for t in range(2):
         chi = rng.uniform(0.0, 1.5, n)
         f = ExpField(chi, dp.m)
-        rows.append(mc_vs_exact(f"positivity_exp{t}_vs_mgf", w * f(rho), w, mgf(dp, chi)))
+        rows.append(mc_vs_exact(f"positivity_exp{t}_vs_mgf", _ratio(w * f(rho), w), mgf(dp, chi)))
 
     bump = BumpField(rng.uniform(0.0, 1.0, n))
-    est, se_re, se_im = _ratio(w * bump(rho), w)
-    z_neg = max(_score(min(est.real, 0.0), se_re), _score(est.imag, se_im))
-    rows.append(mc_report("positivity_bump_nonneg", est.real, se_re, 0.0, 0.0, z=z_neg))
+    est = _ratio(w * bump(rho), w)
+    # one-sided: only a shortfall below 0 counts against the row
+    shortfall = Estimate(min(est.value.real, 0.0), est.se_re, 0.0)
+    rows.append(mc_vs_estimate("positivity_bump_nonneg", est, Estimate(0.0, 0.0, 0.0), shortfall))
 
     pts_single = [int(rng.integers(n))]
     pts_pair = sorted(rng.choice(n, size=2, replace=True).tolist())
     for pts, tag in ((pts_single, "single"), (pts_pair, "pair")):
         f = MonomialField(np.bincount(pts, minlength=n))
         rows.append(
-            mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", w * f(rho), w, q_moment(dp, pts))
+            mc_vs_exact(f"positivity_moment_{tag}_vs_permanent", _ratio(w * f(rho), w), q_moment(dp, pts))
         )
     return rows
 
@@ -251,7 +244,7 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
         verify_bridge_identity(dp, x, x, chi=chi, name=f"occupation_exp_exact[{x}]"),
         _bridge_mc(x, x, prod_f, z, w, rho, prod_xx, f"occupation_product_mc[{x}]"),
         # the twisted field correlation itself must bracket the Green density
-        mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", w * z[:, x] * np.conj(z[:, y]), w, green(dp)[x, y]),
+        mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", _ratio(w * z[:, x] * np.conj(z[:, y]), w), green(dp)[x, y]),
     ]
 
 
@@ -304,21 +297,20 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
     rho = np.abs(z) ** 2
     for k in (1, 2, 3):
         rows.append(
-            mc_vs_exact(f"example_n{n}_moment_k{k}", w * rho[:, x] ** k, w, float(math.factorial(k)))
+            mc_vs_exact(f"example_n{n}_moment_k{k}", _ratio(w * rho[:, x] ** k, w), float(math.factorial(k)))
         )
     for j in (1, 2, 3):
-        # E[rho^{j+1}] / E[rho] against (j + 1)!, at the larger of its real and imaginary SEs
-        r, se_re, se_im = _ratio(w * rho[:, x] ** (j + 1), w * rho[:, x])
-        se, target = max(se_re, se_im), math.factorial(j + 1)
-        zscore = _score(r.real - target, se)
-        rows.append(mc_report(f"example_n{n}_size_biased_m{j}", r.real, se, target, 0.0, z=zscore))
+        # E[rho^{j+1}] / E[rho] against (j + 1)!, its imaginary SE folded into the real one
+        est = _ratio(w * rho[:, x] ** (j + 1), w * rho[:, x])
+        folded = Estimate(est.value.real, max(est.se_re, est.se_im), 0.0)
+        rows.append(mc_vs_exact(f"example_n{n}_size_biased_m{j}", folded, math.factorial(j + 1)))
 
     chi = rng.uniform(0.2, 1.0, n)
     exp_f = ExpField(chi, dp.m)
     monomials = [(x, MonomialField(np.bincount([x] * j, minlength=n)), None) for j in (1, 2, 3)]
     *local_times, occ_exp = bridge_targets(dp, x, monomials + [(x, exp_f, rho)], count, seed)
     for j, vals in zip((1, 2, 3), local_times):
-        rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", vals, np.ones(count), math.factorial(j)))
+        rows.append(mc_vs_exact(f"example_n{n}_bridge_local_time_m{j}", _ratio(vals, np.ones(count)), math.factorial(j)))
 
     gap, closed = mass_gap(dp), 2.0 * sin(pi / (2 * (n + 1))) ** 2
     rows.append(exact_report(f"example_n{n}_mass_gap_vs_closed_form", gap, closed, tol=1e-10))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import NumericalError, _readonly
-from .reporting import exact_report, info_report, mc_vs_exact
+from .reporting import exact_report, info_report, mc_vs_exact, weighted_ratio
 from .seeding import rng_stream
 
 __all__ = [
@@ -125,9 +125,9 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     resolvent = 2.0 * float(f2 @ np.linalg.solve(eye + cm + bm, f1))
 
     return [
-        mc_vs_exact("char_skew_vs_det2", np.exp(1j * pairing), ones, 1.0 / det2(bm)),
-        mc_vs_exact("char_complex_vs_det2", weight, ones, math.exp(-tr_c) / det2(cm + bm)),
-        mc_vs_exact("pairing_vs_resolvent", psi_f1 * psi_bar_f2 * weight, weight, resolvent),
+        mc_vs_exact("char_skew_vs_det2", weighted_ratio(np.exp(1j * pairing), ones), 1.0 / det2(bm)),
+        mc_vs_exact("char_complex_vs_det2", weighted_ratio(weight, ones), math.exp(-tr_c) / det2(cm + bm)),
+        mc_vs_exact("pairing_vs_resolvent", weighted_ratio(psi_f1 * psi_bar_f2 * weight, weight), resolvent),
     ]
 
 

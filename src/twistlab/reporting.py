@@ -1,10 +1,14 @@
 """Verification reports and the flat CSV format shared by all suites.
 
 Exact rows compare closed forms at the absolute or relative tolerance that
-each row fixes where it is built; Monte Carlo rows compare the caller's
-z-score with ``Z_MAX`` = 4 standard errors, deliberately wide so that
-suites running dozens of comparisons keep a negligible family-wise
-false-alarm rate.  Info rows record a value only.
+each row fixes where it is built.  Every Monte Carlo row comes from
+`mc_vs_estimate(name, lhs, rhs, gap)`: its z-score is the largest of the
+gap's real part and each side's imaginary part, each over its own SE, and
+it passes at ``Z_MAX`` = 4, wide enough that suites of dozens of rows keep
+a negligible family-wise false-alarm rate.  Two rows choose their inputs:
+the size-biased rows fold the imaginary SE into the real one, and
+``positivity_bump_nonneg`` scores the one-sided shortfall min(value, 0).
+Info rows record a value only.
 
 The CSV columns are fixed: name, mode, lhs, rhs, se_lhs, se_rhs, z, pass,
 seconds.  The ``seconds`` column is always written as 0.000 so that a
@@ -23,11 +27,12 @@ import numpy as np
 
 __all__ = [
     "CSV_COLUMNS",
+    "Estimate",
     "VerificationReport",
     "count_failures",
     "exact_report",
     "info_report",
-    "mc_report",
+    "mc_vs_estimate",
     "mc_vs_exact",
     "print_reports",
     "score",
@@ -38,6 +43,15 @@ __all__ = [
 CSV_COLUMNS = ["name", "mode", "lhs", "rhs", "se_lhs", "se_rhs", "z", "pass", "seconds"]
 
 Z_MAX = 4.0
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Monte Carlo estimate: a real or complex value and the SE of each part."""
+
+    value: complex
+    se_re: float
+    se_im: float
 
 
 @dataclass(frozen=True)
@@ -79,29 +93,21 @@ def exact_report(name, lhs, rhs, tol, relative=False) -> VerificationReport:
     )
 
 
-def mc_report(name, lhs, se_lhs, rhs, se_rhs, z) -> VerificationReport:
-    """Monte Carlo comparison row at the caller's z-score ``z``."""
+def mc_vs_estimate(name, lhs, rhs, gap) -> VerificationReport:
+    """Row of ``lhs`` against ``rhs``; z is the largest score of gap.real, lhs.imag, rhs.imag."""
+    lo, hi = float(lhs.value.real), float(rhs.value.real)
+    parts = ((gap.value.real, gap.se_re), (lhs.value.imag, lhs.se_im), (rhs.value.imag, rhs.se_im))
+    z = float(np.max([score(v, se, max(abs(lo), abs(hi))) for v, se in parts]))  # NaN anywhere fails
     return VerificationReport(
-        name=name,
-        mode="mc",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        se_lhs=float(se_lhs),
-        se_rhs=float(se_rhs),
-        z=float(z),
-        passed=float(z) <= Z_MAX,
+        name=name, mode="mc", lhs=lo, rhs=hi, se_lhs=float(lhs.se_re), se_rhs=float(rhs.se_re),
+        z=z, passed=z <= Z_MAX,
     )
 
 
-def mc_vs_exact(name, num, den, target) -> VerificationReport:
-    """Weighted-ratio estimate mean(num)/mean(den) bracketed against an exact value.
-
-    The target is real, so the imaginary part of the estimate enters the
-    same z-score.
-    """
-    r, se_re, se_im = weighted_ratio(num, den)
-    z = max(score(r.real - target, se_re), score(r.imag, se_im))
-    return mc_report(name, r.real, se_re, float(target), 0.0, z=z)
+def mc_vs_exact(name, est, target) -> VerificationReport:
+    """Row of the estimate ``est`` against an exact real ``target``."""
+    gap = Estimate(est.value - target, est.se_re, est.se_im)
+    return mc_vs_estimate(name, est, Estimate(target, 0.0, 0.0), gap)
 
 
 def info_report(name, value) -> VerificationReport:
@@ -112,11 +118,10 @@ def info_report(name, value) -> VerificationReport:
     )
 
 
-def weighted_ratio(num, den):
+def weighted_ratio(num, den) -> Estimate:
     """Delta-method mean and standard errors of mean(num)/mean(den).
 
-    Returns (complex ratio, SE of real part, SE of imaginary part); the
-    residual linearisation handles complex importance weights directly.
+    The residual linearisation handles complex importance weights directly.
     """
     num = np.asarray(num)
     den = np.asarray(den)
@@ -124,21 +129,22 @@ def weighted_ratio(num, den):
     mb = den.mean()
     r = num.mean() / mb
     if n < 2:
-        return r, 0.0, 0.0
+        return Estimate(r, 0.0, 0.0)
     resid = (num - r * den) / mb
     se_re = float(np.real(resid).std(ddof=1) / math.sqrt(n))
     se_im = float(np.imag(resid).std(ddof=1) / math.sqrt(n))
-    return r, se_re, se_im
+    return Estimate(r, se_re, se_im)
 
 
-def score(value: float, se: float) -> float:
-    """z-score of a deviation, with a machine-precision floor.
+def score(value: float, se: float, scale: float) -> float:
+    """z-score of a deviation in a row of magnitude ``scale``.
 
-    Deviations of at most 1e-12 count as zero: estimates that are exact by
-    construction (for example a self-normalised constant) otherwise divide
-    rounding noise by a vanishing standard error.
+    Deviations of at most 1e-12 * min(1, scale) count as zero: estimates
+    exact by construction (a self-normalised constant, say) otherwise divide
+    rounding noise by a vanishing SE.  Below scale 1 the floor shrinks with
+    the row, so that the row's values cannot hide under it.
     """
-    if abs(value) <= 1e-12:
+    if abs(value) <= 1e-12 * min(1.0, scale):
         return 0.0
     if se > 0:
         return abs(value) / se
