@@ -61,7 +61,16 @@ class BumpField:
 
 
 class MonomialField:
-    """prod_u field_u^{k_u} with integer k_u >= 0; nonnegative on nonnegative fields."""
+    """prod_u field_u^{k_u} with integer k_u >= 0; nonnegative on nonnegative fields.
+
+    Only the columns with k_u > 0 are raised and multiplied; on C-ordered
+    fields this is ``np.prod(field ** k, axis=-1)`` bit for bit, since
+    ``v ** 0.0`` is 1 for every float v, NaN and inf included, and the
+    product runs left to right.  numpy squares by multiplication, not by its
+    pow routine, where the exponent is constant along its inner loop, and
+    the two can differ in the last bit, so a lone kept column is raised
+    beside a unit one.
+    """
 
     def __init__(self, exponents):
         self.exponents = np.asarray(exponents, dtype=float)
@@ -69,8 +78,16 @@ class MonomialField:
         if not np.all(np.isfinite(k) & (k >= 0) & (k == np.floor(k))):
             raise ValueError("exponents must be nonnegative integers")
 
+    @staticmethod
+    def _product(f, exponents):
+        """prod_u f_u^{e_u} over the columns of ``f`` with e_u > 0."""
+        cols = np.flatnonzero(exponents)
+        if cols.size == 1 and f.shape[-1] > 1:
+            cols = np.append(cols, np.argmin(exponents))
+        return np.prod(np.take(f, cols, axis=-1) ** exponents[cols], axis=-1)
+
     def __call__(self, field):
-        return np.prod(np.asarray(field, dtype=float) ** self.exponents, axis=-1)
+        return self._product(np.asarray(field, dtype=float), self.exponents)
 
     def sojourn_integral(self, field, y, tau, m_y):
         """R (b^{k+1} - a^{k+1}) / (k+1), R = prod_{u != y} field_u^{k_u}, k = k_y.
@@ -83,5 +100,6 @@ class MonomialField:
         k = int(rest[y])
         rest[y] = 0.0
         a, d = f[..., y], tau / m_y
-        spread = sum(a**j * (a + d) ** (k - j) for j in range(k + 1))
-        return np.prod(f**rest, axis=-1) * d * spread / (k + 1)
+        b = a + d
+        spread = sum(a**j * b ** (k - j) for j in range(k + 1))
+        return self._product(f, rest) * d * spread / (k + 1)

@@ -11,7 +11,9 @@ paired difference, with imaginary parts of real quantities folded into the
 same z-score.  Each suite draws its twisted-field sample once and builds
 every Monte Carlo row on it, and walks each of its killed-path sets once,
 evaluating all of the bridge functionals on that set in one
-`bridge_targets` call.
+`bridge_targets` call.  The full-sample products the rows read, such as
+``w z_x z̄_y`` and ``F(rho)``, are formed once per suite and passed to
+every row that reads them (`_bridge_mc` takes them as arguments).
 
 Every exact row compares two routes through the package's own code and
 fixes its own bound where it is built (an absolute 1e-10 for the identity
@@ -57,21 +59,24 @@ __all__ = [
 ]
 
 
-def _bridge_mc(x, y, func, z, w, rho, path_vals, name):
-    """MC bridge-identity row on the twisted draws ``(z, w)``.
+def _bridge_mc(weighted, func_vals, w, path_vals, name):
+    """MC bridge-identity row on twisted draws with weights ``w``.
 
-    ``rho`` is the draws' squared field and ``path_vals`` the bridge values
-    of ``func`` from x weighted at y, one path per draw with that draw's
-    ``rho`` as the path's offset.  The two sides share the draws, so their
-    weighted ratios go to `mc_vs_estimate` with the ratio of their paired
-    difference as the gap: the row scores that gap's real part and the
-    imaginary part of each side.
+    ``weighted`` is ``w z_x z̄_y`` of the draws, ``func_vals`` the functional
+    at their squared field ``rho`` and ``path_vals`` its bridge values from x
+    weighted at y, one path per draw with that draw's ``rho`` as the path's
+    offset.  The two sides share the draws, so their weighted ratios go to
+    `mc_vs_estimate` with the ratio of their paired difference as the gap:
+    the row scores that gap's real part and the imaginary part of each side.
     """
     t0 = time.perf_counter()
-    lhs_num = w * z[:, x] * np.conj(z[:, y]) * func(rho)
+    lhs_num = weighted * func_vals
+    lhs = _ratio(lhs_num, w)
     rhs_num = w * path_vals
-    lhs, rhs = _ratio(lhs_num, w), _ratio(rhs_num, w)
-    rep = mc_vs_estimate(name, lhs, rhs, _ratio(lhs_num - rhs_num, w))
+    rhs = _ratio(rhs_num, w)
+    lhs_num -= rhs_num  # the paired difference, in place: one full-sample array fewer
+    del rhs_num
+    rep = mc_vs_estimate(name, lhs, rhs, _ratio(lhs_num, w))
     return rep.with_seconds(time.perf_counter() - t0)
 
 
@@ -235,16 +240,27 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     exp_xy, prod_xy, prod_xx = bridge_targets(
         dp, x, [(y, exp_f, rho), (y, prod_f, rho), (x, prod_f, rho)], count, seed
     )
-    return [
+    exact = [
         verify_bridge_identity(dp, x, y, name=f"bridge_f1_exact[{x},{y}]"),
         verify_bridge_identity(dp, x, y, chi=chi, name=f"bridge_exp_exact[{x},{y}]"),
-        _bridge_mc(x, y, exp_f, z, w, rho, exp_xy, f"bridge_exp_mc[{x},{y}]"),
-        _bridge_mc(x, y, prod_f, z, w, rho, prod_xy, f"bridge_product_mc[{x},{y}]"),
+    ]
+    # the rows sharing w z_x z̄_y run first and drop it before the diagonal row
+    # forms its own, so no more full-sample arrays are live than with per-row products
+    weighted = w * z[:, x] * np.conj(z[:, y])
+    exp_mc = _bridge_mc(weighted, exp_f(rho), w, exp_xy, f"bridge_exp_mc[{x},{y}]")
+    prod_rho = prod_f(rho)
+    prod_mc = _bridge_mc(weighted, prod_rho, w, prod_xy, f"bridge_product_mc[{x},{y}]")
+    # the twisted field correlation itself must bracket the Green density
+    correlation = mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", _ratio(weighted, w), green(dp)[x, y])
+    del weighted
+    occ_mc = _bridge_mc(w * z[:, x] * np.conj(z[:, x]), prod_rho, w, prod_xx, f"occupation_product_mc[{x}]")
+    return exact + [
+        exp_mc,
+        prod_mc,
         verify_bridge_identity(dp, x, x, name=f"occupation_f1_exact[{x}]"),
         verify_bridge_identity(dp, x, x, chi=chi, name=f"occupation_exp_exact[{x}]"),
-        _bridge_mc(x, x, prod_f, z, w, rho, prod_xx, f"occupation_product_mc[{x}]"),
-        # the twisted field correlation itself must bracket the Green density
-        mc_vs_exact(f"field_correlation_vs_green[{x},{y}]", _ratio(w * z[:, x] * np.conj(z[:, y]), w), green(dp)[x, y]),
+        occ_mc,
+        correlation,
     ]
 
 
@@ -295,15 +311,15 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
     _refuse_over_budget(dp, x)
     z, w = sample_twisted_batch(build_twisted(dp), count, seed)
     rho = np.abs(z) ** 2
+    rho_x = np.ascontiguousarray(rho[:, x])  # one column copy for the six moment rows
     for k in (1, 2, 3):
-        rows.append(
-            mc_vs_exact(f"example_n{n}_moment_k{k}", _ratio(w * rho[:, x] ** k, w), float(math.factorial(k)))
-        )
+        rows.append(mc_vs_exact(f"example_n{n}_moment_k{k}", _ratio(w * rho_x**k, w), float(math.factorial(k))))
     for j in (1, 2, 3):
         # E[rho^{j+1}] / E[rho] against (j + 1)!, its imaginary SE folded into the real one
-        est = _ratio(w * rho[:, x] ** (j + 1), w * rho[:, x])
+        est = _ratio(w * rho_x ** (j + 1), w * rho_x)
         folded = Estimate(est.value.real, max(est.se_re, est.se_im), 0.0)
         rows.append(mc_vs_exact(f"example_n{n}_size_biased_m{j}", folded, math.factorial(j + 1)))
+    del rho_x
 
     chi = rng.uniform(0.2, 1.0, n)
     exp_f = ExpField(chi, dp.m)
@@ -317,5 +333,5 @@ def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
 
     rows.append(verify_bridge_identity(dp, x, x, name=f"example_n{n}_occupation_f1_exact"))
     rows.append(verify_bridge_identity(dp, x, x, chi=chi, name=f"example_n{n}_occupation_exp_exact"))
-    rows.append(_bridge_mc(x, x, exp_f, z, w, rho, occ_exp, f"example_n{n}_occupation_exp_mc"))
+    rows.append(_bridge_mc(w * z[:, x] * np.conj(z[:, x]), exp_f(rho), w, occ_exp, f"example_n{n}_occupation_exp_mc"))
     return rows

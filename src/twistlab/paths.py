@@ -117,13 +117,19 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
     ``None``) share one running field.  A batch keeps its fields in one
     (fields, paths, n) array that each step updates with one scatter-add, so
     every field receives its holding times in the same order as on a walk of
-    its own.
+    its own.  Each step masks the live paths once per distinct target state
+    and gathers their fields once per (state, offsets) pair, for every target
+    reading them.  Sojourns are integrated step by step, not in one call per
+    batch, because `ExpField`'s matrix-vector product rounds differently with
+    the number of rows it is given.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     x = dp.state_index(x)
-    groups, plan = [], []  # distinct offsets objects, compared by identity
-    for y, functional, offsets in targets:
+    groups = []  # distinct offsets objects, compared by identity
+    readers = {}  # y -> {group: [(target index, sojourn)]}
+    outs = []
+    for i, (y, functional, offsets) in enumerate(targets):
         y = dp.state_index(y)
         if not any(o is offsets for o in groups):
             groups.append(offsets)
@@ -131,11 +137,11 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
         sojourn = getattr(functional, "sojourn_integral", None)
         if sojourn is None:
             raise ValueError(f"{type(functional).__name__} has no sojourn_integral")
-        plan.append((y, sojourn, group))
+        readers.setdefault(y, {}).setdefault(group, []).append((i, sojourn))
+        outs.append(np.zeros(count))
     starts = [None if o is None else np.asarray(o, dtype=float) for o in groups]
     if any(o is not None and o.shape != (count, dp.n) for o in starts):
         raise ValueError(f"offsets must be (count, {dp.n})")
-    outs = [np.zeros(count) for _ in plan]
     for lo, b, rng in _batches(dp, x, count, seed, "bridge-batch"):
         fields = np.zeros((len(starts), b, dp.n))
         for g, o in enumerate(starts):
@@ -143,11 +149,15 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
                 fields[g] = o[lo : lo + b]
         accs = [out[lo : lo + b] for out in outs]
         for rows, states, taus in _walk(dp, x, b, rng):
-            for acc, (y, sojourn, group) in zip(accs, plan):
+            for y, by_group in readers.items():
                 here = states == y
                 if here.any():
-                    at = rows[here]
-                    acc[at] += sojourn(fields[group, at], y, taus[here], dp.m[y])
+                    at, tau = rows[here], taus[here]
+                    for group, sojourns in by_group.items():
+                        seen = fields[group, at]
+                        for i, sojourn in sojourns:
+                            accs[i][at] += sojourn(seen, y, tau, dp.m[y])
+                        del seen  # one gathered block live at a time, as with a gather per target
             fields[:, rows, states] += taus / dp.m[states]
     return outs
 

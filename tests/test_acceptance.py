@@ -122,7 +122,7 @@ def test_criterion_3_bridge_identity():
         z, w = sample_twisted_batch(build_twisted(dp), 100_000, 2000 + c)
         rho = np.abs(z) ** 2
         vals = bridge_values(dp, x, y, ProductField(), 100_000, 2000 + c, offsets=rho)
-        mc = _bridge_mc(x, y, ProductField(), z, w, rho, vals, f"bridge_identity[x={x},y={y}]")
+        mc = _bridge_mc(w * z[:, x] * np.conj(z[:, y]), ProductField()(rho), w, vals, f"bridge_identity[x={x},y={y}]")
         worst_z = max(worst_z, mc.z)
     elapsed = time.perf_counter() - t0
     ok = worst_exact <= 1e-10 and worst_z <= 4.0 and elapsed < 300.0

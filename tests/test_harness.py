@@ -32,7 +32,7 @@ def bridge_mc_row(dp, x, y, func, count, seed):
     z, w = sample_twisted_batch(build_twisted(dp), count, seed)
     rho = np.abs(z) ** 2
     vals = bridge_values(dp, x, y, func, count, seed, offsets=rho)
-    return _bridge_mc(x, y, func, z, w, rho, vals, f"bridge_identity[x={x},y={y}]")
+    return _bridge_mc(w * z[:, x] * np.conj(z[:, y]), func(rho), w, vals, f"bridge_identity[x={x},y={y}]")
 
 
 def test_bridge_identity_constant_reduces_to_green(chain4):

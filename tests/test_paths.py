@@ -223,6 +223,48 @@ def test_monomial_field_takes_only_nonnegative_integer_exponents():
             MonomialField(bad)
 
 
+def full_product_sojourn(exponents, field, y, tau, m_y):
+    """The referee of `MonomialField.sojourn_integral`: every column raised and multiplied."""
+    f = np.asarray(field, dtype=float)
+    rest = np.asarray(exponents, dtype=float).copy()
+    k = int(rest[y])
+    rest[y] = 0.0
+    a, d = f[..., y], tau / m_y
+    spread = sum(a**j * (a + d) ** (k - j) for j in range(k + 1))
+    return np.prod(f**rest, axis=-1) * d * spread / (k + 1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 128])
+def test_monomial_field_skips_unit_factors_bit_for_bit(n):
+    # against the product over every column: zero-exponent columns hold 0, inf,
+    # NaN and subnormals; the exponents run from all zero through a lone 1 or 2
+    # (numpy squares a lone column by a routine of its own) to three or more
+    # nonzero; and fields come one at a time and in batches of shape (..., n)
+    rng = rng_stream(n, "monomial-referee")
+    specials = np.array([0.0, np.inf, np.nan, 5e-324, 2.2e-308, 1.0])
+    exponent_sets = [np.zeros(n, dtype=int)] + [np.bincount([n // 2] * j, minlength=n) for j in (1, 2, 3)]
+    for values in ([2, 1], [1, 2, 3], [2, 2, 2]):
+        k = np.zeros(n, dtype=int)
+        k[rng.choice(n, size=len(values), replace=False)] = values
+        exponent_sets.append(k)
+    exponent_sets += [np.where(rng.random(n) < 0.5, rng.integers(1, 4, n), 0) for _ in range(2)]
+    for k in exponent_sets:
+        f = MonomialField(k)
+        for shape in ((n,), (7, n), (3, 4, n), (1000, n)):
+            field = rng.uniform(0.0, 2.0, shape)
+            field[..., k == 0] = rng.choice(specials, size=field[..., k == 0].shape)
+            assert same_bits(f(field), np.prod(field ** k.astype(float), axis=-1))
+            tau = rng.exponential(1.0, shape[:-1])
+            for y in {0, n - 1, *np.flatnonzero(k)[:4].tolist()}:
+                want = full_product_sojourn(k, field, y, tau, 0.7)
+                assert same_bits(f.sojourn_integral(field, y, tau, 0.7), want), (k, shape, y)
+
+
 def test_bridge_unreachable_target_is_exact_zero():
     dp = build_dual(nchain(4))
     vals = bridge_values(dp, 2, 0, ExpField(np.zeros(4), dp.m), 5000, seed=15)
@@ -291,6 +333,75 @@ def test_bridge_targets_match_separate_walks_bit_for_bit():
         alone = bridge_values(dp, 0, y, f, count, 20, offsets)
         assert np.array_equal(vals, alone)
     assert np.any(together[2] != 0.0)
+
+
+def per_target_bridges(dp, x, targets, count, seed):
+    """The referee of `bridge_targets`: every target masks, gathers and integrates on its own.
+
+    The walk draws each step's holds with scale ``1 / q`` of the live
+    states and finds jumps by linear search, on the streams the engine uses.
+    """
+    cum = np.cumsum(dp.pi, axis=1)
+    groups, plan = [], []
+    for y, functional, offsets in targets:
+        if not any(o is offsets for o in groups):
+            groups.append(offsets)
+        plan.append((y, functional, next(g for g, o in enumerate(groups) if o is offsets)))
+    outs = [np.zeros(count) for _ in plan]
+    for idx, lo in enumerate(range(0, count, BATCH)):
+        b = min(BATCH, count - lo)
+        rng = rng_stream(seed, "bridge-batch", idx)
+        fields = np.zeros((len(groups), b, dp.n))
+        for g, o in enumerate(groups):
+            if o is not None:
+                fields[g] = o[lo : lo + b]
+        rows, states = np.arange(b), np.full(b, x)
+        while rows.size:
+            taus = rng.exponential(1.0 / dp.q[states])
+            for out, (y, f, group) in zip(outs, plan):
+                here = states == y
+                if here.any():
+                    at = rows[here]
+                    out[lo + at] += f.sojourn_integral(fields[group, at], y, taus[here], dp.m[y])
+            fields[:, rows, states] += taus / dp.m[states]
+            rows, states = linear_step(cum, rows, states, rng.random(rows.size))
+    return outs
+
+
+def _referee_case(name):
+    rng = rng_stream(49, "path-tests", name)
+    if name == "n128-exp":
+        dp = build_dual(random_chain(128, rng))
+        count = 3000
+        rho = rng.uniform(0.0, 1.0, (count, 128))
+        chi = rng.uniform(0.0, 0.05, 128)
+        return dp, 5, [(5, ExpField(chi, dp.m), rho), (40, ExpField(chi, dp.m), None)], count
+    dp = build_dual(random_chain(4, rng))
+    count = BATCH + 700 if name == "two-batches" else 5000
+    rho = rng.uniform(0.0, 1.0, (count, 4))
+    exp_f = ExpField(rng.uniform(0.2, 1.0, 4), dp.m)
+    if name == "shared-state-and-offsets":
+        targets = [(2, exp_f, rho), (2, ProductField(), rho), (2, MonomialField([1, 0, 2, 1]), rho)]
+    elif name == "none-and-array-offsets":
+        targets = [(1, exp_f, None), (1, exp_f, rho), (3, ProductField(), None), (1, MonomialField([0, 2, 0, 0]), None)]
+    elif name == "x-equals-y":
+        targets = [(0, exp_f, rho), (0, MonomialField([2, 0, 0, 0]), None), (3, ProductField(), rho)]
+    else:
+        targets = [(2, exp_f, rho), (0, ProductField(), rho), (2, MonomialField([0, 0, 3, 0]), None)]
+    return dp, 0, targets, count
+
+
+@pytest.mark.parametrize(
+    "name", ["shared-state-and-offsets", "none-and-array-offsets", "x-equals-y", "two-batches", "n128-exp"]
+)
+def test_bridge_targets_match_the_per_target_loop_bit_for_bit(name):
+    dp, x, targets, count = _referee_case(name)
+    got = bridge_targets(dp, x, targets, count, seed=21)
+    want = per_target_bridges(dp, x, targets, count, seed=21)
+    assert len(got) == len(want)
+    for vals, ref in zip(got, want):
+        assert np.array_equal(vals, ref)
+    assert all(np.any(vals != 0.0) for vals in got)
 
 
 def test_bridge_targets_reject_a_bad_target():
