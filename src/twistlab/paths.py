@@ -21,6 +21,10 @@ refused with `NumericalError` before any draw, and a walk that still runs
 past it raises the same.  Jumps are found by bisection (`_walk`), which
 takes each path to the state a linear search over its row takes it to
 from the same uniform, so streams and paths are the linear search's.
+Holds are standard exponentials times ``1/q`` formed once per walk, the
+draws of numpy's ``exponential(1/q)`` bit for bit.  Each step scatter-adds
+into flat views of the fields at ``row * n + state``, one cell per path, so
+every entry receives its holding times in the order a 2-D scatter gives.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -45,8 +49,9 @@ def _walk(dp: DualPair, start: int, b: int, rng):
 
     Yields ``(rows, states, taus)`` per step: the indices of the live
     paths, their current states and the holding times just drawn.  Each
-    step draws the holds of the live paths, then one uniform u per live
-    path for the jump: the next state is the count of the row's cumulative
+    step draws the holds of the live paths, standard exponentials scaled by
+    the mean holds ``1/q`` computed once per walk, then one uniform u per
+    live path for the jump: the next state is the count of the row's cumulative
     jump probabilities that are <= u, and a count of n kills.  The rows are
     nondecreasing (pi >= 0), so with +inf padding to width 2^w > n the
     count is found by branch-free bisection, w gathers per step, and equals
@@ -56,12 +61,14 @@ def _walk(dp: DualPair, start: int, b: int, rng):
     cum = np.full((dp.n, width), np.inf)
     cum[:, : dp.n] = np.cumsum(dp.pi, axis=1)
     cum = cum.ravel()
+    mean_hold = 1.0 / dp.q
     rows = np.arange(b)
     states = np.full(b, start, dtype=int)
     for _ in range(MAX_JUMPS):
         if rows.size == 0:
             return
-        taus = rng.exponential(1.0 / dp.q[states])
+        taus = rng.standard_exponential(rows.size)
+        taus *= mean_hold[states]
         yield rows, states, taus
         u = rng.random(rows.size)
         at = states * width - 1  # flat index of the last entry known to be <= u
@@ -100,9 +107,9 @@ def occupation_batch(dp: DualPair, start: int, count: int, seed: int):
     fields = np.zeros((count, dp.n))
     lives = np.zeros(count)
     for lo, b, rng in _batches(dp, start, count, seed, "occupation-batch"):
-        times, life = fields[lo : lo + b], lives[lo : lo + b]
+        flat, life = fields[lo : lo + b].reshape(-1), lives[lo : lo + b]
         for rows, states, taus in _walk(dp, start, b, rng):
-            times[rows, states] += taus
+            flat[rows * dp.n + states] += taus
             life[rows] += taus
     fields /= dp.m
     return fields, lives
@@ -115,13 +122,14 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
     holds one (count,) array per target, each bit-identical to its own
     `bridge_values` call.  Targets that pass the same ``offsets`` object (or
     ``None``) share one running field.  A batch keeps its fields in one
-    (fields, paths, n) array that each step updates with one scatter-add, so
-    every field receives its holding times in the same order as on a walk of
-    its own.  Each step masks the live paths once per distinct target state
-    and gathers their fields once per (state, offsets) pair, for every target
-    reading them.  Sojourns are integrated step by step, not in one call per
-    batch, because `ExpField`'s matrix-vector product rounds differently with
-    the number of rows it is given.
+    (fields, paths, n) array; each step adds its holds over m at ``row * n
+    + state`` of its flat view, one scatter per field, so every field
+    receives its holding times in the same order as on a walk of its own.
+    Each step masks the live paths once per distinct target state and
+    gathers their fields with ``take`` once per (state, offsets) pair, for
+    every target reading them.  Sojourns are integrated step by step, not in
+    one call per batch, because `ExpField`'s matrix-vector product rounds
+    differently with the number of rows it is given.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -147,6 +155,7 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
         for g, o in enumerate(starts):
             if o is not None:
                 fields[g] = o[lo : lo + b]
+        flat = fields.reshape(len(starts), -1)
         accs = [out[lo : lo + b] for out in outs]
         for rows, states, taus in _walk(dp, x, b, rng):
             for y, by_group in readers.items():
@@ -154,11 +163,13 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
                 if here.any():
                     at, tau = rows[here], taus[here]
                     for group, sojourns in by_group.items():
-                        seen = fields[group, at]
+                        seen = fields[group].take(at, axis=0)
                         for i, sojourn in sojourns:
                             accs[i][at] += sojourn(seen, y, tau, dp.m[y])
                         del seen  # one gathered block live at a time, as with a gather per target
-            fields[:, rows, states] += taus / dp.m[states]
+            cells, add = rows * dp.n + states, taus / dp.m[states]
+            for field in flat:
+                field[cells] += add
     return outs
 
 

@@ -121,7 +121,8 @@ def info_report(name, value) -> VerificationReport:
 def weighted_ratio(num, den) -> Estimate:
     """Delta-method mean and standard errors of mean(num)/mean(den).
 
-    The residual linearisation handles complex importance weights directly.
+    The residual linearisation handles complex importance weights directly;
+    a real residual (real num and den) gives ``se_im`` 0 without a pass.
     """
     num = np.asarray(num)
     den = np.asarray(den)
@@ -130,9 +131,11 @@ def weighted_ratio(num, den) -> Estimate:
     r = num.mean() / mb
     if n < 2:
         return Estimate(r, 0.0, 0.0)
-    resid = (num - r * den) / mb
+    resid = np.multiply(r, den)
+    np.subtract(num, resid, out=resid)
+    resid /= mb
     se_re = float(np.real(resid).std(ddof=1) / math.sqrt(n))
-    se_im = float(np.imag(resid).std(ddof=1) / math.sqrt(n))
+    se_im = float(np.imag(resid).std(ddof=1) / math.sqrt(n)) if np.iscomplexobj(resid) else 0.0
     return Estimate(r, se_re, se_im)
 
 

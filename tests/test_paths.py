@@ -78,6 +78,9 @@ class StubRng:
     def exponential(self, scale):
         return np.ones_like(scale)
 
+    def standard_exponential(self, size):
+        return np.ones(size)
+
     def random(self, size):
         k = self.uniforms.shape[1]
         if self.drawn is None:
@@ -122,6 +125,20 @@ def test_walk_bisection_takes_the_linear_search_jump(spec):
             assert np.array_equal(rows, want_rows) and np.array_equal(states, want_states)
             rng.states = states
         assert linear_step(cum, want_rows, want_states, rng.drawn)[0].size == 0
+
+
+@pytest.mark.parametrize("k", [1, BATCH])
+def test_scaled_standard_exponential_is_the_exponential_draw_for_draw(k):
+    # `_walk` draws holds as standard_exponential(k) * (1/q)[states]; numpy's
+    # exponential(scale) is scale * standard_exponential() on the same
+    # ziggurat, so both give the same stream and the same bits
+    q = np.geomspace(1e-3, 1e3, 13)
+    mean_hold = 1.0 / q
+    states = rng_stream(50, "path-tests", "hold-states", k).integers(q.size, size=(3, k))
+    scaled, direct = rng_stream(50, "path-tests", "holds", k), rng_stream(50, "path-tests", "holds", k)
+    for step in states:
+        assert np.array_equal(scaled.standard_exponential(k) * mean_hold[step], direct.exponential(1.0 / q[step]))
+        assert np.array_equal(scaled.random(k), direct.random(k))
 
 
 def test_sample_path_deterministic():
@@ -402,6 +419,46 @@ def test_bridge_targets_match_the_per_target_loop_bit_for_bit(name):
     for vals, ref in zip(got, want):
         assert np.array_equal(vals, ref)
     assert all(np.any(vals != 0.0) for vals in got)
+
+
+def per_path_occupation(dp, start, count, seed):
+    """The referee of `occupation_batch`: holds drawn with scale ``1 / q`` of
+    the live states, jumps by linear search and a 2-D scatter-add of the
+    holds, on the streams the engine uses."""
+    cum = np.cumsum(dp.pi, axis=1)
+    fields, lives = np.zeros((count, dp.n)), np.zeros(count)
+    for idx, lo in enumerate(range(0, count, BATCH)):
+        b = min(BATCH, count - lo)
+        rng = rng_stream(seed, "occupation-batch", idx)
+        times, life = fields[lo : lo + b], lives[lo : lo + b]
+        rows, states = np.arange(b), np.full(b, start)
+        while rows.size:
+            taus = rng.exponential(1.0 / dp.q[states])
+            times[rows, states] += taus
+            life[rows] += taus
+            rows, states = linear_step(cum, rows, states, rng.random(rows.size))
+    fields /= dp.m
+    return fields, lives
+
+
+def _occupation_case(name):
+    rng = rng_stream(51, "path-tests", name)
+    if name == "n1":
+        return random_chain(1, rng), 0, 5000
+    if name == "n128":
+        return random_chain(128, rng), 7, 3000
+    spec = random_chain(4, rng)  # holding rates 1e-3 to 1e3, two batches
+    return ChainSpec(q=np.array([1e-3, 0.1, 10.0, 1e3]), pi=spec.pi, mu=spec.mu), 1, BATCH + 700
+
+
+@pytest.mark.parametrize("name", ["n1", "n4-two-batches", "n128"])
+def test_occupation_batch_matches_the_per_path_loop_bit_for_bit(name):
+    spec, start, count = _occupation_case(name)
+    dp = build_dual(spec)
+    fields, lives = occupation_batch(dp, start, count, seed=22)
+    want_fields, want_lives = per_path_occupation(dp, start, count, seed=22)
+    assert np.array_equal(fields, want_fields) and np.array_equal(lives, want_lives)
+    assert np.all(np.count_nonzero(fields, axis=0) > 0)
 
 
 def test_bridge_targets_reject_a_bad_target():

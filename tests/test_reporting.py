@@ -37,6 +37,30 @@ def test_weighted_ratio_of_one_draw_has_zero_standard_errors():
     assert est == Estimate(4.0 + 2.0j, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10_000])
+@pytest.mark.parametrize("kinds", ["real/real", "complex/complex", "real/complex", "complex/real"])
+def test_weighted_ratio_equals_the_temporary_residual_formula_bit_for_bit(kinds, n):
+    rng = rng_stream(8, "weighted-ratio-residual", kinds, n)
+
+    def draw(kind):
+        x = rng.uniform(0.5, 2.0, n)
+        return x * np.exp(1j * rng.uniform(-0.5, 0.5, n)) if kind == "complex" else x
+
+    num_kind, den_kind = kinds.split("/")
+    num, den = draw(num_kind), draw(den_kind)
+    mb = den.mean()
+    r = num.mean() / mb
+    want = Estimate(r, 0.0, 0.0)
+    if n > 1:
+        resid = (num - r * den) / mb
+        root_n = math.sqrt(n)
+        want = Estimate(r, float(resid.real.std(ddof=1) / root_n), float(np.imag(resid).std(ddof=1) / root_n))
+    got = weighted_ratio(num, den)
+    assert got == want
+    assert np.iscomplexobj(got.value) == np.iscomplexobj(r)
+    assert (got.se_im == 0.0) == (kinds == "real/real" or n == 1)
+
+
 def test_exact_target_row_scores_real_and_imaginary_deviations():
     row = mc_vs_exact("row", Estimate(1.3 + 0.05j, 0.1, 0.01), 1.0)
     assert (row.mode, row.lhs, row.rhs, row.se_lhs, row.se_rhs) == ("mc", 1.3, 1.0, 0.1, 0.0)
