@@ -8,7 +8,9 @@ stay of length ``tau`` at state ``y``, and the bridge sampler rejects one
 that does not.  `ExpField`, `ProductField` and `MonomialField` integrate
 their sojourns in closed form, written so that nothing cancels for short
 stays; `BumpField` has no closed form and serves only the twisted-field
-rows.
+rows.  ``sojourn_integral`` must return a new array and keep no reference
+to ``field``: `bridge_targets` may pass a view of the running fields it
+goes on adding holds to.
 """
 
 from __future__ import annotations
@@ -38,10 +40,22 @@ class ExpField:
 
 
 class ProductField:
-    """prod_u (1 + field_u)^{-1}; bounded, continuous, not exponential."""
+    """prod_u (1 + field_u)^{-1}; bounded, continuous, not exponential.
+
+    The product multiplies whole columns of ``1 + field`` into one array,
+    left to right from 1.  That is ``np.prod(1 + field, axis=-1)`` bit for
+    bit, whatever the field's shape or layout: numpy reduces a product
+    element by element in index order (only sums are paired), and ``1 * v``
+    is v for every float v, inf included.  A short last axis costs one
+    inner loop per column rather than one per row.
+    """
 
     def __call__(self, field):
-        return 1.0 / np.prod(1.0 + np.asarray(field), axis=-1)
+        grow = 1.0 + np.asarray(field)
+        prod = np.ones(grow.shape[:-1], grow.dtype)
+        for u in range(grow.shape[-1]):
+            prod *= grow[..., u]
+        return 1.0 / prod
 
     def sojourn_integral(self, field, y, tau, m_y):
         """F(field) (1 + a) log1p(d / (1 + a)) with a = field_y, d = tau / m_y."""

@@ -25,6 +25,10 @@ Holds are standard exponentials times ``1/q`` formed once per walk, the
 draws of numpy's ``exponential(1/q)`` bit for bit.  Each step scatter-adds
 into flat views of the fields at ``row * n + state``, one cell per path, so
 every entry receives its holding times in the order a 2-D scatter gives.
+`bridge_targets` keeps its running fields in one buffer per call, reused
+by every batch, and hands them to the sojourn integrals in place on a step
+where the whole batch is live and at the target state (the first step when
+x = y); on any other step it gathers the rows at the target with ``take``.
 
 Replication is deterministic: batches have a fixed size and every batch
 draws from its own counter-based stream, so identical (seed, count) give
@@ -120,14 +124,19 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
 
     ``targets`` is a sequence of ``(y, functional, offsets)``; the result
     holds one (count,) array per target, each bit-identical to its own
-    `bridge_values` call.  Targets that pass the same ``offsets`` object (or
-    ``None``) share one running field.  A batch keeps its fields in one
-    (fields, paths, n) array; each step adds its holds over m at ``row * n
-    + state`` of its flat view, one scatter per field, so every field
-    receives its holding times in the same order as on a walk of its own.
-    Each step masks the live paths once per distinct target state and
-    gathers their fields with ``take`` once per (state, offsets) pair, for
-    every target reading them.  Sojourns are integrated step by step, not in
+    `bridge_values` call.  An empty ``targets`` gives ``[]`` without a walk.
+    Targets that pass the same ``offsets`` object (or ``None``) share one
+    running field.  The fields live in one (fields, min(count, BATCH), n)
+    buffer made once per call; a batch of b paths uses its first b rows,
+    zeroed or copied from its offsets.  Each step adds its holds over m at
+    ``row * n + state`` of the batch's flat view, one scatter per field, so
+    every field receives its holding times in the same order as on a walk
+    of its own.  Each step masks the live paths once per distinct target
+    state.  Where every path of the batch is live and at that state, the
+    targets read the fields themselves; otherwise the fields of the paths
+    there are gathered with ``take`` once per (state, offsets) pair, for
+    every target reading them.  Either way a sojourn integral sees the same
+    rows in the same order.  Sojourns are integrated step by step, not in
     one call per batch, because `ExpField`'s matrix-vector product rounds
     differently with the number of rows it is given.
     """
@@ -150,17 +159,23 @@ def bridge_targets(dp: DualPair, x: int, targets, count: int, seed: int) -> list
     starts = [None if o is None else np.asarray(o, dtype=float) for o in groups]
     if any(o is not None and o.shape != (count, dp.n) for o in starts):
         raise ValueError(f"offsets must be (count, {dp.n})")
+    if not outs:
+        return outs
+    buf = np.empty((len(starts), min(count, BATCH), dp.n))
     for lo, b, rng in _batches(dp, x, count, seed, "bridge-batch"):
-        fields = np.zeros((len(starts), b, dp.n))
+        fields = buf[:, :b]
         for g, o in enumerate(starts):
-            if o is not None:
-                fields[g] = o[lo : lo + b]
-        flat = fields.reshape(len(starts), -1)
+            fields[g] = 0.0 if o is None else o[lo : lo + b]
+        flat = fields.reshape(len(starts), -1)  # a view: each field's b rows are contiguous
         accs = [out[lo : lo + b] for out in outs]
         for rows, states, taus in _walk(dp, x, b, rng):
             for y, by_group in readers.items():
                 here = states == y
-                if here.any():
+                if rows.size == b and here.all():  # rows is arange(b): read the fields in place
+                    for group, sojourns in by_group.items():
+                        for i, sojourn in sojourns:
+                            accs[i] += sojourn(fields[group], y, taus, dp.m[y])
+                elif here.any():
                     at, tau = rows[here], taus[here]
                     for group, sojourns in by_group.items():
                         seen = fields[group].take(at, axis=0)

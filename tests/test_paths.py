@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twistlab import paths
 from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
 from twistlab.functionals import BumpField, ExpField, MonomialField, ProductField
 from twistlab.paths import BATCH, _walk, bridge_targets, bridge_values, occupation_batch
@@ -393,8 +394,17 @@ def _referee_case(name):
         rho = rng.uniform(0.0, 1.0, (count, 128))
         chi = rng.uniform(0.0, 0.05, 128)
         return dp, 5, [(5, ExpField(chi, dp.m), rho), (40, ExpField(chi, dp.m), None)], count
+    if name == "march-whole-batch":
+        # every path moves 0 -> 1 together, so step 1 reads whole batches of
+        # fields that already hold step 0; the short second batch reuses them
+        dp = build_dual(nchain(4))
+        count = BATCH + 700
+        rho = rng.uniform(0.0, 1.0, (count, 4))
+        exp_f = ExpField(rng.uniform(0.2, 1.0, 4), dp.m)
+        targets = [(1, exp_f, rho), (1, MonomialField([1, 1, 0, 0]), None), (1, ProductField(), None)]
+        return dp, 0, targets, count
     dp = build_dual(random_chain(4, rng))
-    count = BATCH + 700 if name == "two-batches" else 5000
+    count = BATCH + 700 if name.endswith("two-batches") else 5000
     rho = rng.uniform(0.0, 1.0, (count, 4))
     exp_f = ExpField(rng.uniform(0.2, 1.0, 4), dp.m)
     if name == "shared-state-and-offsets":
@@ -403,13 +413,24 @@ def _referee_case(name):
         targets = [(1, exp_f, None), (1, exp_f, rho), (3, ProductField(), None), (1, MonomialField([0, 2, 0, 0]), None)]
     elif name == "x-equals-y":
         targets = [(0, exp_f, rho), (0, MonomialField([2, 0, 0, 0]), None), (3, ProductField(), rho)]
+    elif name == "x-equals-y-two-batches":
+        targets = [(0, ProductField(), rho), (0, MonomialField([1, 2, 0, 1]), None), (0, ProductField(), None)]
     else:
         targets = [(2, exp_f, rho), (0, ProductField(), rho), (2, MonomialField([0, 0, 3, 0]), None)]
     return dp, 0, targets, count
 
 
 @pytest.mark.parametrize(
-    "name", ["shared-state-and-offsets", "none-and-array-offsets", "x-equals-y", "two-batches", "n128-exp"]
+    "name",
+    [
+        "shared-state-and-offsets",
+        "none-and-array-offsets",
+        "x-equals-y",
+        "two-batches",
+        "n128-exp",
+        "march-whole-batch",
+        "x-equals-y-two-batches",
+    ],
 )
 def test_bridge_targets_match_the_per_target_loop_bit_for_bit(name):
     dp, x, targets, count = _referee_case(name)
@@ -419,6 +440,33 @@ def test_bridge_targets_match_the_per_target_loop_bit_for_bit(name):
     for vals, ref in zip(got, want):
         assert np.array_equal(vals, ref)
     assert all(np.any(vals != 0.0) for vals in got)
+
+
+def test_bridge_targets_without_targets_walk_nothing(monkeypatch):
+    dp = build_dual(nchain(3))
+    monkeypatch.setattr(paths, "_batches", None)  # any batch, budget or draw would raise
+    assert bridge_targets(dp, 2, [], 10, seed=1) == []
+    with pytest.raises(ValueError, match="count"):
+        bridge_targets(dp, 0, [], 0, seed=1)
+    with pytest.raises(ValueError, match="states out of range"):
+        bridge_targets(dp, 3, [], 10, seed=1)
+
+
+def test_product_field_multiplies_columns_bit_for_bit():
+    # magnitudes from 1e-300 to 1e300, so some products overflow to inf and read 0;
+    # each field is also laid out transposed, with the same values
+    rng = rng_stream(53, "path-tests")
+    f = ProductField()
+    wide = np.full((2, 8), 1e300)
+    cases = [wide]
+    for n in (1, 2, 7, 8, 9, 33, 128):
+        for shape in ((n,), (5, n), (3, 4, n)):
+            field = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+            cases += [field, np.ascontiguousarray(np.swapaxes(field, 0, -1)).swapaxes(0, -1)]
+    with np.errstate(over="ignore"):
+        assert same_bits(f(wide), np.zeros(2))
+        for case in cases:
+            assert same_bits(f(case), 1.0 / np.prod(1.0 + case, axis=-1)), case.shape
 
 
 def per_path_occupation(dp, start, count, seed):
