@@ -8,9 +8,8 @@ stay of length ``tau`` at state ``y``, and the bridge sampler rejects one
 that does not.  `ExpField`, `ProductField` and `MonomialField` integrate
 their sojourns in closed form, written so that nothing cancels for short
 stays; `BumpField` has no closed form and serves only the twisted-field
-rows.  ``sojourn_integral`` must return a new array and keep no reference
-to ``field``: `bridge_targets` may pass a view of the running fields it
-goes on adding holds to.
+rows.  ``sojourn_integral`` must not modify ``field`` or keep a reference
+to it, because `bridge_targets` may pass a view of its running fields.
 """
 
 from __future__ import annotations
@@ -40,22 +39,10 @@ class ExpField:
 
 
 class ProductField:
-    """prod_u (1 + field_u)^{-1}; bounded, continuous, not exponential.
-
-    The product multiplies whole columns of ``1 + field`` into one array,
-    left to right from 1.  That is ``np.prod(1 + field, axis=-1)`` bit for
-    bit, whatever the field's shape or layout: numpy reduces a product
-    element by element in index order (only sums are paired), and ``1 * v``
-    is v for every float v, inf included.  A short last axis costs one
-    inner loop per column rather than one per row.
-    """
+    """prod_u (1 + field_u)^{-1}; bounded, continuous, not exponential."""
 
     def __call__(self, field):
-        grow = 1.0 + np.asarray(field)
-        prod = np.ones(grow.shape[:-1], grow.dtype)
-        for u in range(grow.shape[-1]):
-            prod *= grow[..., u]
-        return 1.0 / prod
+        return 1.0 / np.prod(1.0 + np.asarray(field), axis=-1)
 
     def sojourn_integral(self, field, y, tau, m_y):
         """F(field) (1 + a) log1p(d / (1 + a)) with a = field_y, d = tau / m_y."""

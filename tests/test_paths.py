@@ -452,23 +452,6 @@ def test_bridge_targets_without_targets_walk_nothing(monkeypatch):
         bridge_targets(dp, 3, [], 10, seed=1)
 
 
-def test_product_field_multiplies_columns_bit_for_bit():
-    # magnitudes from 1e-300 to 1e300, so some products overflow to inf and read 0;
-    # each field is also laid out transposed, with the same values
-    rng = rng_stream(53, "path-tests")
-    f = ProductField()
-    wide = np.full((2, 8), 1e300)
-    cases = [wide]
-    for n in (1, 2, 7, 8, 9, 33, 128):
-        for shape in ((n,), (5, n), (3, 4, n)):
-            field = 10.0 ** rng.uniform(-300.0, 300.0, shape)
-            cases += [field, np.ascontiguousarray(np.swapaxes(field, 0, -1)).swapaxes(0, -1)]
-    with np.errstate(over="ignore"):
-        assert same_bits(f(wide), np.zeros(2))
-        for case in cases:
-            assert same_bits(f(case), 1.0 / np.prod(1.0 + case, axis=-1)), case.shape
-
-
 def per_path_occupation(dp, start, count, seed):
     """The referee of `occupation_batch`: holds drawn with scale ``1 / q`` of
     the live states, jumps by linear search and a 2-D scatter-add of the
