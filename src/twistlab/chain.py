@@ -149,8 +149,8 @@ class DualPair:
         return self.m.size
 
     def state_index(self, p) -> int:
-        """``p`` as a state: a Python or numpy integer in 0..n-1, else `ValueError`."""
-        if not (isinstance(p, (int, np.integer)) and 0 <= p < self.n):
+        """``p`` as a state: a Python or numpy integer, not a bool, in 0..n-1, else `ValueError`."""
+        if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool) and 0 <= p < self.n):
             raise ValueError(f"states out of range: {p!r} is not an integer in 0..{self.n - 1}")
         return int(p)
 
@@ -262,7 +262,7 @@ def trace_chain(dp: DualPair, keep) -> DualPair:
     first reaching ``keep`` and may be a sub-probability.
     """
     keep = list(keep)
-    if not all(isinstance(k, (int, np.integer)) for k in keep):
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in keep):
         raise ChainError(f"keep must hold integer state indices, got {keep!r}")
     keep = np.asarray(sorted(set(keep)), dtype=int)
     if keep.size == 0:

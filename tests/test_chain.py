@@ -154,7 +154,7 @@ def test_trace_idempotent():
     assert np.allclose(once.m, direct.m, atol=1e-12)
 
 
-@pytest.mark.parametrize("keep", [[0, 1.5], [1.0, 2.0]])
+@pytest.mark.parametrize("keep", [[0, 1.5], [1.0, 2.0], [True]])
 def test_trace_refuses_non_integer_states(keep):
     with pytest.raises(ChainError, match="integer state indices"):
         trace_chain(build_dual(nchain(4)), keep)

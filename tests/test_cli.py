@@ -130,7 +130,6 @@ pairing_vs_resolvent,mc,-1.21099543452,-1.24371051742,0.0207427800116,0,1.577179
 circle_frobenius_vs_frequency_sum,exact,0.666150009601,0.666150009601,0,0,2.22044604925e-16,1,0.000
 circle_hs_partial_sum,info,0.852193688379,0.852193688379,0,0,0,1,0.000
 circle_kernel_vs_closed_form,exact,0.969103202824,0.967514578769,0,0,0.0015886240547,1,0.000
-circle_damping_decreases_kernel,exact,0,0,0,0,0,1,0.000
 """,
     ),
     (

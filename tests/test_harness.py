@@ -65,7 +65,7 @@ def test_bridge_identity_cross_mc_generic_functional(chain4):
 
 
 def test_bridge_identity_rejects_states_out_of_range(chain4):
-    for x, y in ((-1, 0), (0, -1), (4, 0), (0, 4), (1.5, 0), (0, 1.5)):
+    for x, y in ((-1, 0), (0, -1), (4, 0), (0, 4), (1.5, 0), (0, 1.5), (True, 0)):
         with pytest.raises(ValueError, match="states out of range"):
             verify_bridge_identity(chain4, x, y)
 

@@ -361,12 +361,12 @@ def test_circle_suite_builds_the_operator_once(monkeypatch):
 
     monkeypatch.setattr(hilbert, "circle_B_matrix", counting)
     circle_suite(circle_model(1.0, {1: 0.5}), K=32)
-    # one build at K, shared by the Frobenius row and both kernel solves
+    # one build at K, read only by the Frobenius row
     assert calls == [32]
 
 
-def test_circle_suite_solves_twice(monkeypatch):
-    # the base and damped kernels need a solve; the plain kernel does not
+def test_circle_suite_makes_no_solve(monkeypatch):
+    # the plain kernel is a dot product of evaluation elements
     calls = []
     real = np.linalg.solve
 
@@ -376,10 +376,17 @@ def test_circle_suite_solves_twice(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     circle_suite(circle_model(1.0, {1: 0.5}), K=32)
-    assert calls == [(65, 65), (65, 65)]
+    assert calls == []
 
 
-@pytest.mark.parametrize("mutation", ["basis-scale", "eta-scale"])
+# each wrong build, with the exact circle row that must fail on it
+CIRCLE_MUTATIONS = {
+    "basis-scale": "circle_frobenius_vs_frequency_sum",
+    "eta-scale": "circle_kernel_vs_closed_form",
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CIRCLE_MUTATIONS))
 def test_circle_rows_fail_on_a_wrong_build(mutation, monkeypatch):
     from twistlab import hilbert
 
@@ -388,13 +395,13 @@ def test_circle_rows_fail_on_a_wrong_build(mutation, monkeypatch):
         monkeypatch.setattr(
             hilbert, "circle_B_matrix", lambda model, K: np.sqrt(2.0) * build(model, K)
         )
-        name = "circle_frobenius_vs_frequency_sum"
     else:  # evaluation elements with sqrt(1/(k^2 + eps)) in place of sqrt(2/(k^2 + eps))
         eta = hilbert._eta_vector
         monkeypatch.setattr(hilbert, "_eta_vector", lambda model, K, x: eta(model, K, x) / np.sqrt(2.0))
-        name = "circle_kernel_vs_closed_form"
     rows = {r.name: r for r in circle_suite(circle_model(1.0, {1: 0.4 + 0.1j, 2: 0.1}), K=512)}
-    assert not rows[name].passed
+    assert not rows[CIRCLE_MUTATIONS[mutation]].passed
+    # a new exact circle row needs a mutation here that fails it
+    assert {n for n, r in rows.items() if r.mode == "exact"} == set(CIRCLE_MUTATIONS.values())
 
 
 def _dense_circle_B(model, K):

@@ -493,7 +493,7 @@ def test_a_dropped_minor_fails_the_oracle_and_the_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize("moment", [q_moment, q_moment_oracle], ids=["permanent", "oracle"])
-@pytest.mark.parametrize("bad", [-1, 4, 1.5])
+@pytest.mark.parametrize("bad", [-1, 4, 1.5, True])
 def test_moments_reject_states_out_of_range(bad, moment):
     dp = build_dual(random_chain(4, rng_stream(39, "twisted-tests")))
     with pytest.raises(ValueError, match="states out of range"):
