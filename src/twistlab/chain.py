@@ -67,14 +67,30 @@ def _reaches_killing(pi: np.ndarray) -> np.ndarray:
     return reach
 
 
+def _radius_below(pi: np.ndarray, c: float) -> bool:
+    """Whether the nonnegative matrix ``pi`` has spectral radius below ``c``."""
+    a = c * np.eye(pi.shape[0]) - pi
+    try:
+        x = np.linalg.solve(a, np.ones(pi.shape[0]))
+    except np.linalg.LinAlgError:  # c is an eigenvalue of pi
+        return False
+    return bool(np.all(x > 0) and np.all(a @ x > 0))
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Killed-chain data: rates ``q``, jump matrix ``pi``, initial law ``mu``.
 
     Validated at construction: finite entries, q > 0, pi entrywise in
     [0, 1] with row sums at most 1, mu a probability vector, every state
-    able to reach a killing state, and spectral radius of pi strictly
-    below 1 (dense eigensolver).  Arrays are frozen read-only.
+    able to reach a killing state, and spectral radius of pi below
+    c = 1 - 1e-12.  Arrays are frozen read-only.
+
+    The radius test is one LAPACK solve of (c I - pi) x = 1.  As pi >= 0,
+    c I - pi is a Z-matrix; it is a nonsingular M-matrix, which here means
+    rho(pi) < c, exactly when some x > 0 has (c I - pi) x > 0, and the
+    solve's x is that witness when one exists.  Only a refused pi pays for
+    the eigenvalues its message quotes.
     """
 
     q: np.ndarray
@@ -111,8 +127,8 @@ class ChainSpec:
             raise ChainError(
                 f"states {stuck} cannot reach any killing state; lifetime would be infinite"
             )
-        radius = float(np.max(np.abs(np.linalg.eigvals(pi))))
-        if radius >= 1 - 1e-12:
+        if not _radius_below(pi, 1 - 1e-12):
+            radius = float(np.max(np.abs(np.linalg.eigvals(pi))))
             raise ChainError(f"spectral radius of pi is {radius:.12g}; must be < 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "pi", pi)

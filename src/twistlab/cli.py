@@ -79,15 +79,22 @@ COMMANDS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The command-line parser, with the sub-parsers of ``names`` only.
+
+    A parser of fewer commands still lists all of them in its usage line.
+    It is built once a command is named, so it never reports a missing or
+    unknown command, whose errors name ``command``, not that list.
+    """
     parser = argparse.ArgumentParser(
         prog="twistlab",
         description="Verification suites for killed chains, twisted fields and truncated operators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, _) in COMMANDS.items():
+    every = "{" + ",".join(COMMANDS) + "}" if len(names) < len(COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
         p = sub.add_parser(name)
-        for flag in flags:
+        for flag in COMMANDS[name][0]:
             p.add_argument(f"--{flag}", **FLAGS[flag])
         p.add_argument("--out", default=None, help="CSV report path")
     return parser
@@ -102,7 +109,10 @@ def _fix_malloc_thresholds():
 
 def main(argv=None) -> int:
     _fix_malloc_thresholds()
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command needs only its own sub-parser; help, a missing command
+    # and an unknown one need them all
+    args = _parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
     low = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if isinstance(v, int) and v < 1]
     if low:
         print(f"error: {', '.join(low)} must be at least 1", file=sys.stderr)

@@ -4,6 +4,12 @@ Files are YAML mappings (JSON works too).  Parsing walks the composed node
 tree so that dimension and type errors, and inf or nan in a float field,
 point at the offending line; a file that cannot be read, is not UTF-8 or
 holds a control character is a `SpecFileError` too.
+
+A list of floats (a ``pi`` row, ``q``, ``mu``, a ``b_hat`` triple) is cast
+whole, one ``float`` per entry and one finiteness test on the sum.  Only a
+list that fails this (a non-scalar entry, text that is no float, inf or
+nan, or finite entries whose sum overflows) is walked again entry by entry,
+which finds the bad entry and reports its line, or returns the same floats.
 """
 
 from __future__ import annotations
@@ -147,6 +153,12 @@ def _float_list(node, what, length=None) -> list[float]:
     items = _sequence(node, what)
     if length is not None and len(items) != length:
         raise SpecFileError(f"{what} must have {length} entries, got {len(items)}", _line(node))
+    try:
+        values = [float(item.value) for item in items]
+        if math.isfinite(sum(values)):  # a nan or inf entry makes the sum non-finite
+            return values
+    except (TypeError, ValueError):  # a non-scalar entry, or text that is no float
+        pass
     label = f"{what} entry"
     return [_scalar(item, float, label) for item in items]
 

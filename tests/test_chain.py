@@ -177,6 +177,55 @@ def test_spec_validation_rejects_bad_inputs():
         ChainSpec(q=np.ones(2), pi=np.array([[0.6, 0.6], [0.0, 0.0]]), mu=np.array([1.0, 0.0]))
 
 
+# row sums 1 + 5e-13 and 1 - 2e-12 pass the row-sum and reach checks; the
+# spectral radius is 1 - 7.5e-13, above the bound 1 - 1e-12
+NEAR_UNIT_RADIUS = np.array([[0.5, 0.5 + 5e-13], [0.5, 0.5 - 2e-12]])
+
+
+def test_spec_refuses_a_spectral_radius_at_the_bound():
+    radius = float(np.max(np.abs(np.linalg.eigvals(NEAR_UNIT_RADIUS))))
+    assert 1 - 1e-12 <= radius < 1
+    with pytest.raises(ChainError, match=r"spectral radius of pi is 0\.999999999999; must be < 1"):
+        ChainSpec(q=np.ones(2), pi=NEAR_UNIT_RADIUS, mu=np.array([1.0, 0.0]))
+
+
+def test_spec_radius_test_agrees_with_the_eigenvalues():
+    """ChainSpec accepts a jump matrix exactly when eigvals puts its radius below 1 - 1e-12."""
+    sums = np.array([1.0, 1 - 1e-13, 1 - 5e-12, 1 - 1e-6, 0.9, 1 + 5e-13])
+    weights = [0.15, 0.15, 0.2, 0.05, 0.05, 0.4]  # most radii within 1e-11 of 1
+    rng = rng_stream(5, "radius-tests")
+    outcomes = {"accepted": 0, "radius": 0, "reach": 0}
+    while sum(outcomes.values()) < 1500:
+        n = int(rng.integers(1, 13))
+        w = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        w[np.arange(n), rng.integers(0, n, n)] += 1e-3  # no empty row
+        pi = w / w.sum(axis=1, keepdims=True) * rng.choice(sums, n, p=weights)[:, None]
+        if pi.max() > 1:  # a lone entry of a row summing to 1 + 5e-13
+            continue
+        below = float(np.max(np.abs(np.linalg.eigvals(pi)))) < 1 - 1e-12
+        try:
+            ChainSpec(q=np.ones(n), pi=pi, mu=np.full(n, 1 / n))
+        except ChainError as exc:
+            assert not below, str(exc)
+            outcomes["radius" if "spectral radius" in str(exc) else "reach"] += 1
+        else:
+            assert below
+            outcomes["accepted"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_accepted_spec_computes_no_eigenvalues(monkeypatch):
+    def refuse(a):
+        raise AssertionError("eigvals was called")
+
+    pi = random_chain(32, rng_stream(3, "radius-tests")).pi
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    spec = ChainSpec(q=np.ones(32), pi=pi, mu=np.full(32, 1 / 32))
+    assert np.array_equal(spec.pi, pi)
+    with pytest.raises(AssertionError, match="eigvals was called"):
+        ChainSpec(q=np.ones(2), pi=NEAR_UNIT_RADIUS, mu=np.array([1.0, 0.0]))
+
+
 @pytest.mark.parametrize("field", ["q", "pi", "mu"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_spec_rejects_non_finite_entries(field, bad):

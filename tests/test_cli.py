@@ -371,8 +371,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
         (None, "No such file or directory"),
         # a valid spec whose chain cannot reach state 1 from supp(mu)
         (b"states: 2\nq: [1.0, 1.0]\npi: [[0, 0], [0.5, 0]]\nmu: [1.0, 0.0]\n", "reference measure vanishes at states [1]"),
+        # rows within the row-sum and reach checks, spectral radius 1 - 7.5e-13
+        (
+            b"states: 2\nq: [1.0, 1.0]\npi: [[0.5, 0.5000000000005], [0.5, 0.499999999998]]\nmu: [1.0, 0.0]\n",
+            "line 1: spectral radius of pi is 0.999999999999; must be < 1",
+        ),
     ],
-    ids=["control-character", "not-utf8", "fractional-states", "missing-file", "mu-misses-a-state"],
+    ids=["control-character", "not-utf8", "fractional-states", "missing-file", "mu-misses-a-state", "radius-at-bound"],
 )
 def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
     path = tmp_path / "chain.yaml"
@@ -496,6 +501,55 @@ def test_commands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
         main([a.format(one=one, levy=levy, circle=circle) for a in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        ([], "twistlab: error: the following arguments are required: command"),
+        (["--help"], "  -h, --help"),
+        (["bogus", "--input", "x"], "twistlab: error: argument command: invalid choice: 'bogus' (choose from "),
+        (["verify-iso", "--help"], "  --out OUT"),
+        (["verify-iso", "--bogus"], "twistlab verify-iso: error: the following arguments are required: --input"),
+        (["mass-gap", "--samples", "3", "--input", "x"], "twistlab: error: unrecognized arguments: --samples 3"),
+        (["det2-check", "--dim", "x"], "twistlab det2-check: error: argument --dim: invalid int value: 'x'"),
+    ],
+    ids=["no-command", "help", "unknown-command", "command-help", "unknown-flag", "unread-flag", "bad-int"],
+)
+def test_one_command_parser_prints_what_the_full_one_does(argv, last_line, monkeypatch, capsys):
+    from twistlab import cli
+
+    def run():
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, *capsys.readouterr()
+
+    shipped = run()
+    code, out, err = shipped
+    assert (err or out).splitlines()[-1].startswith(last_line)
+    full = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda *names: full())
+    assert shipped == run()
+
+
+def test_a_named_command_builds_one_sub_parser(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_STATE)
+    assert main(["mass-gap", "--input", str(path)]) == 0
+    assert built == ["mass-gap"]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert built[1:] == list(COMMANDS)
 
 
 def test_readme_command_lines_parse():

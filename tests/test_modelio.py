@@ -183,6 +183,32 @@ def test_non_finite_numbers_are_rejected_at_their_line(load, text, line, tmp_pat
     assert err.line == line
 
 
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (
+            load_chain_spec,
+            GOOD_CHAIN.replace("  - [0.0, 0.0, 1.0]\n", "  - - 0.0\n    - abc\n    - 1.0\n"),
+            "line 6: pi row 1 entry must be a float, got 'abc'",
+        ),
+        (
+            load_chain_spec,
+            GOOD_CHAIN.replace("  - [0.0, 0.0, 1.0]\n", "  - - 0.0\n    - [0.5, 0.5]\n    - 1.0\n"),
+            "line 6: pi row 1 entry must be a scalar",
+        ),
+        (
+            load_circle_model,
+            "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - - 2\n    - 0.1x\n    - 0.0\n",
+            "line 5: b_hat entry entry must be a float, got '0.1x'",
+        ),
+    ],
+    ids=["pi-text", "pi-nested-list", "b_hat-text"],
+)
+def test_bad_list_entry_is_reported_at_its_own_line(load, text, message, tmp_path, monkeypatch):
+    err = load_error(monkeypatch, load, write(tmp_path, text))
+    assert str(err) == message
+
+
 def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypatch):
     spec = random_chain(64, np.random.default_rng(7))
 
