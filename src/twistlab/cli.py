@@ -112,7 +112,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a named command needs only its own sub-parser; help, a missing command
     # and an unknown one need them all
-    args = _parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
+    args = _parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS).parse_args(argv)
     low = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if isinstance(v, int) and v < 1]
     if low:
         print(f"error: {', '.join(low)} must be at least 1", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import ctypes
 import os
 import re
@@ -525,7 +526,7 @@ def test_one_command_parser_prints_what_the_full_one_does(argv, last_line, monke
         return exc.value.code, *capsys.readouterr()
 
     shipped = run()
-    code, out, err = shipped
+    _, out, err = shipped
     assert (err or out).splitlines()[-1].startswith(last_line)
     full = cli._parser
     monkeypatch.setattr(cli, "_parser", lambda *names: full())
@@ -533,8 +534,6 @@ def test_one_command_parser_prints_what_the_full_one_does(argv, last_line, monke
 
 
 def test_a_named_command_builds_one_sub_parser(tmp_path, monkeypatch, capsys):
-    import argparse
-
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
