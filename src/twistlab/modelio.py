@@ -5,6 +5,10 @@ tree so that dimension and type errors, and inf or nan in a float field,
 point at the offending line; a file that cannot be read, is not UTF-8 or
 holds a control character is a `SpecFileError` too.
 
+A chain file in the README's flat layout is read line by line instead
+(`_flat_chain`), to the same floats; any other text, and every error,
+takes the node walk.
+
 A list of floats (a ``pi`` row, ``q``, ``mu``, a ``b_hat`` triple) is cast
 whole, one ``float`` per entry and one finiteness test on the sum.  Only a
 list that fails this (a non-scalar entry, text that is no float, inf or
@@ -85,16 +89,19 @@ def _collector_paused(load):
     return paused
 
 
-def _compose(path) -> yaml.Node:
+def _read(path) -> str:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise SpecFileError(f"not UTF-8 text: byte {data[exc.start]:#04x}", line) from exc
+
+
+def _compose(text) -> yaml.Node:
     try:
         node = yaml.compose(text, Loader=LOADER)
     except yaml.MarkedYAMLError as exc:
@@ -163,24 +170,84 @@ def _float_list(node, what, length=None) -> list[float]:
     return [_scalar(item, float, label) for item in items]
 
 
+# the characters of the flat layout: no tab, quote, comment, flow mapping or non-ASCII digit
+_FLAT_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz.,+-[] :\n"
+
+
+def _flat_floats(value: str) -> list[float]:
+    value = value.strip(" ")
+    if value[:1] != "[" or value[-1:] != "]":
+        raise ValueError(value)
+    return [float(entry) for entry in value[1:-1].split(",")]
+
+
+def _flat_chain(text: str):
+    """(q, pi, mu) of a chain text in the README's flat layout, else None.
+
+    Flat: only `_FLAT_BYTES`; column-0 lines ``states: <digits>``, ``q: [...]``
+    and ``mu: [...]`` and a bare ``pi:`` followed by ``  - [...]`` rows, each
+    key once.  Entries are cast with ``float`` as the node walk casts a
+    scalar's text; a text that is not flat, an entry ``float`` refuses, a
+    wrong shape or a non-finite sum gives None, and the walk reports it.
+    """
+    if not text.isascii() or text.encode().translate(None, _FLAT_BYTES):
+        return None
+    fields, key = {}, None
+    try:
+        for line in text.splitlines():
+            if line[:4] == "  - " and key == "pi":
+                fields["pi"].append(_flat_floats(line[4:]))
+                continue
+            key, colon, value = line.partition(":")
+            if not colon or key in fields:
+                return None
+            if key == "pi" and not value:
+                fields["pi"] = []
+            elif key == "states" and value[:1] == " " and value.strip(" ").isdigit():
+                fields["states"] = int(value)
+            elif key in ("q", "mu") and value[:1] == " ":
+                fields[key] = _flat_floats(value)
+            else:
+                return None
+        n, q, pi, mu = fields["states"], fields["q"], fields["pi"], fields["mu"]
+    except (KeyError, ValueError):  # a missing key, or an entry float refuses
+        return None
+    if any(len(values) != n for values in (q, mu, pi, *pi)):
+        return None
+    if not math.isfinite(sum(q) + sum(mu) + sum(map(sum, pi))):  # an inf or nan entry, or overflow
+        return None
+    return q, pi, mu
+
+
 @_collector_paused
 def load_chain_spec(path) -> ChainSpec:
-    """Parse a chain file: fields states, q, pi (row-major), mu."""
-    root = _compose(path)
-    fields = _mapping(root, ("states", "q", "pi", "mu"), "chain spec")
-    n = _scalar(fields["states"], int, "states")
-    if n < 1:
-        raise SpecFileError("states must be at least 1", _line(fields["states"]))
-    q = _float_list(fields["q"], "q", n)
-    rows = _sequence(fields["pi"], "pi")
-    if len(rows) != n:
-        raise SpecFileError(f"pi must have {n} rows, got {len(rows)}", _line(fields["pi"]))
-    pi = [_float_list(row, f"pi row {i}", n) for i, row in enumerate(rows)]
-    mu = _float_list(fields["mu"], "mu", n)
+    """Parse a chain file: fields states, q, pi (row-major), mu.
+
+    A flat text (`_flat_chain`) is read without YAML nodes; any other, and
+    every error, is composed and walked.  A `ChainError` is reported at the
+    line where the document's mapping starts, 1 for a flat text.
+    """
+    text = _read(path)
+    flat = _flat_chain(text)
+    if flat is not None:
+        (q, pi, mu), line = flat, 1
+    else:
+        root = _compose(text)
+        fields = _mapping(root, ("states", "q", "pi", "mu"), "chain spec")
+        n = _scalar(fields["states"], int, "states")
+        if n < 1:
+            raise SpecFileError("states must be at least 1", _line(fields["states"]))
+        q = _float_list(fields["q"], "q", n)
+        rows = _sequence(fields["pi"], "pi")
+        if len(rows) != n:
+            raise SpecFileError(f"pi must have {n} rows, got {len(rows)}", _line(fields["pi"]))
+        pi = [_float_list(row, f"pi row {i}", n) for i, row in enumerate(rows)]
+        mu = _float_list(fields["mu"], "mu", n)
+        line = _line(root)
     try:
         return ChainSpec(q=np.array(q), pi=np.array(pi), mu=np.array(mu))
     except ChainError as exc:
-        raise SpecFileError(str(exc), _line(root)) from exc
+        raise SpecFileError(str(exc), line) from exc
 
 
 @_collector_paused
@@ -190,14 +257,14 @@ def load_circle_model(path) -> CircleDriftModel:
     A frequency -k left out is implied by conjugation (`circle_model`); a
     pair that is given and not conjugate is an error at the b_hat list.
     """
-    root = _compose(path)
+    root = _compose(_read(path))
     fields = _mapping(root, ("epsilon", "b_hat"), "circle model")
     eps = _scalar(fields["epsilon"], float, "epsilon")
     if eps <= 0:
         raise SpecFileError("epsilon must be positive", _line(fields["epsilon"]))
     table: dict[int, complex] = {}
     for entry in _sequence(fields["b_hat"], "b_hat"):
-        triple = _float_list(entry, "b_hat entry", 3)
+        triple = _float_list(entry, "b_hat triple", 3)
         k = int(triple[0])
         if triple[0] != k:
             raise SpecFileError("frequency must be an integer", _line(entry))
@@ -215,7 +282,7 @@ def load_circle_model(path) -> CircleDriftModel:
 @_collector_paused
 def load_levy_model(path) -> LevyModel:
     """Parse a symbol model: fields a and b, matching positive/odd halves."""
-    root = _compose(path)
+    root = _compose(_read(path))
     fields = _mapping(root, ("a", "b"), "levy model")
     a = _float_list(fields["a"], "a")
     b = _float_list(fields["b"], "b", len(a))

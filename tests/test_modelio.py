@@ -27,6 +27,18 @@ mu: [1.0, 0.0, 0.0]
 """
 
 
+# the chain example of the README
+README_CHAIN = """\
+states: 3
+q: [1.0, 1.0, 1.0]
+pi:
+  - [0.0, 0.6, 0.1]
+  - [0.2, 0.0, 0.5]
+  - [0.1, 0.3, 0.0]
+mu: [0.5, 0.3, 0.2]
+"""
+
+
 def write(tmp_path, text, name="model.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -42,6 +54,13 @@ def chain_yaml(spec) -> str:
     lines = [f"states: {spec.n}", f"q: {floats(spec.q)}", "pi:"]
     lines += [f"  - {floats(row)}" for row in spec.pi]
     return "\n".join(lines + [f"mu: {floats(spec.mu)}"]) + "\n"
+
+
+def line_reader(monkeypatch, on):
+    """Undo the test's patches, then leave the flat-layout line reader on or force the node walk."""
+    monkeypatch.undo()
+    if not on:
+        monkeypatch.setattr(modelio, "_flat_chain", lambda text: None)
 
 
 def load_error(monkeypatch, load, path, match=None) -> SpecFileError:
@@ -199,7 +218,7 @@ def test_non_finite_numbers_are_rejected_at_their_line(load, text, line, tmp_pat
         (
             load_circle_model,
             "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - - 2\n    - 0.1x\n    - 0.0\n",
-            "line 5: b_hat entry entry must be a float, got '0.1x'",
+            "line 5: b_hat triple entry must be a float, got '0.1x'",
         ),
     ],
     ids=["pi-text", "pi-nested-list", "b_hat-text"],
@@ -227,16 +246,20 @@ def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypa
     ]
     for i, (text, load, arrays) in enumerate(cases):
         path = write(tmp_path, text, f"case{i}.yaml")
-        shipped = arrays(load(path))
+        line_reader(monkeypatch, False)
         monkeypatch.setattr(modelio, "LOADER", yaml.SafeLoader)
         resolved = arrays(load(path))
-        monkeypatch.undo()
-        assert all(np.array_equal(a, b) for a, b in zip(shipped, resolved, strict=True)), text
+        for on in (True, False):
+            line_reader(monkeypatch, on)
+            shipped = arrays(load(path))
+            assert all(np.array_equal(a, b) for a, b in zip(shipped, resolved, strict=True)), (on, text)
     # repr floats read back exactly
-    assert np.array_equal(load_chain_spec(tmp_path / "case1.yaml").pi, spec.pi)
+    for on in (True, False):
+        line_reader(monkeypatch, on)
+        assert np.array_equal(load_chain_spec(tmp_path / "case1.yaml").pi, spec.pi)
 
 
-def test_load_runs_no_collector_pass(tmp_path):
+def test_load_runs_no_collector_pass(tmp_path, monkeypatch):
     path = write(tmp_path, chain_yaml(random_chain(128, np.random.default_rng(3))))
     starts = []
 
@@ -245,22 +268,26 @@ def test_load_runs_no_collector_pass(tmp_path):
             starts.append(info["generation"])
 
     assert gc.isenabled()
-    gc.callbacks.append(count)
-    try:
-        spec = load_chain_spec(path)
-    finally:
-        gc.callbacks.remove(count)
-    assert spec.n == 128
-    assert starts == []
+    for on in (True, False):
+        line_reader(monkeypatch, on)
+        gc.callbacks.append(count)
+        try:
+            spec = load_chain_spec(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert spec.n == 128
+        assert starts == [], on
 
 
 def test_load_never_resolves_a_tag(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a tag was resolved")
 
-    monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", refuse)
     path = write(tmp_path, chain_yaml(random_chain(128, np.random.default_rng(3))))
-    assert load_chain_spec(path).n == 128
+    for on in (True, False):
+        line_reader(monkeypatch, on)
+        monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", refuse)
+        assert load_chain_spec(path).n == 128
 
 
 def test_load_restores_the_callers_collector_setting(tmp_path):
@@ -276,3 +303,68 @@ def test_load_restores_the_callers_collector_setting(tmp_path):
             assert gc.isenabled() is enabled
         finally:
             gc.enable()
+
+
+def test_flat_chain_file_is_not_composed(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a flat chain file was composed")
+
+    spec = random_chain(64, np.random.default_rng(11))
+    path = write(tmp_path, chain_yaml(spec))
+    monkeypatch.setattr(yaml, "compose", refuse)
+    loaded = load_chain_spec(path)
+    assert all(np.array_equal(a, b) for a, b in zip((loaded.q, loaded.pi, loaded.mu), (spec.q, spec.pi, spec.mu)))
+    with pytest.raises(AssertionError, match="composed"):
+        load_chain_spec(write(tmp_path, GOOD_CHAIN.replace("states: 3", "states: 3  # a comment")))
+
+
+# what a random edit inserts: the flat layout's characters, and text that leaves the layout
+# or that float() reads as non-finite
+EDITS = [*"0123456789abcdefghijklmnopqrstuvwxyz.,+-[] :\n", "#", "\t", "\r", "\x0b", "\x0c", "'", '"', "{", "}"]
+EDITS += ["---", "\u0663", "nan", "inf", "1e999"]
+
+
+def edited(text, rng) -> str:
+    """`text` after 0 to 3 random edits: a one-place insert, delete or replace, or a moved line."""
+    for _ in range(rng.integers(4)):
+        kind = rng.integers(4)
+        if kind == 3:
+            lines = text.splitlines(keepends=True)
+            line = lines.pop(rng.integers(len(lines)))
+            lines.insert(rng.integers(len(lines) + 1), line)
+            text = "".join(lines)
+            continue
+        at = int(rng.integers(len(text) + 1))
+        token = EDITS[rng.integers(len(EDITS))] if kind != 1 else ""
+        text = text[:at] + token + text[at + (kind != 0) :]
+    return text
+
+
+def test_line_reader_agrees_with_the_node_walk(tmp_path, monkeypatch):
+    """Flat files and edits of them give the same arrays, or the same error, either way."""
+    rng = np.random.default_rng(2027)
+    reader = modelio._flat_chain
+    taken = []
+
+    def counted(text):
+        flat = reader(text)
+        taken.append(flat is not None)
+        return flat
+
+    def outcome(path):
+        try:
+            spec = load_chain_spec(path)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return spec.q.tobytes(), spec.pi.tobytes(), spec.mu.tobytes()
+
+    path = tmp_path / "chain.yaml"
+    for i in range(2100):
+        n = i % 5
+        base = chain_yaml(random_chain(n, rng)) if n else README_CHAIN
+        path.write_bytes(edited(base, rng).encode())
+        monkeypatch.setattr(modelio, "_flat_chain", counted)
+        on = outcome(path)
+        monkeypatch.setattr(modelio, "_flat_chain", lambda text: None)
+        assert on == outcome(path), path.read_bytes()
+    assert sum(taken) >= 600, sum(taken)  # 789 of the 2,100 texts at this seed
