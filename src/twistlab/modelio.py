@@ -8,18 +8,10 @@ holds a control character is a `SpecFileError` too.
 A chain file in the README's flat layout is read line by line instead
 (`_flat_chain`), to the same floats; any other text, and every error,
 takes the node walk.
-
-A list of floats (a ``pi`` row, ``q``, ``mu``, a ``b_hat`` triple) is cast
-whole, one ``float`` per entry and one finiteness test on the sum.  Only a
-list that fails this (a non-scalar entry, text that is no float, inf or
-nan, or finite entries whose sum overflows) is walked again entry by entry,
-which finds the bad entry and reports its line, or returns the same floats.
 """
 
 from __future__ import annotations
 
-import functools
-import gc
 import math
 from pathlib import Path
 
@@ -32,27 +24,9 @@ from .hilbert import CircleDriftModel, LevyModel, circle_model
 __all__ = ["SpecFileError", "load_chain_spec", "load_circle_model", "load_levy_model"]
 
 
-class _NoTags:
-    """Resolver hooks that do nothing, for a loader that only composes.
-
-    The loaders read each scalar's text and never a tag, so the YAML 1.1
-    implicit-tag regexes that a resolver runs on every scalar, and its
-    per-node path hooks, decide nothing here; every node gets tag None.
-    """
-
-    def descend_resolver(self, current_node, current_index):
-        pass
-
-    def ascend_resolver(self):
-        pass
-
-    def resolve(self, kind, value, implicit):
-        return None
-
-
 # libyaml's parser when pyyaml was built with it (the same nodes and marks as
-# the pure-Python one, about ten times faster), either without tag resolution
-LOADER = type("Loader", (_NoTags, yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader), {})
+# the pure-Python one, about ten times faster)
+LOADER = yaml.CBaseLoader if yaml.__with_libyaml__ else yaml.BaseLoader
 
 
 class SpecFileError(ValueError):
@@ -65,28 +39,6 @@ class SpecFileError(ValueError):
 
 def _line(node) -> int:
     return node.start_mark.line + 1
-
-
-def _collector_paused(load):
-    """Run a load without cyclic-GC passes; restore the caller's setting.
-
-    A composed tree holds no reference cycles (only a recursive alias makes
-    one, and the collector frees it once it runs again), so the dozens of
-    collections that its tens of thousands of nodes and marks would trigger
-    free nothing.  Nothing allocates after the re-enable, so a pass falls due in the caller.
-    """
-
-    @functools.wraps(load)
-    def paused(path):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return load(path)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 def _read(path) -> str:
@@ -113,6 +65,8 @@ def _compose(text) -> yaml.Node:
         at = text.find(chr(exc.character))
         line = text.count("\n", 0, at) + 1 if at >= 0 else None
         raise SpecFileError(f"unacceptable character #x{exc.character:04x}", line) from exc
+    except RecursionError as exc:  # pyyaml's pure-Python composer recurses once per level
+        raise SpecFileError("invalid document: nested too deeply") from exc
     if node is None:
         raise SpecFileError("empty document", 1)
     return node
@@ -160,14 +114,7 @@ def _float_list(node, what, length=None) -> list[float]:
     items = _sequence(node, what)
     if length is not None and len(items) != length:
         raise SpecFileError(f"{what} must have {length} entries, got {len(items)}", _line(node))
-    try:
-        values = [float(item.value) for item in items]
-        if math.isfinite(sum(values)):  # a nan or inf entry makes the sum non-finite
-            return values
-    except (TypeError, ValueError):  # a non-scalar entry, or text that is no float
-        pass
-    label = f"{what} entry"
-    return [_scalar(item, float, label) for item in items]
+    return [_scalar(item, float, f"{what} entry") for item in items]
 
 
 # the characters of the flat layout: no tab, quote, comment, flow mapping or non-ASCII digit
@@ -219,7 +166,6 @@ def _flat_chain(text: str):
     return q, pi, mu
 
 
-@_collector_paused
 def load_chain_spec(path) -> ChainSpec:
     """Parse a chain file: fields states, q, pi (row-major), mu.
 
@@ -250,7 +196,6 @@ def load_chain_spec(path) -> ChainSpec:
         raise SpecFileError(str(exc), line) from exc
 
 
-@_collector_paused
 def load_circle_model(path) -> CircleDriftModel:
     """Parse a drift model: fields epsilon and b_hat (list of [k, re, im]).
 
@@ -279,7 +224,6 @@ def load_circle_model(path) -> CircleDriftModel:
         raise SpecFileError(str(exc), _line(fields["b_hat"])) from exc
 
 
-@_collector_paused
 def load_levy_model(path) -> LevyModel:
     """Parse a symbol model: fields a and b, matching positive/odd halves."""
     root = _compose(_read(path))

@@ -107,9 +107,6 @@ def build_twisted(dp: DualPair) -> TwistedModel:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("base covariance is not positive definite") from exc
     skew_form = dp.m[:, None] * dp.skew
-    asym = float(np.abs(skew_form + skew_form.T).max())
-    if asym > 1e-10 * max(1.0, float(np.abs(skew_form).max())):
-        raise NumericalError(f"skew form asymmetry {asym:.3e}")
     for a in (skew_form, half_factor):
         a.setflags(write=False)
     return TwistedModel(dp=dp, skew_form=skew_form, half_factor=half_factor)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from twistlab.cli import COMMANDS, _parser, main
 from twistlab.reporting import VerificationReport, count_failures
@@ -387,6 +388,18 @@ def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
     assert main(["mass-gap", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_deeply_nested_input_exits_two_under_either_loader(tmp_path, monkeypatch, capsys):
+    from twistlab import modelio
+
+    path = tmp_path / "chain.yaml"
+    path.write_text("states: 1\nq: " + "[" * 600 + "1.0" + "]" * 600 + "\npi: [[0.0]]\nmu: [1.0]\n")
+    for loader, message in ((modelio.LOADER, "line 2: q entry must be a scalar"), (yaml.BaseLoader, "nested too deeply")):
+        monkeypatch.setattr(modelio, "LOADER", loader)
+        assert main(["mass-gap", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1, err
 
 
 def test_unwritable_report_path_exits_two(tmp_path, capsys):

