@@ -57,35 +57,50 @@ class BumpField:
         self.center = np.asarray(center, dtype=float)
 
     def __call__(self, field):
-        d = (np.asarray(field) - self.center) / 0.75
-        return np.exp(-np.sum(d * d, axis=-1))
+        d = np.asarray(field) - self.center
+        d /= 0.75
+        d *= d
+        return np.exp(-np.sum(d, axis=-1))
+
+
+# the largest exponent a MonomialField takes; its loops run that many times
+MAX_EXPONENT = 64
+
+
+def _power(x, k: int):
+    """x^k for an integer k >= 0 by left-to-right multiplication: x^0 is ones, x^1 a copy.
+
+    numpy's float power takes a CPU-dependent SIMD pow for every exponent but a constant 2.
+    """
+    out = np.ones_like(x) if k == 0 else x.copy()
+    for _ in range(k - 1):
+        out *= x
+    return out
 
 
 class MonomialField:
-    """prod_u field_u^{k_u} with integer k_u >= 0; nonnegative on nonnegative fields.
+    """prod_u field_u^{k_u}, integer 0 <= k_u <= ``MAX_EXPONENT``; nonnegative on nonnegative fields.
 
-    Only the columns with k_u > 0 are raised and multiplied; on C-ordered
-    fields this is ``np.prod(field ** k, axis=-1)`` bit for bit, since
-    ``v ** 0.0`` is 1 for every float v, NaN and inf included, and the
-    product runs left to right.  numpy squares by multiplication, not by its
-    pow routine, where the exponent is constant along its inner loop, and
-    the two can differ in the last bit, so a lone kept column is raised
-    beside a unit one.
+    Only the columns with k_u > 0 are raised, by `_power`, and multiplied
+    left to right, so a zero-exponent column is never read.
     """
 
     def __init__(self, exponents):
         self.exponents = np.asarray(exponents, dtype=float)
         k = self.exponents
-        if not np.all(np.isfinite(k) & (k >= 0) & (k == np.floor(k))):
-            raise ValueError("exponents must be nonnegative integers")
+        if not np.all((k >= 0) & (k <= MAX_EXPONENT) & (k == np.floor(k))):  # false for NaN
+            raise ValueError(f"exponents must be integers from 0 to {MAX_EXPONENT}")
 
     @staticmethod
     def _product(f, exponents):
-        """prod_u f_u^{e_u} over the columns of ``f`` with e_u > 0."""
+        """prod_u f_u^{e_u} over the columns of ``f`` with e_u > 0, left to right."""
         cols = np.flatnonzero(exponents)
-        if cols.size == 1 and f.shape[-1] > 1:
-            cols = np.append(cols, np.argmin(exponents))
-        return np.prod(np.take(f, cols, axis=-1) ** exponents[cols], axis=-1)
+        if cols.size == 0:
+            return np.ones(f.shape[:-1])
+        out = _power(f[..., cols[0]], int(exponents[cols[0]]))
+        for u in cols[1:]:
+            out *= _power(f[..., u], int(exponents[u]))
+        return out
 
     def __call__(self, field):
         return self._product(np.asarray(field, dtype=float), self.exponents)
@@ -102,5 +117,5 @@ class MonomialField:
         rest[y] = 0.0
         a, d = f[..., y], tau / m_y
         b = a + d
-        spread = sum(a**j * b ** (k - j) for j in range(k + 1))
+        spread = sum(_power(a, j) * _power(b, k - j) for j in range(k + 1))
         return self._product(f, rest) * d * spread / (k + 1)

@@ -110,9 +110,11 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     rng = rng_stream(seed, "gaussian-identities")
     phi1 = rng.standard_normal((count, d))
     phi2 = rng.standard_normal((count, d))
-    pairing = np.einsum("ij,ij->i", phi2, phi1 @ bm.T)
-    quad1 = np.einsum("ij,ij->i", phi1, phi1 @ cm.T)
-    quad2 = np.einsum("ij,ij->i", phi2, phi2 @ cm.T)
+    buf = np.empty((count, d))  # one scratch array for the three products
+    pairing = np.einsum("ij,ij->i", phi2, np.matmul(phi1, bm.T, out=buf))
+    quad1 = np.einsum("ij,ij->i", phi1, np.matmul(phi1, cm.T, out=buf))
+    quad2 = np.einsum("ij,ij->i", phi2, np.matmul(phi2, cm.T, out=buf))
+    del buf
     tr_c = float(np.trace(cm))
     eye = np.eye(d)
     # -(1/2) <(C - B) psi, psī> expands to -(1/2)(<C phi1, phi1> + <C phi2, phi2>)

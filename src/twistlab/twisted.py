@@ -18,6 +18,7 @@ from those minors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
@@ -271,7 +272,10 @@ def _cm_phi(dp: DualPair, grid: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     member, minors = _principal_minors(dp, np.arange(dp.n))
     sets = np.arange(1 << dp.n)
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
-    gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (grid, shifts))
+    gmon, dmon = (
+        functools.reduce(np.multiply, (np.where(member[:, j], p[:, j, None], 1.0) for j in range(dp.n)))
+        for p in (grid, shifts)
+    )
     phi = minors[0] / (gmon @ W @ dmon.T)
     if np.any(phi <= 0):
         raise NumericalError("Phi lost positivity on the difference grid")
@@ -287,7 +291,8 @@ def _cm_differences(n: int):
     counts = np.indices((5,) * n).reshape(n, -1).T
     counts = counts[counts.sum(axis=1) <= 4]
     binom = np.array([[comb(a, b) for b in range(5)] for a in range(5)], dtype=float)
-    return counts, (-1.0) ** counts.sum(axis=1) * binom[counts[1:, None], counts].prod(axis=2)
+    terms = functools.reduce(np.multiply, (binom[counts[1:, i, None], counts[:, i]] for i in range(n)))
+    return counts, (-1.0) ** counts.sum(axis=1) * terms
 
 
 def complete_monotonicity_check(dp: DualPair) -> CMReport:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -32,3 +33,17 @@ def test_readme_library_sketch_runs():
     section = re.search(r"## Library sketch(.*?)\n## ", readme, re.S).group(1)
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md (Library sketch)", "exec"), {})
+
+
+@pytest.mark.parametrize("name", ["functionals", "harness"])
+def test_no_power_operator_but_a_literal_square(name):
+    # numpy's float power takes a CPU-dependent SIMD pow for every exponent but
+    # a constant 2, so these modules raise samples by `functionals._power`
+    source = Path(importlib.import_module(f"twistlab.{name}").__file__).read_text(encoding="utf-8")
+    powers = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+    ]
+    exponents = [node.right if isinstance(node, ast.BinOp) else node.value for node in powers]
+    assert [ast.unparse(e) for e in exponents if not (isinstance(e, ast.Constant) and e.value == 2)] == []

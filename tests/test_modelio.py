@@ -1,5 +1,3 @@
-import gc
-
 import numpy as np
 import pytest
 import yaml
@@ -257,21 +255,6 @@ def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypa
     for on in (True, False):
         line_reader(monkeypatch, on)
         assert np.array_equal(load_chain_spec(tmp_path / "case1.yaml").pi, spec.pi)
-
-
-def test_load_restores_the_callers_collector_setting(tmp_path):
-    good = write(tmp_path, GOOD_CHAIN)
-    broken = write(tmp_path, "states: 3\nq: [1.0, 1.0\n", "broken.yaml")
-    for enabled in (True, False):
-        gc.enable() if enabled else gc.disable()
-        try:
-            load_chain_spec(good)
-            assert gc.isenabled() is enabled
-            with pytest.raises(SpecFileError):
-                load_chain_spec(broken)
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable()
 
 
 @pytest.mark.parametrize("n", [1, 6, 8, 64, 128])  # the chain sizes the benchmark workloads write

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -236,20 +238,32 @@ def test_exp_sojourn_integral_does_not_cancel_for_short_stays():
 def test_monomial_field_takes_only_nonnegative_integer_exponents():
     assert MonomialField([2, 0, 1])(np.array([3.0, 0.0, 2.0])) == 18.0
     assert MonomialField([0.0, 0.0])(np.zeros(2)) == 1.0
-    for bad in ([-1, 0], [0.5, 1], [np.nan, 0], [np.inf, 0]):
+    for bad in ([-1, 0], [0.5, 1], [np.nan, 0], [np.inf, 0], [65, 0]):
         with pytest.raises(ValueError):
             MonomialField(bad)
+
+
+def power_by_multiplication(x, k):
+    """x^k as k left-to-right multiplications of x, starting from ones."""
+    return functools.reduce(np.multiply, [x] * int(k), np.ones_like(x))
+
+
+def full_product(exponents, field):
+    """The referee of `MonomialField.__call__`: every column raised and multiplied."""
+    f = np.asarray(field, dtype=float)
+    cols = [power_by_multiplication(f[..., u], k) for u, k in enumerate(exponents)]
+    return np.prod(np.stack(cols, axis=-1), axis=-1)
 
 
 def full_product_sojourn(exponents, field, y, tau, m_y):
     """The referee of `MonomialField.sojourn_integral`: every column raised and multiplied."""
     f = np.asarray(field, dtype=float)
-    rest = np.asarray(exponents, dtype=float).copy()
+    rest = np.asarray(exponents).copy()
     k = int(rest[y])
-    rest[y] = 0.0
+    rest[y] = 0
     a, d = f[..., y], tau / m_y
-    spread = sum(a**j * (a + d) ** (k - j) for j in range(k + 1))
-    return np.prod(f**rest, axis=-1) * d * spread / (k + 1)
+    spread = sum(power_by_multiplication(a, j) * power_by_multiplication(a + d, k - j) for j in range(k + 1))
+    return full_product(rest, f) * d * spread / (k + 1)
 
 
 def same_bits(a, b):
@@ -259,9 +273,9 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("n", [3, 5, 8, 128])
 def test_monomial_field_skips_unit_factors_bit_for_bit(n):
-    # against the product over every column: zero-exponent columns hold 0, inf,
-    # NaN and subnormals; the exponents run from all zero through a lone 1 or 2
-    # (numpy squares a lone column by a routine of its own) to three or more
+    # against the product over every column, each raised by repeated
+    # multiplication: zero-exponent columns hold 0, inf, NaN and subnormals; the
+    # exponents run from all zero through a lone 1 or 2 to three or more
     # nonzero; and fields come one at a time and in batches of shape (..., n)
     rng = rng_stream(n, "monomial-referee")
     specials = np.array([0.0, np.inf, np.nan, 5e-324, 2.2e-308, 1.0])
@@ -276,11 +290,27 @@ def test_monomial_field_skips_unit_factors_bit_for_bit(n):
         for shape in ((n,), (7, n), (3, 4, n), (1000, n)):
             field = rng.uniform(0.0, 2.0, shape)
             field[..., k == 0] = rng.choice(specials, size=field[..., k == 0].shape)
-            assert same_bits(f(field), np.prod(field ** k.astype(float), axis=-1))
+            assert same_bits(f(field), full_product(k, field))
             tau = rng.exponential(1.0, shape[:-1])
             for y in {0, n - 1, *np.flatnonzero(k)[:4].tolist()}:
                 want = full_product_sojourn(k, field, y, tau, 0.7)
                 assert same_bits(f.sojourn_integral(field, y, tau, 0.7), want), (k, shape, y)
+
+
+def test_monomial_field_bits_do_not_depend_on_memory_layout():
+    # numpy's float power takes a SIMD pow routine or multiplies depending on
+    # the layout of its operands; powers by multiplication give one answer
+    rng = rng_stream(6, "monomial-referee")
+    field = rng.uniform(0.0, 2.0, (2000, 5))
+    layouts = [field, np.asfortranarray(field), np.ascontiguousarray(field.T).T, field[::-1][::-1]]
+    tau = rng.exponential(1.0, 2000)
+    for k in ([2, 0, 3, 1, 0], [0, 2, 0, 0, 0], [4, 4, 1, 2, 3]):
+        f = MonomialField(k)
+        want = f(field)
+        assert all(same_bits(f(g), want) for g in layouts[1:]), k
+        for y in range(5):
+            want = f.sojourn_integral(field, y, tau, 0.7)
+            assert all(same_bits(f.sojourn_integral(g, y, tau, 0.7), want) for g in layouts[1:]), (k, y)
 
 
 def test_bridge_unreachable_target_is_exact_zero():

@@ -16,6 +16,7 @@ from twistlab.twisted import (
     SAMPLE_BLOCK,
     _cm_differences,
     _cm_phi,
+    _principal_minors,
     build_twisted,
     cm_grid,
     complete_monotonicity_check,
@@ -371,6 +372,31 @@ def test_difference_matrix_takes_exact_differences_of_an_exponential():
         assert counts.shape == (math.comb(n + 4, 4), n) and not counts[0].any()
         assert sorted(map(tuple, counts)) == sorted(c for c in itertools.product(range(5), repeat=n) if sum(c) <= 4)
         np.testing.assert_allclose(diff @ np.exp(-counts @ a), np.prod((1.0 - np.exp(-a)) ** counts[1:], axis=1), rtol=1e-12)
+
+
+def stacked_cm_phi(dp, grid, shifts):
+    """The referee of `_cm_phi`: each monomial one product over a stacked state axis."""
+    member, minors = _principal_minors(dp, np.arange(dp.n))
+    sets = np.arange(1 << dp.n)
+    W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
+    gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (grid, shifts))
+    return minors[0] / (gmon @ W @ dmon.T)
+
+
+def test_sweep_column_products_equal_the_stacked_products_bit_for_bit():
+    # numpy multiplies along a stacked axis left to right, as the column
+    # products do, so Phi and the binomial matrix keep their bits
+    rng = rng_stream(36, "twisted-tests")
+    binom = np.array([[math.comb(a, b) for b in range(5)] for a in range(5)], dtype=float)
+    for n in range(1, CM_MAX_STATES + 1):
+        counts, diff = _cm_differences(n)
+        stacked = (-1.0) ** counts.sum(axis=1) * binom[counts[1:, None], counts].prod(axis=2)
+        assert diff.shape == stacked.shape and diff.tobytes() == stacked.tobytes()
+        dp = build_dual(random_chain(n, rng))
+        points = [(cm_grid(n), 1e-2 * counts), (rng.uniform(0.0, 3.0, (50, n)), rng.uniform(0.0, 1.0, (20, n)))]
+        for grid, shifts in points:
+            got, want = _cm_phi(dp, grid, shifts), stacked_cm_phi(dp, grid, shifts)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
 
 
 def test_sweep_takes_at_most_two_to_the_n_determinants(monkeypatch):
