@@ -110,7 +110,7 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     rng = rng_stream(seed, "gaussian-identities")
     phi1 = rng.standard_normal((count, d))
     phi2 = rng.standard_normal((count, d))
-    buf = np.empty((count, d))  # one scratch array for the three products
+    buf = np.empty((count, d))  # reused: each fresh array this size is mapped and page-faulted anew
     pairing = np.einsum("ij,ij->i", phi2, np.matmul(phi1, bm.T, out=buf))
     quad1 = np.einsum("ij,ij->i", phi1, np.matmul(phi1, cm.T, out=buf))
     quad2 = np.einsum("ij,ij->i", phi2, np.matmul(phi2, cm.T, out=buf))

@@ -302,7 +302,7 @@ def test_monomial_field_bits_do_not_depend_on_memory_layout():
     # the layout of its operands; powers by multiplication give one answer
     rng = rng_stream(6, "monomial-referee")
     field = rng.uniform(0.0, 2.0, (2000, 5))
-    layouts = [field, np.asfortranarray(field), np.ascontiguousarray(field.T).T, field[::-1][::-1]]
+    layouts = [field, np.asfortranarray(field), np.ascontiguousarray(field.T).T, np.pad(field, ((0, 0), (0, 3)))[:, :5]]
     tau = rng.exponential(1.0, 2000)
     for k in ([2, 0, 3, 1, 0], [0, 2, 0, 0, 0], [4, 4, 1, 2, 3]):
         f = MonomialField(k)
