@@ -4,8 +4,9 @@ Exit codes: number of failing rows (capped at 125); 2 for input that is
 refused: a parse error (message carries the offending line), a chain the
 chain layer rejects (such as one whose ``mu`` misses a state), any input a
 suite refuses, a flag the command does not read, an integer flag below 1
-and an ``--out`` path that cannot be written; 3 for numerical failures.  No flag moves a row's pass bound: each suite
-fixes its own.
+and an ``--out`` path that cannot be written; 3 for numerical failures and
+for a run whose arrays do not fit in memory (say, a huge ``--k-max`` or
+``--samples``).  No flag moves a row's pass bound: each suite fixes its own.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations (per-row wall times go to the console only).
 Configuration is by explicit flags; environment variables are ignored.
@@ -121,6 +122,9 @@ def main(argv=None) -> int:
         reports = COMMANDS[args.command][1](args)
     except (NumericalError, np.linalg.LinAlgError) as exc:  # first: LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy names the array it could not allocate
+        print(f"numerical failure: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except ValueError as exc:  # SpecFileError, ChainError and every suite's own refusals
         print(f"error: {exc}", file=sys.stderr)

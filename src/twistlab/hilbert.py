@@ -383,10 +383,12 @@ def circle_suite(model: CircleDriftModel, K: int = 128):
     against the untruncated closed form (pi/a) cosh(a(pi - |x - y|))/sinh(pi a),
     a = sqrt(eps), within the tail bound sum_{k > K} 2/k^2 < 2/K.
     """
+    B = circle_B_matrix(model, K)
+    B *= B  # squared in place: numpy's B ** 2 is this same product, in a second matrix
     rows = [
         exact_report(
             "circle_frobenius_vs_frequency_sum",
-            float(np.sum(circle_B_matrix(model, K) ** 2)),
+            float(np.sum(B)),
             _coupling_square_sum(model, K),
             tol=1e-10,
             relative=True,

@@ -606,6 +606,31 @@ def test_linalg_failure_exit_three_though_it_is_a_value_error(tmp_path, monkeypa
     assert "numerical failure: Singular matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (
+            # numpy's message for circle-check --k-max 1000000, raised here without allocating
+            MemoryError("Unable to allocate 29.1 TiB for an array with shape (4000004000001,) and data type float64"),
+            "out of memory: Unable to allocate 29.1 TiB for an array with shape (4000004000001,) and data type float64",
+        ),
+        (MemoryError(), "out of memory: allocation failed"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_three_with_one_line(exc, line, tmp_path, monkeypatch, capsys):
+    from twistlab import cli
+
+    def boom(model, K):
+        raise exc
+
+    monkeypatch.setattr(cli, "circle_suite", boom)
+    path = tmp_path / "circle.yaml"
+    path.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n")
+    assert main(["circle-check", "--input", str(path), "--k-max", "1000000"]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {line}\n"
+
+
 def test_failure_count_capped():
     rows = [
         VerificationReport(

@@ -209,12 +209,22 @@ def log_derivative_row(dp):
 def test_log_derivative_row_fails_on_a_transform_damped_by_s_times_m(chain4, monkeypatch):
     from twistlab import harness
 
-    def on_sm(dp, s):  # det(-L) / det(-L + M_{s m}): the pairing's weight counted twice
-        return float(np.exp(np.linalg.slogdet(-dp.L)[1] - np.linalg.slogdet(-dp.L + np.diag(s * dp.m))[1]))
+    def on_sm(dp, s):  # det(-L) / det(-L + M_{s m}) per row of the stack: the pairing's weight counted twice
+        logdets = [np.linalg.slogdet(-dp.L + np.diag(row * dp.m))[1] for row in s]
+        return np.exp(np.linalg.slogdet(-dp.L)[1] - np.array(logdets))
 
     assert log_derivative_row(chain4).passed
     monkeypatch.setattr(harness, "mgf", on_sm)
     assert not log_derivative_row(chain4).passed
+
+
+def test_mgf_suite_factors_each_determinant_kind_once(chain4, monkeypatch):
+    # det(-L) once and every det(-L + M_s) in one stack: two slogdet calls up to n = 101, not 2n + 2
+    calls = []
+    real = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(np.shape(a)) or real(a))
+    assert all(r.passed for r in mgf_suite(chain4, seed=9))
+    assert calls == [(4, 4), (5, 4, 4)]
 
 
 def test_log_derivative_row_fails_on_a_green_blind_to_chi(chain4, monkeypatch):

@@ -74,14 +74,50 @@ def field_correlation_quadrature_oracle(dp, chi, nodes=24):
     return moments / denom
 
 
+def stacked_mgf(dp, row):
+    """mgf on a stack whose last row is ``row``: the stack path's checks."""
+    return mgf(dp, np.stack([np.zeros_like(row, dtype=float), row]))
+
+
 def test_chi_must_be_a_nonnegative_vector_of_the_chain_length():
     dp = build_dual(nchain(3))
-    for fn in (green, mgf):
+    for fn in (green, mgf, stacked_mgf):
         with pytest.raises(ValueError, match="nonnegative"):
             fn(dp, np.array([0.1, -0.2, 0.3]))
         for bad in (np.ones(2), np.ones((3, 1)), 0.5):
             with pytest.raises(ValueError, match="length 3"):
                 fn(dp, bad)
+    for bad in (np.ones((2, 3, 3)), np.ones((0, 2))):
+        with pytest.raises(ValueError, match="length 3"):
+            mgf(dp, bad)
+
+
+@pytest.mark.parametrize("n", [1, 6, 64])
+def test_stacked_mgf_equals_each_one_point_call_bit_for_bit(n):
+    rng = rng_stream(31, "twisted-tests")
+    dp = build_dual(random_chain(n, rng))
+    # zeros, unit steps and random points, as the suites stack them
+    stack = np.vstack([np.zeros(n), rng.uniform(0.0, 1.0, n) + np.eye(n + 1, n, -1), rng.uniform(0.0, 3.0, (4, n))])
+    phis = mgf(dp, stack)
+    assert phis.shape == (len(stack),) and phis.dtype == float
+    assert [float(v) for v in phis] == [mgf(dp, row) for row in stack]
+    assert isinstance(mgf(dp, stack[1]), float)
+    assert mgf(dp, np.empty((0, n))).shape == (0,)
+
+
+def test_stacked_mgf_factors_a_buffer_full_at_a_time(monkeypatch):
+    rng = rng_stream(32, "twisted-tests")
+    dp = build_dual(random_chain(6, rng))
+    stack = rng.uniform(0.0, 2.0, (7, 6))
+    whole = mgf(dp, stack)
+    calls = []
+    real = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(len(a)) or real(a))
+    monkeypatch.setattr(twisted, "STACK_BYTES", 3 * 6 * 6 * 8 + 7)  # three matrices a buffer
+    assert list(mgf(dp, stack)) == list(whole)
+    assert calls == [6, 3, 3, 1]  # det(-L), then buffers of 3, 3 and 1
+    monkeypatch.setattr(twisted, "STACK_BYTES", 1)  # at least one matrix a buffer
+    assert list(mgf(dp, stack)) == list(whole)
 
 
 def damped_circle_kernel(weights):
@@ -94,11 +130,12 @@ def damped_circle_kernel(weights):
     "damp",
     [
         lambda dp, v: mgf(dp, v),
+        stacked_mgf,
         lambda dp, v: green(dp, v),
         lambda dp, v: ExpField(v, dp.m),
         lambda dp, v: damped_circle_kernel(v[:1]),
     ],
-    ids=["mgf", "green", "exp-field", "eta-kernel"],
+    ids=["mgf", "mgf-stack", "green", "exp-field", "eta-kernel"],
 )
 def test_non_finite_damping_is_rejected(damp, bad):
     # every comparison with NaN is false, so a sign check alone lets NaN through
