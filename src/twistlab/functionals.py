@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .twisted import _chi_vector
+
 __all__ = ["BumpField", "ExpField", "MonomialField", "ProductField"]
 
 
 class ExpField:
-    """exp(-<chi, field>_m), the exponentially damped field functional."""
+    """exp(-<chi, field>_m), the exponentially damped field functional; chi is checked as `mgf` checks it."""
 
     def __init__(self, chi, m):
-        self.chi = np.asarray(chi, dtype=float)
-        self.weights = self.chi * np.asarray(m, dtype=float)
-        if not np.all(np.isfinite(self.chi) & (self.chi >= 0)):  # false for NaN
-            raise ValueError("chi must be finite and nonnegative")
+        m = np.asarray(m, dtype=float)
+        self.chi = _chi_vector(chi, m.size)
+        self.weights = self.chi * m
 
     def __call__(self, field):
         return np.exp(-(np.asarray(field) @ self.weights))

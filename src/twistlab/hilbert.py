@@ -53,11 +53,15 @@ def det2(T) -> float:
     """Renormalised determinant det((I + T) e^{-T}) from the eigenvalues.
 
     Equals det(I + T) e^{-tr T} in finite dimension; an eigenvalue at -1
-    gives 0 (reported, not an error).  For real input the eigenvalues pair
-    into conjugates and the product is returned as a real number; one out
-    of float range raises `NumericalError`.
+    gives 0 (reported, not an error).  T must be real and finite, else
+    `ValueError`; its eigenvalues pair into conjugates and the product is
+    returned as a real number; one out of float range raises
+    `NumericalError`.
     """
-    lam = np.linalg.eigvals(np.asarray(T))
+    t = np.asarray(T)
+    if np.any(np.imag(t)) or not np.isfinite(t).all():  # isfinite is false for NaN
+        raise ValueError("det2 takes a real operator with finite entries")
+    lam = np.linalg.eigvals(t.real)
     scale = max(1.0, float(np.abs(lam).max()))
     if np.any(np.abs(1.0 + lam) < 1e-14 * scale):
         return 0.0

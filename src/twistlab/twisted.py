@@ -49,7 +49,7 @@ __all__ = [
 # the one-shot dgemm, while spans above 512 rows give its bits exactly.
 SAMPLE_BLOCK = 1024
 
-# Bytes of the one buffer in which a stacked `mgf` builds its k matrices, so
+# Bytes of the one buffer in which `mgf` builds its k matrices -L + M_s, so
 # memory does not grow as k n^2 (`mgf_suite` fills one buffer up to n = 101).
 STACK_BYTES = 8 << 20
 
@@ -75,40 +75,31 @@ def green(dp: DualPair, chi=None) -> np.ndarray:
     return res / dp.m[None, :]
 
 
-def _mgf_stack(dp: DualPair, stack: np.ndarray) -> np.ndarray:
-    """`mgf` at every row of a checked (k, n) ``stack``, a buffer-full of -L + M_s per batched
-    `slogdet`: it factors each matrix on its own, so each value has its one-point call's bits."""
-    s0, l0 = np.linalg.slogdet(-dp.L)
-    rows = max(1, STACK_BYTES // (8 * dp.n * dp.n))
-    block = np.empty((min(rows, len(stack)), dp.n, dp.n))
-    base = -dp.L + 0.0  # + 0.0 gives the positive zeros of -L + diag(s), where -L has negative ones
-    diag = np.arange(dp.n)
-    signs, logdets = np.empty(len(stack)), np.empty(len(stack))
-    for lo in range(0, len(stack), rows):
-        part = block[: len(stack) - lo]
-        part[:] = base
-        part[:, diag, diag] += stack[lo : lo + rows]
-        signs[lo : lo + rows], logdets[lo : lo + rows] = np.linalg.slogdet(part)
-    if s0 <= 0 or (signs <= 0).any():
-        raise NumericalError("determinant lost positivity while evaluating Phi")
-    return np.exp(l0 - logdets)
-
-
 def mgf(dp: DualPair, s):
     """Laplace transform Phi(s) = det(-L) / det(-L + M_s) for s >= 0.
 
     ``s`` is one point (None for 0), which gives a float, or a (k, n) stack
-    of points, which gives an array of k values from `_mgf_stack`.  Either
-    way det(-L) is factored once per call.
+    of points, which gives an array of k values.  det(-L) is factored once
+    per call; the matrices -L + M_s are built a buffer-full at a time and
+    factored by one batched `slogdet` each, which factors every matrix on
+    its own, so a value does not depend on the stack it came in.
     """
     v = _chi_vector(s, dp.n, max_ndim=2)
-    if v.ndim == 2:
-        return _mgf_stack(dp, v)
+    stack = v.reshape(-1, dp.n)
     s0, l0 = np.linalg.slogdet(-dp.L)
-    s1, l1 = np.linalg.slogdet(-dp.L + np.diag(v))
-    if s0 <= 0 or s1 <= 0:
+    rows = max(1, STACK_BYTES // (8 * dp.n * dp.n))
+    block = np.empty((min(rows, len(stack)), dp.n, dp.n))
+    base = -dp.L + 0.0  # + 0.0 gives the positive zeros of -L + diag(s), where -L has negative ones
+    signs, logdets = np.empty(len(stack)), np.empty(len(stack))
+    for lo in range(0, len(stack), rows):
+        part = block[: len(stack) - lo]
+        part[:] = base
+        part.reshape(len(part), -1)[:, :: dp.n + 1] += stack[lo : lo + rows]
+        signs[lo : lo + rows], logdets[lo : lo + rows] = np.linalg.slogdet(part)
+    if s0 <= 0 or (signs <= 0).any():
         raise NumericalError("determinant lost positivity while evaluating Phi")
-    return float(np.exp(l0 - l1))
+    phi = np.exp(l0 - logdets)
+    return phi if v.ndim == 2 else float(phi[0])
 
 
 @dataclass(frozen=True)

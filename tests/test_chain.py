@@ -189,6 +189,24 @@ def test_spec_refuses_a_spectral_radius_at_the_bound():
         ChainSpec(q=np.ones(2), pi=NEAR_UNIT_RADIUS, mu=np.array([1.0, 0.0]))
 
 
+# states 0 and 1 form a closed class whose rows sum to 0.999999999999,
+# inside the 1e-12 row-sum slack, so rho(pi) = 1 - 1e-12 to rounding.  Here
+# the radius test alone accepts this pi (LAPACK's rounding puts it below
+# the bound); the reach check is what refuses it.
+CLOSED_CLASS_AT_THE_BOUND = np.array(
+    [
+        [0.08336944850900674, 0.9166305514899933, 0.0],
+        [0.24099910509675213, 0.7590008949022479, 0.0],
+        [0.0, 0.0, 0.33488522059781833],
+    ]
+)
+
+
+def test_spec_reach_check_refuses_a_closed_class_at_the_radius_bound():
+    with pytest.raises(ChainError, match=r"states \[0, 1\] cannot reach any killing state"):
+        ChainSpec(q=np.ones(3), pi=CLOSED_CLASS_AT_THE_BOUND, mu=np.array([1.0, 0.0, 0.0]))
+
+
 def test_spec_radius_test_agrees_with_the_eigenvalues():
     """ChainSpec accepts a jump matrix exactly when eigvals puts its radius below 1 - 1e-12."""
     sums = np.array([1.0, 1 - 1e-13, 1 - 5e-12, 1 - 1e-6, 0.9, 1 + 5e-13])

@@ -81,6 +81,17 @@ def test_det2_eigenvalue_minus_one_gives_zero():
     assert det2(np.diag([-1.0, 0.5])) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.array([[1j]]), np.array([[np.nan]]), np.array([[1.0, np.inf], [0.0, 1.0]])])
+def test_det2_refuses_complex_or_non_finite_input(bad):
+    with pytest.raises(ValueError, match="real operator with finite entries"):
+        det2(bad)
+
+
+def test_det2_takes_complex_dtype_with_zero_imaginary_part():
+    t = np.array([[0.5, 0.2], [-0.1, 0.3]])
+    assert det2(t.astype(complex)) == det2(t)
+
+
 def test_det2_matches_det_times_exp_trace():
     rng = rng_stream(61, "hilbert-tests")
     t = rng.standard_normal((5, 5)) / np.sqrt(5)

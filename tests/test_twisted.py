@@ -81,7 +81,7 @@ def stacked_mgf(dp, row):
 
 def test_chi_must_be_a_nonnegative_vector_of_the_chain_length():
     dp = build_dual(nchain(3))
-    for fn in (green, mgf, stacked_mgf):
+    for fn in (green, mgf, stacked_mgf, lambda dp, v: ExpField(v, dp.m)):
         with pytest.raises(ValueError, match="nonnegative"):
             fn(dp, np.array([0.1, -0.2, 0.3]))
         for bad in (np.ones(2), np.ones((3, 1)), 0.5):
