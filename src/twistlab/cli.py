@@ -7,8 +7,9 @@ suite refuses, a flag the command does not read, an integer flag below 1
 and an ``--out`` path that cannot be written; 3 for numerical failures and
 for a run whose arrays do not fit in memory (say, a huge ``--k-max`` or
 ``--samples``).  No flag moves a row's pass bound: each suite fixes its own.
+An exact or info row whose value is not finite is a numerical failure.
 All randomness derives from ``--seed``; the written CSV is byte-identical
-for identical configurations (per-row wall times go to the console only).
+for identical configurations.
 Configuration is by explicit flags; environment variables are ignored.
 
 Under glibc, `main` fixes malloc's mmap and trim thresholds at

@@ -24,7 +24,6 @@ family-wise false alarms.
 from __future__ import annotations
 
 import math
-import time
 from math import pi, sin
 
 import numpy as np
@@ -69,15 +68,13 @@ def _bridge_mc(weighted, func_vals, w, path_vals, name):
     `mc_vs_estimate` with the ratio of their paired difference as the gap:
     the row scores that gap's real part and the imaginary part of each side.
     """
-    t0 = time.perf_counter()
     lhs_num = weighted * func_vals
     lhs = _ratio(lhs_num, w)
     rhs_num = w * path_vals
     rhs = _ratio(rhs_num, w)
     lhs_num -= rhs_num  # the paired difference, in place: one full-sample array fewer
     del rhs_num
-    rep = mc_vs_estimate(name, lhs, rhs, _ratio(lhs_num, w))
-    return rep.with_seconds(time.perf_counter() - t0)
+    return mc_vs_estimate(name, lhs, rhs, _ratio(lhs_num, w))
 
 
 def _path_green(dp, x, y, chi=None):
@@ -106,12 +103,10 @@ def verify_bridge_identity(
     from `_bridge_mc` on a suite's shared draws and walk.
     """
     x, y = dp.state_index(x), dp.state_index(y)
-    t0 = time.perf_counter()
     phi = mgf(dp, chi)
     lhs = green(dp, chi)[x, y] * phi
     rhs = _path_green(dp, x, y, chi) * phi
-    rep = exact_report(name or f"bridge_identity[x={x},y={y}]", lhs, rhs, tol=1e-10)
-    return rep.with_seconds(time.perf_counter() - t0)
+    return exact_report(name or f"bridge_identity[x={x},y={y}]", lhs, rhs, tol=1e-10)
 
 
 def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
@@ -158,7 +153,6 @@ def verify_trace(dp: DualPair, keep) -> VerificationReport:
     order.  Phi lies in (0, 1], so the absolute 1e-10 that the row applies
     to all three is a bound on values of order one.
     """
-    t0 = time.perf_counter()
     keep = list(keep)
     traced = trace_chain(dp, keep)
     keep_sorted = sorted(set(keep))
@@ -168,9 +162,7 @@ def verify_trace(dp: DualPair, keep) -> VerificationReport:
     s_full = np.zeros((2, dp.n))
     s_full[:, keep_sorted] = s
     resid = max(resid, float(np.abs(mgf(traced, s) - mgf(dp, s_full)).max()))
-    label = f"trace_consistency[|Y|={size}]"
-    rep = exact_report(label, resid, 0.0, tol=1e-10)
-    return rep.with_seconds(time.perf_counter() - t0)
+    return exact_report(f"trace_consistency[|Y|={size}]", resid, 0.0, tol=1e-10)
 
 
 def trace_suite(dp: DualPair, seed: int = 0):
@@ -188,17 +180,13 @@ def trace_suite(dp: DualPair, seed: int = 0):
 
 def mass_gap_suite(dp: DualPair, seed: int = 0):
     """Gap value plus the energy lower bound on 1000 random complex vectors."""
-    t0 = time.perf_counter()
     gap = mass_gap(dp)
     rng = rng_stream(seed, "mass-gap")
     z = rng.standard_normal((1000, dp.n)) + 1j * rng.standard_normal((1000, dp.n))
     energies = energy_quadratic(dp, z)
     norms = np.einsum("ki,ki,i->k", z, np.conj(z), dp.m).real
     margin = float((energies - gap * norms).min())
-    rows = [
-        info_report("mass_gap", gap).with_seconds(time.perf_counter() - t0),
-        exact_report("energy_lower_bound_margin", min(margin, 0.0), 0.0, tol=1e-10),
-    ]
+    rows = [info_report("mass_gap", gap), exact_report("energy_lower_bound_margin", min(margin, 0.0), 0.0, tol=1e-10)]
     return rows, gap
 
 

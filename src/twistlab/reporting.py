@@ -11,9 +11,9 @@ the size-biased rows fold the imaginary SE into the real one, and
 Info rows record a value only.
 
 The CSV columns are fixed: name, mode, lhs, rhs, se_lhs, se_rhs, z, pass,
-seconds.  The ``seconds`` column is always written as 0.000 so that a
-given configuration produces a byte-identical file; measured runtimes go
-to the console only.
+seconds.  The ``seconds`` column is always written as 0.000, so that a
+given configuration produces a byte-identical file.  An exact or info row
+refuses a value that is not finite with `NumericalError`.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+
+from .chain import NumericalError
 
 __all__ = [
     "CSV_COLUMNS",
@@ -70,15 +72,17 @@ class VerificationReport:
     se_rhs: float
     z: float
     passed: bool
-    seconds: float = 0.0
 
-    def with_seconds(self, seconds: float) -> "VerificationReport":
-        return replace(self, seconds=seconds)
+
+def _finite(name, *values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise NumericalError(f"row {name} is not finite: {', '.join(_fmt(v) for v in values)}")
 
 
 def exact_report(name, lhs, rhs, tol, relative=False) -> VerificationReport:
     lhs = float(lhs)
     rhs = float(rhs)
+    _finite(name, lhs, rhs)
     resid = abs(lhs - rhs)
     bound = tol * max(abs(lhs), abs(rhs)) if relative else tol
     return VerificationReport(
@@ -111,8 +115,9 @@ def mc_vs_exact(name, est, target) -> VerificationReport:
 
 
 def info_report(name, value) -> VerificationReport:
-    """Logged-only row: ``value`` on both sides, always passing."""
+    """Logged-only row: ``value`` on both sides, always passing once it is finite."""
     value = float(value)
+    _finite(name, value)
     return VerificationReport(
         name=name, mode="info", lhs=value, rhs=value, se_lhs=0.0, se_rhs=0.0, z=0.0, passed=True
     )
@@ -190,7 +195,4 @@ def count_failures(reports) -> int:
 def print_reports(reports) -> None:
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
-        print(
-            f"[{flag}] {r.name}: mode={r.mode} lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} "
-            f"z={_fmt(r.z)} ({r.seconds:.3f}s)"
-        )
+        print(f"[{flag}] {r.name}: mode={r.mode} lhs={_fmt(r.lhs)} rhs={_fmt(r.rhs)} z={_fmt(r.z)}")

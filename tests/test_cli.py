@@ -578,6 +578,26 @@ def test_readme_command_lines_parse():
     assert named and named <= accepted, sorted(named - accepted)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["det2-check", "--dim", "300", "--seed", "1", "--samples", "10"], None),
+        (["verify-q", "--input", "{path}"], "states: 2\nq: [1e300, 1.0]\npi: [[0, 0.5], [0.5, 0]]\nmu: [0.5, 0.5]\n"),
+        (["levy-check", "--input", "{path}"], "a: [1e-300]\nb: [1e300]\n"),
+        (["circle-check", "--k-max", "4", "--input", "{path}"], "epsilon: 1e300\nb_hat: [[1, 1e300, 0]]\n"),
+    ],
+    ids=["det2-gram-overflows", "q-oracle-nan", "levy-sum-overflows", "circle-sums-nan"],
+)
+def test_rows_that_are_not_finite_exit_three_without_a_report(argv, text, tmp_path, capsys):
+    path, out = tmp_path / "input.yaml", tmp_path / "out.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main([a.format(path=path) for a in argv] + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("numerical failure: row ")
+
+
 def test_numerical_failure_exit_three(tmp_path, monkeypatch, capsys):
     from twistlab import cli
     from twistlab.chain import NumericalError
