@@ -11,19 +11,11 @@ An exact or info row whose value is not finite is a numerical failure.
 All randomness derives from ``--seed``; the written CSV is byte-identical
 for identical configurations.
 Configuration is by explicit flags; environment variables are ignored.
-
-Under glibc, `main` fixes malloc's mmap and trim thresholds at
-``MALLOC_MMAP_BYTES``.  Left dynamic, the mmap threshold rises to the
-largest block freed so far (up to 32 MiB) and the heap may then keep twice
-that free, so a process that runs commands back to back holds on to the
-full-sample arrays of earlier commands, and how much of that later
-allocations reuse depends on heap layout.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 
 import numpy as np
@@ -35,15 +27,6 @@ from .modelio import load_chain_spec, load_circle_model, load_levy_model
 from .reporting import count_failures, print_reports, write_reports_csv
 
 __all__ = ["main"]
-
-# below a (count, n) float array of a default run on 8 or more states (1e5
-# draws: 6.4 MB and up), so every full-sample array is mapped fresh and
-# returned when freed.  On a 2-vCPU Xeon, 128 KiB and 1 MiB cost the cli-mc
-# benchmark 45% and 25% more CPU time in page faults; at 16 MiB its resident
-# peak still moved between runs
-MALLOC_MMAP_BYTES = 4 << 20
-_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
-_M_MMAP_THRESHOLD = -3
 
 FLAGS = {
     "input": dict(required=True, help="input file (chain or model)"),
@@ -102,15 +85,7 @@ def _parser(names=COMMANDS) -> argparse.ArgumentParser:
     return parser
 
 
-def _fix_malloc_thresholds():
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_BYTES)
-        mallopt(_M_TRIM_THRESHOLD, MALLOC_MMAP_BYTES)
-
-
 def main(argv=None) -> int:
-    _fix_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
     # a named command needs only its own sub-parser; help, a missing command
     # and an unknown one need them all

@@ -245,19 +245,23 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     Phi (1 + sum_{S != {}} r_S s^S) = 1 with r_S the minor off S over
     det(-L), and the coefficients of Phi on the box c' <= c follow from
     Phi[c'] = -sum over nonempty S in supp c' of r_S Phi[c' - 1_S].
+    With each r_S divided by prod_{u in S} m_u, they are coefficients in m_u s_u,
+    1/m included, and stay in float range where a power of a tiny m does not.
     The cost is 2^|A| determinants at any n.
     """
     pts = _points(dp, points)
     active, counts = np.unique(pts, return_counts=True)
     member, minors = _principal_minors(dp, active)
     steps, ratio = member[1:].astype(int), minors[1:] / minors[0]
+    for j, m_j in enumerate(dp.m[active]):  # a factor at a time: no product of m underflows
+        ratio[member[1:, j]] /= m_j
     coef = np.zeros(counts + 1)
     coef.flat[0] = 1.0
     for c in itertools.islice(np.ndindex(coef.shape), 1, None):
         fits = (steps <= c).all(axis=1)
         coef[c] = -ratio[fits] @ coef[tuple((np.array(c) - steps[fits]).T)]
     c_fact = np.prod([factorial(j) for j in counts])
-    return float((-1.0) ** len(pts) * c_fact * coef[tuple(counts)] / np.prod(dp.m[pts]))
+    return float((-1.0) ** len(pts) * c_fact * coef[tuple(counts)])
 
 
 # the sweep evaluates Phi at 3^n grid points, each shifted C(n + 4, 4) ways
