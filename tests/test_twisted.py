@@ -553,6 +553,20 @@ def test_q_moment_oracle_is_exact_at_every_order(n):
             assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-10)
 
 
+def test_q_moment_oracle_stays_finite_where_the_product_of_m_over_the_points_underflows():
+    # m is about [1e-200, 1.4, 1e-100], so prod m over [0, 0, 2] is below 1e-500, while
+    # det(-L) and every moment stay in float range; subsets of two and three states take
+    # the 1/m of each of their members
+    spec = ChainSpec(
+        q=np.array([1e200, 1.0, 1e100]),
+        pi=np.array([[0.0, 0.5, 0.3], [0.4, 0.0, 0.3], [0.2, 0.5, 0.0]]),
+        mu=np.array([0.3, 0.3, 0.4]),
+    )
+    dp = build_dual(spec)
+    for pts in ([0, 0, 1], [0, 0, 0, 2], [0, 1, 2, 2], [0, 0, 1, 1, 2, 2]):
+        assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-10)
+
+
 def test_a_dropped_minor_fails_the_oracle_and_the_sweep(monkeypatch):
     # zero the minor off the largest subset: r_S for S = {0, 1, 2} in the oracle,
     # and the s_0 s_1 s_2 term on the sweep's grid
