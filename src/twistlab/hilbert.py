@@ -114,11 +114,9 @@ def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
     rng = rng_stream(seed, "gaussian-identities")
     phi1 = rng.standard_normal((count, d))
     phi2 = rng.standard_normal((count, d))
-    buf = np.empty((count, d))  # reused: each fresh array this size is mapped and page-faulted anew
-    pairing = np.einsum("ij,ij->i", phi2, np.matmul(phi1, bm.T, out=buf))
-    quad1 = np.einsum("ij,ij->i", phi1, np.matmul(phi1, cm.T, out=buf))
-    quad2 = np.einsum("ij,ij->i", phi2, np.matmul(phi2, cm.T, out=buf))
-    del buf
+    pairing = np.einsum("ij,ij->i", phi2, phi1 @ bm.T)
+    quad1 = np.einsum("ij,ij->i", phi1, phi1 @ cm.T)
+    quad2 = np.einsum("ij,ij->i", phi2, phi2 @ cm.T)
     tr_c = float(np.trace(cm))
     eye = np.eye(d)
     # -(1/2) <(C - B) psi, psī> expands to -(1/2)(<C phi1, phi1> + <C phi2, phi2>)
@@ -194,24 +192,25 @@ def circle_model(epsilon: float, coeffs: dict) -> CircleDriftModel:
     )
 
 
+def _drift_pairs(model: CircleDriftModel, K: int):
+    """Per drift frequency d, in ``model.ks`` order: a with |a|, |a + d| <= K (floats), a + d, |bhat(d)|^2."""
+    a = np.arange(-K, K + 1).astype(float)
+    for d, c in zip(model.ks, model.coeffs):
+        b = a + d
+        ok = np.abs(b) <= K
+        yield a[ok], b[ok], abs(c) ** 2
+
+
 def hs_partial_sum(model: CircleDriftModel, K: int) -> float:
     """Square-sum of the drift coupling over basis frequencies up to K.
 
     sum over |k|, |l| <= K of (k^2 / (k^2 + eps)) |bhat(l - k)|^2 / (l^2 + eps).
     Nondecreasing in K; its convergence is the square-summability condition
-    on the skew part.
+    on the skew part.  The per-frequency sums are added in order, first to last.
     """
     eps = model.epsilon
-    k = np.arange(-K, K + 1)
-    front = k.astype(float) ** 2 / (k.astype(float) ** 2 + eps)
-    total = 0.0
-    for d, c in zip(model.ks, model.coeffs):
-        l = k + int(d)
-        ok = np.abs(l) <= K
-        total += float(
-            np.sum(front[ok] * (abs(c) ** 2) / (l[ok].astype(float) ** 2 + eps))
-        )
-    return total
+    terms = [np.sum(k**2 / (k**2 + eps) * w / (l**2 + eps)) for k, l, w in _drift_pairs(model, K)]
+    return float(np.cumsum([0.0, *terms])[-1])
 
 
 def circle_B_matrix(model: CircleDriftModel, K: int) -> np.ndarray:
@@ -366,16 +365,11 @@ def _coupling_square_sum(model: CircleDriftModel, K: int) -> float:
 
     sum over |k|, |l| <= K of (1/4)(k + l)^2 |bhat(k - l)|^2 / ((k^2 + eps)(l^2 + eps)).
     The change to the real basis is unitary, so ``circle_B_matrix`` must
-    have the same Frobenius norm.
+    have the same Frobenius norm.  Summed as `hs_partial_sum` is.
     """
     eps = model.epsilon
-    l = np.arange(-K, K + 1).astype(float)
-    total = 0.0
-    for d, c in zip(model.ks, model.coeffs):
-        k = l + d
-        ok = np.abs(k) <= K
-        total += float(np.sum(0.25 * (k[ok] + l[ok]) ** 2 * abs(c) ** 2 / ((k[ok] ** 2 + eps) * (l[ok] ** 2 + eps))))
-    return total
+    terms = [np.sum(0.25 * (k + l) ** 2 * w / ((k**2 + eps) * (l**2 + eps))) for l, k, w in _drift_pairs(model, K)]
+    return float(np.cumsum([0.0, *terms])[-1])
 
 
 def circle_suite(model: CircleDriftModel, K: int = 128):

@@ -173,34 +173,22 @@ def sample_twisted_batch(tm: TwistedModel, count: int, seed: int):
     return z, np.exp(2j * phase)
 
 
+def _subsets(k: int) -> np.ndarray:
+    """The (2^k, k) membership mask of the subsets of k items: row i holds the bits of i."""
+    return (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
+
+
 def permanent(mat) -> float:
-    """Permanent of a square matrix, Ryser's formula with Gray-code updates."""
+    """Permanent by Ryser: the sum over column sets S of (-1)^{k - |S|} prod_i (row S of `_subsets` @ A^T)_i."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("permanent needs a square matrix")
     k = a.shape[0]
-    if k == 0:
-        return 1.0
     if k > 14:
-        raise ValueError("permanent limited to 14x14; Ryser is O(2^k k)")
-    row = np.zeros(k)
-    total = 0.0
-    prev = 0
-    for i in range(1, 1 << k):
-        gray = i ^ (i >> 1)
-        j = (gray ^ prev).bit_length() - 1
-        if gray & (1 << j):
-            row += a[:, j]
-        else:
-            row -= a[:, j]
-        prev = gray
-        if gray.bit_count() % 2:
-            total -= row.prod()
-        else:
-            total += row.prod()
-    if k % 2:
-        total = -total
-    return float(total)
+        raise ValueError("permanent limited to 14x14; Ryser is O(2^k k^2)")
+    mask = _subsets(k)
+    sign = np.where((k - mask.sum(axis=1)) % 2, -1.0, 1.0)
+    return float(sign @ np.prod(mask @ a.T, axis=1))
 
 
 def _points(dp: DualPair, points) -> list[int]:
@@ -222,18 +210,19 @@ def q_moment(dp: DualPair, points) -> float:
     return permanent(g0[np.ix_(pts, pts)])
 
 
-def _principal_minors(dp: DualPair, states) -> tuple[np.ndarray, np.ndarray]:
-    """Every subset S of ``states`` and the minor det((-L) off S) of each.
+def _principal_minors(dp: DualPair, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every subset S of ``states`` and the minor det((-L) off S) of each, over det(-L).
 
-    Returns the (2^k, k) membership mask of the subsets, whose row i holds
-    the bits of i (bit j set when S holds ``states[j]``), and the 2^k minors
-    in the same order; the first is det(-L), the minor off the empty set.
+    Returns the `_subsets` mask of ``states`` (bit j set when S holds
+    ``states[j]``), and the sign and log modulus (`slogdet`, so in range at
+    any size of -L) of each relative minor in the same order; the first is 1.
     """
     states = np.asarray(states)
-    member = (np.arange(1 << states.size)[:, None] >> np.arange(states.size)) & 1 == 1
+    member = _subsets(states.size)
     keep = np.ones((member.shape[0], dp.n), dtype=bool)
     keep[:, states] = ~member
-    return member, np.array([np.linalg.det(-dp.L[np.ix_(u, u)]) for u in keep])
+    signs, logs = np.array([np.linalg.slogdet(-dp.L[np.ix_(u, u)]) for u in keep]).T
+    return member, signs * signs[0], logs - logs[0]
 
 
 def q_moment_oracle(dp: DualPair, points) -> float:
@@ -245,16 +234,15 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     Phi (1 + sum_{S != {}} r_S s^S) = 1 with r_S the minor off S over
     det(-L), and the coefficients of Phi on the box c' <= c follow from
     Phi[c'] = -sum over nonempty S in supp c' of r_S Phi[c' - 1_S].
-    With each r_S divided by prod_{u in S} m_u, they are coefficients in m_u s_u,
-    1/m included, and stay in float range where a power of a tiny m does not.
-    The cost is 2^|A| determinants at any n.
+    With each r_S divided by prod_{u in S} m_u in its exponent, they are
+    coefficients in m_u s_u and stay in float range where a power of a tiny
+    m or a minor of a large -L does not.  2^|A| determinants at any n.
     """
     pts = _points(dp, points)
     active, counts = np.unique(pts, return_counts=True)
-    member, minors = _principal_minors(dp, active)
-    steps, ratio = member[1:].astype(int), minors[1:] / minors[0]
-    for j, m_j in enumerate(dp.m[active]):  # a factor at a time: no product of m underflows
-        ratio[member[1:, j]] /= m_j
+    member, signs, logs = _principal_minors(dp, active)
+    steps = member[1:].astype(int)
+    ratio = signs[1:] * np.exp(logs[1:] - steps @ np.log(dp.m[active]))
     coef = np.zeros(counts + 1)
     coef.flat[0] = 1.0
     for c in itertools.islice(np.ndindex(coef.shape), 1, None):
@@ -273,7 +261,7 @@ class CMReport:
     """Sign-pattern sweep of forward differences of Phi and its roots.
 
     ``violations`` counts the (root, direction multiset, grid point) checks
-    whose signed difference fell below the slack.
+    whose signed difference fell below the slack or is NaN.
     """
 
     checks: int
@@ -291,19 +279,21 @@ def cm_grid(n: int) -> np.ndarray:
 def _cm_phi(dp: DualPair, grid: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Phi at each point of ``grid`` plus each row of ``shifts``: (len(grid), len(shifts)).
 
-    det(-L + M_s) is the sum over sets S of prod_{i in S} s_i times the
-    minor of -L off S.  With s = g + d, every determinant is an entry of
-    ``gmon @ W @ dmon.T``: the monomials prod_{i in U} g_i and prod_{i in T}
-    d_i, and W[U, T] the minor off U ∪ T for disjoint U and T, else 0.
+    1 / Phi(s) = det(-L + M_s) / det(-L) is the sum over sets S of
+    prod_{i in S} s_i times the minor of -L off S over det(-L).  With
+    s = g + d, every 1 / Phi is an entry of ``gmon @ W @ dmon.T``: the
+    monomials prod_{i in U} g_i and prod_{i in T} d_i, and W[U, T] the
+    relative minor off U ∪ T for disjoint U and T, else 0.
     """
-    member, minors = _principal_minors(dp, np.arange(dp.n))
+    member, signs, logs = _principal_minors(dp, np.arange(dp.n))
+    minors = signs * np.exp(logs)
     sets = np.arange(1 << dp.n)
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
     gmon, dmon = (
         functools.reduce(np.multiply, (np.where(member[:, j], p[:, j, None], 1.0) for j in range(dp.n)))
         for p in (grid, shifts)
     )
-    phi = minors[0] / (gmon @ W @ dmon.T)
+    phi = 1.0 / (gmon @ W @ dmon.T)
     if np.any(phi <= 0):
         raise NumericalError("Phi lost positivity on the difference grid")
     return phi
@@ -342,6 +332,6 @@ def complete_monotonicity_check(dp: DualPair) -> CMReport:
     for e in (1.0, 1.0 / 2.0, 1.0 / 3.0):
         # one root's differences at a time, and Phi itself as it is: phi**1.0 is a copy
         signed = (phi if e == 1.0 else phi**e) @ diff.T
-        violations += int(np.count_nonzero(signed < -1e-12))
+        violations += int(np.count_nonzero(~(signed >= -1e-12)))  # a NaN is not >=, so it counts
         lows.append(signed.min())
     return CMReport(checks=3 * signed.size, violations=violations, min_signed_value=float(np.min(lows)))

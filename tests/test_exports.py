@@ -35,10 +35,11 @@ def test_readme_library_sketch_runs():
     exec(compile(code, "README.md (Library sketch)", "exec"), {})
 
 
-@pytest.mark.parametrize("name", ["functionals", "harness"])
+@pytest.mark.parametrize("name", ["chain", "functionals", "harness", "hilbert", "paths", "reporting"])
 def test_no_power_operator_but_a_literal_square(name):
     # numpy's float power takes a CPU-dependent SIMD pow for every exponent but
-    # a constant 2, so these modules raise samples by `functionals._power`
+    # a constant 2, so these modules square by `** 2` and take any other power
+    # by multiplication (`functionals._power`)
     source = Path(importlib.import_module(f"twistlab.{name}").__file__).read_text(encoding="utf-8")
     powers = [
         node

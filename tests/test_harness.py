@@ -246,6 +246,21 @@ def test_moment_rows_fail_on_a_determinant_for_the_permanent(chain4, monkeypatch
     assert passed() == [True, False, False]  # one point: det and per agree
 
 
+def test_a_nan_on_the_sweep_grid_fails_the_monotonicity_row(chain4, monkeypatch):
+    from twistlab import twisted
+
+    real = twisted._cm_phi
+
+    def one_nan(dp, grid, shifts):
+        phi = real(dp, grid, shifts)
+        phi[len(grid) // 2, -1] = np.nan
+        return phi
+
+    monkeypatch.setattr(twisted, "_cm_phi", one_nan)
+    row = next(r for r in q_suite(chain4, count=1000, seed=13) if r.name == "cm_full_sweep_clean")
+    assert not row.passed and row.lhs > 0
+
+
 def test_positivity_battery(chain4):
     rows = positivity_suite(chain4, count=100_000, seed=7)
     assert count_failures(rows) == 0

@@ -5,6 +5,7 @@ from twistlab.chain import NumericalError
 from twistlab.hilbert import (
     KIND_TOL,
     LevyModel,
+    _coupling_square_sum,
     circle_B_matrix,
     circle_model,
     circle_suite,
@@ -262,6 +263,52 @@ def test_hs_partial_sums_nondecreasing():
     model = circle_model(0.5, {1: 0.3, 2: 0.1})
     sums = [hs_partial_sum(model, k) for k in (4, 8, 16, 32, 64)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
+
+
+def loop_hs_partial_sum(model, K):
+    """`hs_partial_sum` as a loop over drift frequencies with an integer frequency array."""
+    eps = model.epsilon
+    k = np.arange(-K, K + 1)
+    front = k.astype(float) ** 2 / (k.astype(float) ** 2 + eps)
+    total = 0.0
+    for d, c in zip(model.ks, model.coeffs):
+        l = k + int(d)
+        ok = np.abs(l) <= K
+        total += float(np.sum(front[ok] * (abs(c) ** 2) / (l[ok].astype(float) ** 2 + eps)))
+    return total
+
+
+def loop_coupling_square_sum(model, K):
+    """`_coupling_square_sum` as a loop over drift frequencies, indexing each array per d."""
+    eps = model.epsilon
+    l = np.arange(-K, K + 1).astype(float)
+    total = 0.0
+    for d, c in zip(model.ks, model.coeffs):
+        k = l + d
+        ok = np.abs(k) <= K
+        total += float(np.sum(0.25 * (k[ok] + l[ok]) ** 2 * abs(c) ** 2 / ((k[ok] ** 2 + eps) * (l[ok] ** 2 + eps))))
+    return total
+
+
+def test_circle_square_sums_equal_the_per_frequency_loops_bit_for_bit():
+    rng = rng_stream(71, "hilbert-tests")
+    models = [
+        circle_model(1.0, {}),  # no drift: both sums are empty
+        circle_model(0.4, {0: 0.3}),  # a constant drift: the one frequency d is zero
+        circle_model(1.0, {1: 0.4 + 0.1j, 2: 0.1 - 0.2j}),
+        circle_model(0.7, {0: 0.3, 1: 0.2 + 0.1j, 3: -0.4j}),
+        circle_model(2.5, {k: complex(*rng.standard_normal(2)) / k for k in range(1, 9)}),
+    ]
+    for model in models:
+        for K in (model.bandwidth, model.bandwidth + 1, 32, 513):
+            assert hs_partial_sum(model, K) == loop_hs_partial_sum(model, K), (model, K)
+            assert _coupling_square_sum(model, K) == loop_coupling_square_sum(model, K), (model, K)
+
+
+def test_square_sums_skip_a_drift_frequency_at_the_int64_edge():
+    # a + d is taken in floats, so a frequency near 2**63 cannot wrap round into the truncation
+    model = circle_model(1.0, {2**63 - 1: 0.5})
+    assert hs_partial_sum(model, 4) == 0.0 and _coupling_square_sum(model, 4) == 0.0
 
 
 def test_levy_convergent_and_divergent():

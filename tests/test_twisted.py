@@ -413,11 +413,12 @@ def test_difference_matrix_takes_exact_differences_of_an_exponential():
 
 def stacked_cm_phi(dp, grid, shifts):
     """The referee of `_cm_phi`: each monomial one product over a stacked state axis."""
-    member, minors = _principal_minors(dp, np.arange(dp.n))
+    member, signs, logs = _principal_minors(dp, np.arange(dp.n))
+    minors = signs * np.exp(logs)
     sets = np.arange(1 << dp.n)
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
     gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (grid, shifts))
-    return minors[0] / (gmon @ W @ dmon.T)
+    return 1.0 / (gmon @ W @ dmon.T)
 
 
 def test_sweep_column_products_equal_the_stacked_products_bit_for_bit():
@@ -470,10 +471,18 @@ def test_permanent_small_and_bruteforce():
     assert permanent(np.array([[3.5]])) == pytest.approx(3.5)
     assert permanent(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(1 * 4 + 2 * 3)
     rng = rng_stream(32, "twisted-tests")
-    m = rng.standard_normal((5, 5))
-    assert permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-10)
+    for k in range(1, 8):
+        m = rng.standard_normal((k, k))
+        assert permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-10), k
     with pytest.raises(ValueError):
         permanent(np.zeros((15, 15)))
+
+
+def test_permanent_of_all_ones_is_k_factorial_exactly():
+    # every subset sum and product is an integer below 2^53, so Ryser's sum is exact
+    assert permanent(np.zeros((0, 0))) == 1.0
+    for k in range(1, 11):
+        assert permanent(np.ones((k, k))) == math.factorial(k), k
 
 
 STENCILS = {
@@ -576,9 +585,9 @@ def test_a_dropped_minor_fails_the_oracle_and_the_sweep(monkeypatch):
     real = twisted._principal_minors
 
     def drop_last(dp, states):
-        member, minors = real(dp, states)
-        minors[-1] = 0.0
-        return member, minors
+        member, signs, logs = real(dp, states)
+        signs[-1], logs[-1] = 0.0, -np.inf  # slogdet's zero determinant
+        return member, signs, logs
 
     monkeypatch.setattr(twisted, "_principal_minors", drop_last)
     assert q_moment_oracle(dp, [0, 1, 2]) != pytest.approx(moment, rel=1e-10)
