@@ -211,17 +211,21 @@ def q_moment(dp: DualPair, points) -> float:
 
 
 def _principal_minors(dp: DualPair, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every subset S of ``states`` and the minor det((-L) off S) of each, over det(-L).
+    """Every subset S of ``states`` and the minor of I - pi off S, over det(I - pi).
 
-    Returns the `_subsets` mask of ``states`` (bit j set when S holds
-    ``states[j]``), and the sign and log modulus (`slogdet`, so in range at
-    any size of -L) of each relative minor in the same order; the first is 1.
+    I - pi is -L with each row divided by its diagonal q, so the minor of -L
+    off S over det(-L) is this one over prod_{u in S} q_u, and each caller
+    folds its own per-state scale in log space.  Returns the `_subsets` mask
+    of ``states`` (bit j set when S holds ``states[j]``), and the sign and log
+    modulus (`slogdet`, of order one however large q is) of each relative
+    minor in the same order; the first is 1.
     """
     states = np.asarray(states)
     member = _subsets(states.size)
     keep = np.ones((member.shape[0], dp.n), dtype=bool)
     keep[:, states] = ~member
-    signs, logs = np.array([np.linalg.slogdet(-dp.L[np.ix_(u, u)]) for u in keep]).T
+    unit = -dp.L / dp.q[:, None]
+    signs, logs = np.array([np.linalg.slogdet(unit[np.ix_(u, u)]) for u in keep]).T
     return member, signs * signs[0], logs - logs[0]
 
 
@@ -234,7 +238,9 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     Phi (1 + sum_{S != {}} r_S s^S) = 1 with r_S the minor off S over
     det(-L), and the coefficients of Phi on the box c' <= c follow from
     Phi[c'] = -sum over nonempty S in supp c' of r_S Phi[c' - 1_S].
-    With each r_S divided by prod_{u in S} m_u in its exponent, they are
+    `_principal_minors` gives r_S prod_{u in S} q_u; with that divided by
+    prod_{u in S} q_u m_u in its exponent, each q_u m_u formed before its log
+    so that a large q and a small m do not cancel there, they are
     coefficients in m_u s_u and stay in float range where a power of a tiny
     m or a minor of a large -L does not.  2^|A| determinants at any n.
     """
@@ -242,7 +248,7 @@ def q_moment_oracle(dp: DualPair, points) -> float:
     active, counts = np.unique(pts, return_counts=True)
     member, signs, logs = _principal_minors(dp, active)
     steps = member[1:].astype(int)
-    ratio = signs[1:] * np.exp(logs[1:] - steps @ np.log(dp.m[active]))
+    ratio = signs[1:] * np.exp(logs[1:] - steps @ np.log(dp.q[active] * dp.m[active]))
     coef = np.zeros(counts + 1)
     coef.flat[0] = 1.0
     for c in itertools.islice(np.ndindex(coef.shape), 1, None):
@@ -286,7 +292,7 @@ def _cm_phi(dp: DualPair, grid: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     relative minor off U ∪ T for disjoint U and T, else 0.
     """
     member, signs, logs = _principal_minors(dp, np.arange(dp.n))
-    minors = signs * np.exp(logs)
+    minors = signs * np.exp(logs - member @ np.log(dp.q))
     sets = np.arange(1 << dp.n)
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
     gmon, dmon = (

@@ -104,9 +104,9 @@ positivity_bump_nonneg,mc,0.0562311018097,0,0.00111056853463,0,0.387571315809,1,
 positivity_moment_single_vs_permanent,mc,1.50360064644,1.5190397351,0.0107722921507,0,1.4332222374,1,0.000
 positivity_moment_pair_vs_permanent,mc,4.36298437508,4.40988964044,0.072064643571,0,0.926673719455,1,0.000
 cm_full_sweep_clean,exact,0,0,0,0,0,1,0.000
-q_moment_vs_derivative_oracle_k1,exact,1.48490566038,1.48490566038,0,0,2.22044604925e-16,1,0.000
-q_moment_vs_derivative_oracle_k2,exact,2.9420061227,2.9420061227,0,0,8.881784197e-16,1,0.000
-q_moment_vs_derivative_oracle_k3,exact,10.4521418672,10.4521418672,0,0,5.3290705182e-15,1,0.000
+q_moment_vs_derivative_oracle_k1,exact,1.48490566038,1.48490566038,0,0,0,1,0.000
+q_moment_vs_derivative_oracle_k2,exact,2.9420061227,2.9420061227,0,0,0,1,0.000
+q_moment_vs_derivative_oracle_k3,exact,10.4521418672,10.4521418672,0,0,8.881784197e-15,1,0.000
 """,
     ),
     (

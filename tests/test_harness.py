@@ -145,79 +145,6 @@ def test_suites_walk_each_path_set_once_per_batch(chain4, monkeypatch):
     assert walks == [(1, paths.BATCH), (1, 500)]
 
 
-def _killed(dp, chi):
-    """Visit counts of the jump chain killed at the extra rate chi, and its total rates."""
-    rate = dp.q + (0.0 if chi is None else chi)
-    return np.linalg.inv(np.eye(dp.n) - (dp.q / rate)[:, None] * dp.pi), rate
-
-
-def _start_rate(dp, x, y, chi=None):  # the holding rate of x where that of y belongs
-    visits, rate = _killed(dp, chi)
-    return visits[x, y] / (rate[x] * dp.m[y])
-
-
-def _first_visit_dropped(dp, x, y, chi=None):  # the visit at the start left uncounted
-    visits, rate = _killed(dp, chi)
-    return (visits - np.eye(dp.n))[x, y] / (rate[y] * dp.m[y])
-
-
-def _exact_rows(names):
-    """The named rows of `iso_suite` (x = 1, y = 2) and `example_suite` on small draws."""
-    dp = build_dual(random_chain(4, rng_stream(53, "harness-tests")))
-    got = {r.name: r for r in iso_suite(dp, count=2000, seed=3) + example_suite(3, count=2000, seed=1)}
-    return [got[name] for name in names]
-
-
-@pytest.mark.parametrize(
-    "wrong, rows",
-    [
-        (_start_rate, ["bridge_f1_exact[1,2]", "bridge_exp_exact[1,2]"]),
-        (
-            _first_visit_dropped,
-            [
-                "occupation_f1_exact[1]",
-                "occupation_exp_exact[1]",
-                "example_n3_occupation_f1_exact",
-                "example_n3_occupation_exp_exact",
-            ],
-        ),
-    ],
-    ids=["start-rate", "first-visit-dropped"],
-)
-def test_f1_exact_rows_fail_on_a_wrong_path_side(wrong, rows, monkeypatch):
-    from twistlab import harness
-
-    assert all(r.passed for r in _exact_rows(rows))
-    monkeypatch.setattr(harness, "_path_green", wrong)
-    assert not any(r.passed for r in _exact_rows(rows))
-
-
-def test_exp_exact_rows_fail_on_a_green_damped_twice(monkeypatch):
-    from twistlab import harness
-
-    rows = ["bridge_exp_exact[1,2]", "occupation_exp_exact[1]", "example_n3_occupation_exp_exact"]
-    assert all(r.passed for r in _exact_rows(rows))
-    real = harness.green
-    monkeypatch.setattr(harness, "green", lambda dp, chi=None: real(dp, None if chi is None else 2.0 * chi))
-    assert not any(r.passed for r in _exact_rows(rows))
-
-
-def log_derivative_row(dp):
-    return next(r for r in mgf_suite(dp, seed=9) if r.name == "logdet_derivative_vs_trace")
-
-
-def test_log_derivative_row_fails_on_a_transform_damped_by_s_times_m(chain4, monkeypatch):
-    from twistlab import harness
-
-    def on_sm(dp, s):  # det(-L) / det(-L + M_{s m}) per row of the stack: the pairing's weight counted twice
-        logdets = [np.linalg.slogdet(-dp.L + np.diag(row * dp.m))[1] for row in s]
-        return np.exp(np.linalg.slogdet(-dp.L)[1] - np.array(logdets))
-
-    assert log_derivative_row(chain4).passed
-    monkeypatch.setattr(harness, "mgf", on_sm)
-    assert not log_derivative_row(chain4).passed
-
-
 def test_mgf_suite_factors_each_determinant_kind_once(chain4, monkeypatch):
     # det(-L) once and every det(-L + M_s) in one stack: two slogdet calls up to n = 101, not 2n + 2
     calls = []
@@ -225,40 +152,6 @@ def test_mgf_suite_factors_each_determinant_kind_once(chain4, monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(np.shape(a)) or real(a))
     assert all(r.passed for r in mgf_suite(chain4, seed=9))
     assert calls == [(4, 4), (5, 4, 4)]
-
-
-def test_log_derivative_row_fails_on_a_green_blind_to_chi(chain4, monkeypatch):
-    from twistlab import harness
-
-    real = harness.green
-    monkeypatch.setattr(harness, "green", lambda dp, chi=None: real(dp))  # G_0 whatever chi is
-    assert not log_derivative_row(chain4).passed
-
-
-def test_moment_rows_fail_on_a_determinant_for_the_permanent(chain4, monkeypatch):
-    from twistlab import twisted
-
-    def passed():
-        return [r.passed for r in q_suite(chain4, count=1000, seed=13) if r.name.startswith("q_moment_vs")]
-
-    assert passed() == [True, True, True]
-    monkeypatch.setattr(twisted, "permanent", lambda mat: float(np.linalg.det(mat)))
-    assert passed() == [True, False, False]  # one point: det and per agree
-
-
-def test_a_nan_on_the_sweep_grid_fails_the_monotonicity_row(chain4, monkeypatch):
-    from twistlab import twisted
-
-    real = twisted._cm_phi
-
-    def one_nan(dp, grid, shifts):
-        phi = real(dp, grid, shifts)
-        phi[len(grid) // 2, -1] = np.nan
-        return phi
-
-    monkeypatch.setattr(twisted, "_cm_phi", one_nan)
-    row = next(r for r in q_suite(chain4, count=1000, seed=13) if r.name == "cm_full_sweep_clean")
-    assert not row.passed and row.lhs > 0
 
 
 def test_positivity_battery(chain4):
@@ -282,24 +175,6 @@ def test_verify_trace_full_and_march():
     # hand value: permanent of the restricted Green block [[1,1],[0,1]] is 1
     traced_moment = q_moment(dp, [0, 3])
     assert traced_moment == pytest.approx(1.0, rel=1e-12)
-
-
-def test_verify_trace_fails_a_trace_without_the_schur_correction(monkeypatch):
-    from twistlab import chain, harness
-
-    def restricted(dp, keep):  # L_T = L_YY, as if the excursions off Y were dropped
-        return chain.dual_pair_from_generator(dp.L[np.ix_(keep, keep)], dp.m[keep])
-
-    dp = build_dual(random_chain(8, rng_stream(53, "harness-tests")))
-    keep = [0, 2, 3, 5, 7]
-    assert verify_trace(dp, keep).passed
-    # the Phi comparison alone sees the missing correction, not only the potential's
-    s_full = np.zeros(dp.n)
-    s_full[keep] = 1.0 / len(keep)
-    assert abs(mgf(restricted(dp, keep), s_full[keep]) - mgf(dp, s_full)) > 1e-6
-    monkeypatch.setattr(harness, "trace_chain", restricted)
-    rep = verify_trace(dp, keep)
-    assert not rep.passed and rep.z > 1e-6
 
 
 @pytest.mark.parametrize("keep", [[0, 1.5], [1.0, 2.0]])

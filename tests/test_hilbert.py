@@ -437,31 +437,6 @@ def test_circle_suite_makes_no_solve(monkeypatch):
     assert calls == []
 
 
-# each wrong build, with the exact circle row that must fail on it
-CIRCLE_MUTATIONS = {
-    "basis-scale": "circle_frobenius_vs_frequency_sum",
-    "eta-scale": "circle_kernel_vs_closed_form",
-}
-
-
-@pytest.mark.parametrize("mutation", sorted(CIRCLE_MUTATIONS))
-def test_circle_rows_fail_on_a_wrong_build(mutation, monkeypatch):
-    from twistlab import hilbert
-
-    if mutation == "basis-scale":  # as if the 1/sqrt(2) of the real basis were dropped
-        build = hilbert.circle_B_matrix
-        monkeypatch.setattr(
-            hilbert, "circle_B_matrix", lambda model, K: np.sqrt(2.0) * build(model, K)
-        )
-    else:  # evaluation elements with sqrt(1/(k^2 + eps)) in place of sqrt(2/(k^2 + eps))
-        eta = hilbert._eta_vector
-        monkeypatch.setattr(hilbert, "_eta_vector", lambda model, K, x: eta(model, K, x) / np.sqrt(2.0))
-    rows = {r.name: r for r in circle_suite(circle_model(1.0, {1: 0.4 + 0.1j, 2: 0.1}), K=512)}
-    assert not rows[CIRCLE_MUTATIONS[mutation]].passed
-    # a new exact circle row needs a mutation here that fails it
-    assert {n for n, r in rows.items() if r.mode == "exact"} == set(CIRCLE_MUTATIONS.values())
-
-
 def _dense_circle_B(model, K):
     """Reference build: the dense complex coupling S conjugated by the unitary W."""
     size = 2 * K + 1

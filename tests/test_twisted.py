@@ -414,7 +414,7 @@ def test_difference_matrix_takes_exact_differences_of_an_exponential():
 def stacked_cm_phi(dp, grid, shifts):
     """The referee of `_cm_phi`: each monomial one product over a stacked state axis."""
     member, signs, logs = _principal_minors(dp, np.arange(dp.n))
-    minors = signs * np.exp(logs)
+    minors = signs * np.exp(logs - member @ np.log(dp.q))
     sets = np.arange(1 << dp.n)
     W = np.where(sets[:, None] & sets, 0.0, minors[sets[:, None] | sets])
     gmon, dmon = (np.where(member, p[:, None], 1.0).prod(axis=2) for p in (grid, shifts))
@@ -576,22 +576,24 @@ def test_q_moment_oracle_stays_finite_where_the_product_of_m_over_the_points_und
         assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-10)
 
 
-def test_a_dropped_minor_fails_the_oracle_and_the_sweep(monkeypatch):
-    # zero the minor off the largest subset: r_S for S = {0, 1, 2} in the oracle,
-    # and the s_0 s_1 s_2 term on the sweep's grid
-    dp = build_dual(random_chain(3, rng_stream(38, "twisted-tests")))
-    counts, _ = _cm_differences(3)
-    moment, grid = q_moment(dp, [0, 1, 2]), [[mgf(dp, g + 1e-2 * c) for c in counts] for g in cm_grid(3)]
-    real = twisted._principal_minors
+LARGE_Q_CHAIN = ChainSpec(  # q about 1e300, so det(-L) is about 1e1200
+    q=np.array([1e300, 2e300, 1.5e300, 0.7e300]),
+    pi=np.array([[0.0, 0.3, 0.2, 0.3], [0.3, 0.0, 0.3, 0.2], [0.2, 0.3, 0.0, 0.3], [0.3, 0.2, 0.3, 0.0]]),
+    mu=np.full(4, 0.25),
+)
 
-    def drop_last(dp, states):
-        member, signs, logs = real(dp, states)
-        signs[-1], logs[-1] = 0.0, -np.inf  # slogdet's zero determinant
-        return member, signs, logs
 
-    monkeypatch.setattr(twisted, "_principal_minors", drop_last)
-    assert q_moment_oracle(dp, [0, 1, 2]) != pytest.approx(moment, rel=1e-10)
-    assert not np.allclose(_cm_phi(dp, cm_grid(3), 1e-2 * counts), grid, rtol=1e-13, atol=0)
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_q_moment_oracle_meets_the_rows_bound_where_q_is_near_1e300(n):
+    # the verify-q rows' own relative 1e-12 at k <= 3, on every point multiset;
+    # a minor of -L itself carries an error of about eps |log det(-L)|, which reaches 9e-12 here at n = 8
+    rng = rng_stream(41, "twisted-tests", n)
+    specs = [random_chain(n, rng) for _ in range(3)]
+    specs = [dataclasses.replace(s, q=1e300 * s.q) for s in specs] + [LARGE_Q_CHAIN] * (n == 4)
+    for dp in map(build_dual, specs):
+        for k in (1, 2, 3):
+            for pts in itertools.combinations_with_replacement(range(n), k):
+                assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("moment", [q_moment, q_moment_oracle], ids=["permanent", "oracle"])
