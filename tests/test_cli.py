@@ -4,13 +4,18 @@ import math
 import re
 import shlex
 import time
+import warnings
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
 import yaml
 
-from twistlab.chain import build_dual
+from twistlab import cli, harness, modelio, paths
+from twistlab.chain import NumericalError, build_dual
 from twistlab.cli import COMMANDS, _parser, main
 from twistlab.modelio import load_chain_spec
 from twistlab.reporting import VerificationReport, count_failures
@@ -158,12 +163,6 @@ levy_partial_sum,info,1.54976773117,1.54976773117,0,0,0,1,0.000
 ]
 
 
-@pytest.fixture
-def chain_file(tmp_path):
-    path = tmp_path / "chain.yaml"
-    path.write_text(CHAIN)
-    return str(path)
-
 
 def test_example_chain_runs_clean(tmp_path, capsys):
     out = tmp_path / "report.csv"
@@ -211,205 +210,12 @@ def test_same_seed_reports_are_pinned(argv, expected, tmp_path, capsys):
     assert out.read_text().splitlines() == [header] + expected.splitlines()
 
 
-def test_path_walks_are_bounded(tmp_path, monkeypatch, capsys):
-    from twistlab import paths
-    from twistlab.chain import NumericalError, build_dual
-    from twistlab.functionals import ProductField
-    from twistlab.modelio import load_chain_spec
+# Why a run exits as it does, in the order of the list in cli's module docstring:
+# the count of failing rows, then the causes of exit 2, then those of exit 3.
+CAUSES = ("failing rows", "parse error", "chain rejected", "suite refusal", "unread flag", "integer below 1",
+          "unwritable out", "numerical failure", "out of memory", "non-finite row")
 
-    path = tmp_path / "slow.yaml"
-    path.write_text(SLOW_KILL)
-    dp = build_dual(load_chain_spec(str(path)))
-    monkeypatch.setattr(paths, "MAX_JUMPS", 50)
-    with pytest.raises(NumericalError):
-        paths.occupation_batch(dp, 0, 200, seed=1)
-    with pytest.raises(NumericalError):
-        paths.bridge_values(dp, 0, 1, ProductField(), 200, seed=1)
-    assert main(["verify-iso", "--input", str(path), "--samples", "200"]) == 3
-    assert "did not terminate" in capsys.readouterr().err
-
-
-def test_over_budget_walk_is_refused_before_drawing(tmp_path, monkeypatch, capsys):
-    from twistlab import harness, paths
-    from twistlab.chain import NumericalError
-
-    draws = []
-    real = harness.sample_twisted_batch
-    monkeypatch.setattr(harness, "sample_twisted_batch", lambda *a, **k: draws.append(a) or real(*a, **k))
-    path = tmp_path / "near.yaml"
-    path.write_text(NEAR_STOCHASTIC)
-    started = time.perf_counter()
-    assert main(["verify-iso", "--input", str(path), "--samples", "100000"]) == 3
-    assert time.perf_counter() - started < 5.0
-    assert "did not terminate: 1e+06 expected sojourns" in capsys.readouterr().err
-    # every start expects at least one sojourn, so a bound of 1 refuses every walk
-    monkeypatch.setattr(paths, "MAX_JUMPS", 1)
-    with pytest.raises(NumericalError, match="expected sojourns"):
-        harness.example_suite(3, count=1000)
-    assert draws == []  # neither suite drew its twisted sample
-
-
-def test_walk_within_budget_still_stops_at_the_bound(tmp_path, monkeypatch):
-    # 1000 expected sojourns pass the up-front check at a bound of 2000, and
-    # about 13% of paths outlive it, so the bound in the walk itself raises
-    from twistlab import paths
-    from twistlab.chain import NumericalError, build_dual
-    from twistlab.modelio import load_chain_spec
-
-    path = tmp_path / "slow.yaml"
-    path.write_text(SLOW_KILL)
-    dp = build_dual(load_chain_spec(str(path)))
-    monkeypatch.setattr(paths, "MAX_JUMPS", 2000)
-    with pytest.raises(NumericalError, match="^path did not terminate; jump matrix"):
-        paths.occupation_batch(dp, 0, 200, seed=1)
-
-
-def test_mass_gap_prints_value(tmp_path, capsys):
-    path = tmp_path / "one.yaml"
-    path.write_text(ONE_STATE)
-    code = main(["mass-gap", "--input", str(path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "1.0"
-
-
-def test_mgf_and_trace_checks(chain_file, tmp_path, capsys):
-    assert main(["mgf-check", "--input", chain_file, "--out", str(tmp_path / "m.csv")]) == 0
-    assert main(["trace-check", "--input", chain_file, "--seed", "3"]) == 0
-
-
-def test_verify_iso_and_q(chain_file, capsys):
-    assert main(["verify-iso", "--input", chain_file, "--seed", "2", "--samples", "30000"]) == 0
-    assert main(["verify-q", "--input", chain_file, "--seed", "2", "--samples", "30000"]) == 0
-
-
-def test_det2_check(capsys):
-    assert main(["det2-check", "--dim", "6", "--seed", "7", "--samples", "50000"]) == 0
-
-
-def test_det2_out_of_float_range_exits_three(capsys):
-    # the skew operator's det2 grows like a power of its eigenvalues of order
-    # sqrt(dim) and overflows at dim 700
-    assert main(["det2-check", "--dim", "700", "--seed", "1", "--samples", "100"]) == 3
-    assert "renormalised determinant leaves float range" in capsys.readouterr().err
-
-
-def test_circle_and_levy_checks(tmp_path, capsys):
-    circle = tmp_path / "circle.yaml"
-    circle.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n")
-    assert main(["circle-check", "--input", str(circle), "--k-max", "128"]) == 0
-    # finitely many drift frequencies give a finite square sum, so no truncation may fail
-    assert main(["circle-check", "--input", str(circle), "--k-max", "4"]) == 0
-    far = tmp_path / "far.yaml"
-    far.write_text("epsilon: 1.0\nb_hat:\n  - [60, 0.5, 0.0]\n")
-    assert main(["circle-check", "--input", str(far), "--k-max", "64"]) == 0
-    k = np.arange(1.0, 201.0)
-    good = tmp_path / "levy.yaml"
-    good.write_text(
-        "a: [" + ", ".join(str(v) for v in k**2) + "]\nb: [" + ", ".join(str(v) for v in k) + "]\n"
-    )
-    assert main(["levy-check", "--input", str(good)]) == 0
-    bad = tmp_path / "levy_bad.yaml"
-    bad.write_text(
-        "a: [" + ", ".join(str(v) for v in k) + "]\nb: [" + ", ".join(str(v) for v in k) + "]\n"
-    )
-    assert main(["levy-check", "--input", str(bad)]) == 0  # the sum is recorded; no verdict
-
-
-def test_parse_error_exit_code(tmp_path, capsys):
-    path = tmp_path / "broken.yaml"
-    path.write_text("states: 2\nq: [1.0]\npi: [[0,0],[0,0]]\nmu: [1, 0]\n")
-    assert main(["mass-gap", "--input", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "line 2" in err
-
-
-@pytest.mark.parametrize(
-    "content, message",
-    [
-        (b"states: 2\nq: [1.0,\x01 1.0]\n", "line 2: unacceptable character #x0001"),
-        (b"states: 2\nq: [1.0, \xff]\n", "line 2: not UTF-8 text: byte 0xff"),
-        (b"states: 2.5\nq: [1.0, 1.0]\npi: [[0, 0], [0, 0]]\nmu: [1.0, 0.0]\n", "line 1: states must be an integer, got '2.5'"),
-        (None, "No such file or directory"),
-        # a valid spec whose chain cannot reach state 1 from supp(mu)
-        (b"states: 2\nq: [1.0, 1.0]\npi: [[0, 0], [0.5, 0]]\nmu: [1.0, 0.0]\n", "reference measure vanishes at states [1]"),
-        # rows within the row-sum and reach checks, spectral radius 1 - 7.5e-13
-        (
-            b"states: 2\nq: [1.0, 1.0]\npi: [[0.5, 0.5000000000005], [0.5, 0.499999999998]]\nmu: [1.0, 0.0]\n",
-            "line 1: spectral radius of pi is 0.999999999999; must be < 1",
-        ),
-    ],
-    ids=["control-character", "not-utf8", "fractional-states", "missing-file", "mu-misses-a-state", "radius-at-bound"],
-)
-def test_unreadable_inputs_exit_two(content, message, tmp_path, capsys):
-    path = tmp_path / "chain.yaml"
-    if content is not None:
-        path.write_bytes(content)
-    assert main(["mass-gap", "--input", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
-
-
-def test_deeply_nested_input_exits_two_under_either_loader(tmp_path, monkeypatch, capsys):
-    from twistlab import modelio
-
-    path = tmp_path / "chain.yaml"
-    path.write_text("states: 1\nq: " + "[" * 600 + "1.0" + "]" * 600 + "\npi: [[0.0]]\nmu: [1.0]\n")
-    for loader, message in ((modelio.LOADER, "line 2: q entry must be a scalar"), (yaml.BaseLoader, "nested too deeply")):
-        monkeypatch.setattr(modelio, "LOADER", loader)
-        assert main(["mass-gap", "--input", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert message in err and len(err.strip().splitlines()) == 1, err
-
-
-def test_unwritable_report_path_exits_two(tmp_path, capsys):
-    path = tmp_path / "chain.yaml"
-    path.write_text(CHAIN)
-    out = tmp_path / "nodir" / "x.csv"
-    assert main(["mgf-check", "--input", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"cannot write {out}: No such file or directory" in err and len(err.strip().splitlines()) == 1
-
-
-def test_invalid_flags_exit_two(tmp_path):
-    path = tmp_path / "one.yaml"
-    path.write_text(ONE_STATE)
-    assert main(["mass-gap", "--input", str(path), "--seed", "0"]) == 2
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["circle-check", "--input", "{circle}", "--k-max", "1"], "truncation K=1 is below the drift bandwidth 3"),
-        (["example-chain", "--n", "0"], "--n must be at least 1"),
-        (["det2-check", "--dim", "0"], "--dim must be at least 1"),
-    ],
-    ids=["k-max-below-bandwidth", "n-zero", "dim-zero"],
-)
-def test_out_of_range_integer_flags_exit_two(argv, message, tmp_path, capsys):
-    circle = tmp_path / "circle.yaml"
-    circle.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [3, 0.1, 0.0]\n")
-    assert main([a.format(circle=circle) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["mass-gap", "--input", "{infinite}"], "line 2: q entry must be finite, got 'inf'"),
-        (["circle-check", "--input", "{huge}"], "line 4: frequency 100000000000000000000 is outside ±(2**63 - 1)"),
-    ],
-    ids=["input-inf", "frequency-beyond-int64"],
-)
-def test_non_finite_or_negative_values_exit_two(argv, message, tmp_path, capsys):
-    infinite = tmp_path / "infinite.yaml"
-    infinite.write_text(CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"))
-    huge = tmp_path / "huge.yaml"
-    huge.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [1e20, 0.5, 0.0]\n")
-    assert main([a.format(infinite=infinite, huge=huge) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
+ARGPARSE = "unread flag"  # the one cause on which argparse exits, not main
 
 
 def _uniform_chain(n):
@@ -417,64 +223,226 @@ def _uniform_chain(n):
     return f"states: {n}\nq: [{', '.join(['1.0'] * n)}]\npi:\n{rows}\nmu: [{', '.join([repr(1 / n)] * n)}]\n"
 
 
-def test_verify_q_rejects_chains_beyond_the_sweep_limit(tmp_path, monkeypatch, capsys):
-    from twistlab import harness
-
-    six = tmp_path / "six.yaml"
-    six.write_text(_uniform_chain(6))
-    out = tmp_path / "six.csv"
-    assert main(["verify-q", "--input", str(six), "--samples", "2000", "--out", str(out)]) == 0
-    assert "cm_full_sweep_clean,exact,0," in out.read_text()
-    capsys.readouterr()
-    seven = tmp_path / "seven.yaml"
-    seven.write_text(_uniform_chain(7))
-    monkeypatch.setattr(harness, "sample_twisted_batch", None)  # nothing may be sampled
-    assert main(["verify-q", "--input", str(seven), "--samples", "2000"]) == 2
-    err = capsys.readouterr().err
-    assert "at most 6 states" in err and len(err.strip().splitlines()) == 1
+def _levy(a, b):
+    return f"a: [{', '.join(map(str, a))}]\nb: [{', '.join(map(str, b))}]\n"
 
 
-def test_trace_check_rejects_a_one_state_chain(tmp_path, capsys):
-    one = tmp_path / "one.yaml"
-    one.write_text(ONE_STATE)
-    assert main(["trace-check", "--input", str(one)]) == 2
-    err = capsys.readouterr().err
-    assert "at least 2 states" in err and len(err.strip().splitlines()) == 1
+LEVY_K = np.arange(1.0, 201.0)
+CIRCLE = "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n"
+
+# The input files of `EXITS`, by the placeholder that names them in an argv.
+# A run refused by argparse reads none.
+INPUTS = {
+    "one": ONE_STATE,
+    "chain": CHAIN,
+    "six": _uniform_chain(6),
+    "seven": _uniform_chain(7),
+    "slow": SLOW_KILL,
+    "near": NEAR_STOCHASTIC,
+    "circle": CIRCLE,
+    "far": CIRCLE.replace("[1,", "[60,"),
+    "bandwidth_3": CIRCLE + "  - [3, 0.1, 0.0]\n",
+    "huge": CIRCLE + "  - [1e20, 0.5, 0.0]\n",
+    "circle_nan": "epsilon: 1e300\nb_hat: [[1, 1e300, 0]]\n",
+    "levy": _levy(LEVY_K**2, LEVY_K),
+    "levy_divergent": _levy(LEVY_K, LEVY_K),
+    "levy_empty": "a: []\nb: []\n",
+    "levy_overflow": "a: [1e-300]\nb: [1e300]\n",
+    "short_q": "states: 2\nq: [1.0]\npi: [[0,0],[0,0]]\nmu: [1, 0]\n",
+    "ctrl": b"states: 2\nq: [1.0,\x01 1.0]\n",
+    "not_utf8": b"states: 2\nq: [1.0, \xff]\n",
+    "fractional": "states: 2.5\nq: [1.0, 1.0]\npi: [[0, 0], [0, 0]]\nmu: [1.0, 0.0]\n",
+    "inf": CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"),
+    # rows within the row-sum and reach checks, spectral radius 1 - 7.5e-13
+    "radius": "states: 2\nq: [1.0, 1.0]\npi: [[0.5, 0.5000000000005], [0.5, 0.499999999998]]\nmu: [1.0, 0.0]\n",
+    "nested": "states: 1\nq: " + "[" * 600 + "1.0" + "]" * 600 + "\npi: [[0.0]]\nmu: [1.0]\n",
+    # a valid spec whose chain cannot reach state 1 from supp(mu)
+    "mu_misses": "states: 2\nq: [1.0, 1.0]\npi: [[0, 0], [0.5, 0]]\nmu: [1.0, 0.0]\n",
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["mass-gap", "--input", "{one}", "--samples", "10"],
-        ["levy-check", "--input", "{levy}", "--seed", "3"],
-        ["example-chain", "--tol", "1e-9"],
-        # no command has a tolerance flag: every row fixes its own bound
-        ["verify-iso", "--input", "{one}", "--tol", "1e-9"],
-        ["trace-check", "--input", "{one}", "--tol", "1e-9"],
-        ["det2-check", "--tol", "1e-9"],
-        ["circle-check", "--input", "{circle}", "--tol", "1e-9"],
-    ],
-    ids=[
-        "mass-gap-samples",
-        "levy-check-seed",
-        "example-chain-tol",
-        "verify-iso-tol",
-        "trace-check-tol",
-        "det2-check-tol",
-        "circle-check-tol",
-    ],
-)
-def test_commands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
-    one = tmp_path / "one.yaml"
-    one.write_text(ONE_STATE)
-    levy = tmp_path / "levy.yaml"
-    levy.write_text("a: [1.0, 4.0, 9.0]\nb: [1.0, 2.0, 3.0]\n")
-    circle = tmp_path / "circle.yaml"
-    circle.write_text(PIN_CIRCLE)
-    with pytest.raises(SystemExit) as exc:
-        main([a.format(one=one, levy=levy, circle=circle) for a in argv])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+def _draws(mp):  # records each twisted sample the suites draw
+    draws, real = [], harness.sample_twisted_batch
+    mp.setattr(harness, "sample_twisted_batch", lambda *a, **k: draws.append(a) or real(*a, **k))
+    return draws
+
+
+def _quiet(mp):  # numpy warns as the row's value overflows; the run exits 3 on that row
+    warnings.simplefilter("ignore", RuntimeWarning)
+
+
+def _raising(suite, exc):  # cli's `suite` raises exc in place of running
+    return lambda mp: mp.setattr(cli, suite, Mock(side_effect=exc))
+
+
+class Run(NamedTuple):
+    """One CLI run and how it must exit.
+
+    ``argv`` names its input files as ``{key}`` of `INPUTS`, and the test's
+    directory as ``{dir}``.  ``line`` is the one stderr line of an exit 2 or
+    3 (argparse's last), or for failing rows the first stdout line up to its values.
+    """
+
+    argv: str
+    cause: str
+    code: int
+    line: str
+    patch: Callable | None = None  # patch(monkeypatch), whose value `check` gets
+    check: Callable | None = None  # check(report path, seconds, patched) -> bool
+
+
+def _pass(row, mode="exact"):
+    return f"[PASS] {row}: mode={mode}"
+
+
+UNREAD = "twistlab: error: unrecognized arguments: "
+MU_MISSES = "error: reference measure vanishes at states [1]; unreachable from supp(mu)"
+# numpy's message for circle-check --k-max 1000000, raised here without allocating
+OOM = "Unable to allocate 29.1 TiB for an array with shape (4000004000001,) and data type float64"
+
+EXITS = {
+    "mass-gap-prints-its-value": Run("mass-gap --input {one}", "failing rows", 0, "1.0"),
+    "mgf-check": Run("mgf-check --input {chain}", "failing rows", 0, _pass("logdet_derivative_vs_trace")),
+    "trace-check": Run("trace-check --input {chain} --seed 3", "failing rows", 0, _pass("trace_consistency[|Y|=1]")),
+    "verify-iso": Run(
+        "verify-iso --input {chain} --seed 2 --samples 30000", "failing rows", 0, _pass("bridge_f1_exact[2,1]")),
+    "verify-q": Run(
+        "verify-q --input {chain} --seed 2 --samples 30000", "failing rows", 0, _pass("positivity_exp0_vs_mgf", "mc")),
+    "verify-q-at-the-sweep-limit": Run(
+        "verify-q --input {six} --samples 2000", "failing rows", 0, _pass("positivity_exp0_vs_mgf", "mc"),
+        check=lambda out, *_: "cm_full_sweep_clean,exact,0," in out.read_text()),
+    "det2-check": Run("det2-check --dim 6 --seed 7 --samples 50000", "failing rows", 0, _pass("det2_vs_det_exp_trace")),
+    "circle-check": Run(
+        "circle-check --input {circle} --k-max 128", "failing rows", 0, _pass("circle_frobenius_vs_frequency_sum")),
+    # finitely many drift frequencies give a finite square sum, so no truncation may fail
+    "circle-check-k-max-4": Run(
+        "circle-check --input {circle} --k-max 4", "failing rows", 0, _pass("circle_frobenius_vs_frequency_sum")),
+    "circle-check-far-frequency": Run(
+        "circle-check --input {far} --k-max 64", "failing rows", 0, _pass("circle_frobenius_vs_frequency_sum")),
+    "levy-check": Run("levy-check --input {levy}", "failing rows", 0, _pass("levy_partial_sum", "info")),
+    "levy-check-divergent": Run(  # the sum is recorded; no verdict
+        "levy-check --input {levy_divergent}", "failing rows", 0, _pass("levy_partial_sum", "info")),
+    # one draw gives each of the three MC rows an SE of 0 and z = inf, so they fail; an exit
+    # code of 1 for any failing row (ROADMAP item 11) changes exactly this entry
+    "det2-check-one-draw": Run("det2-check --dim 2 --samples 1", "failing rows", 3, _pass("det2_vs_det_exp_trace")),
+    "short-q": Run("mass-gap --input {short_q}", "parse error", 2, "error: line 2: q must have 2 entries, got 1"),
+    "control-character": Run(
+        "mass-gap --input {ctrl}", "parse error", 2, "error: line 2: unacceptable character #x0001"),
+    "not-utf8": Run("mass-gap --input {not_utf8}", "parse error", 2, "error: line 2: not UTF-8 text: byte 0xff"),
+    "fractional-states": Run(
+        "mass-gap --input {fractional}", "parse error", 2, "error: line 1: states must be an integer, got '2.5'"),
+    "missing-file": Run(
+        "mass-gap --input {dir}/chain.yaml", "parse error", 2,
+        "error: cannot read {dir}/chain.yaml: No such file or directory"),
+    "input-inf": Run("mass-gap --input {inf}", "parse error", 2, "error: line 2: q entry must be finite, got 'inf'"),
+    "radius-at-bound": Run(
+        "mass-gap --input {radius}", "parse error", 2,
+        "error: line 1: spectral radius of pi is 0.999999999999; must be < 1"),
+    "frequency-beyond-int64": Run(
+        "circle-check --input {huge}", "parse error", 2,
+        "error: line 4: frequency 100000000000000000000 is outside ±(2**63 - 1)"),
+    "levy-empty": Run(
+        "levy-check --input {levy_empty}", "parse error", 2,
+        "error: line 1: a and b must be matching nonempty vectors"),
+    "nested-deeply": Run("mass-gap --input {nested}", "parse error", 2, "error: line 2: q entry must be a scalar"),
+    "nested-deeply-base-loader": Run(
+        "mass-gap --input {nested}", "parse error", 2, "error: invalid document: nested too deeply",
+        lambda mp: mp.setattr(modelio, "LOADER", yaml.BaseLoader)),
+    "mu-misses-a-state": Run("mass-gap --input {mu_misses}", "chain rejected", 2, MU_MISSES),
+    "verify-iso-mu-misses-a-state": Run("verify-iso --input {mu_misses}", "chain rejected", 2, MU_MISSES),
+    "k-max-below-bandwidth": Run(
+        "circle-check --input {bandwidth_3} --k-max 1", "suite refusal", 2,
+        "error: truncation K=1 is below the drift bandwidth 3"),
+    "verify-q-beyond-the-sweep-limit": Run(
+        "verify-q --input {seven} --samples 2000", "suite refusal", 2,
+        "error: the monotonicity sweep takes at most 6 states; got 7",
+        _draws, lambda out, seconds, draws: draws == []),
+    "trace-check-one-state": Run(
+        "trace-check --input {one}", "suite refusal", 2,
+        "error: tracing needs at least 2 states: a 1-state chain has no proper subset"),
+    "mass-gap-samples": Run("mass-gap --input {one} --samples 10", ARGPARSE, 2, UNREAD + "--samples 10"),
+    "levy-check-seed": Run("levy-check --input {levy} --seed 3", ARGPARSE, 2, UNREAD + "--seed 3"),
+    # no command has a tolerance flag: every row fixes its own bound
+    "example-chain-tol": Run("example-chain --tol 1e-9", ARGPARSE, 2, UNREAD + "--tol 1e-9"),
+    "verify-iso-tol": Run("verify-iso --input {one} --tol 1e-9", ARGPARSE, 2, UNREAD + "--tol 1e-9"),
+    "trace-check-tol": Run("trace-check --input {one} --tol 1e-9", ARGPARSE, 2, UNREAD + "--tol 1e-9"),
+    "det2-check-tol": Run("det2-check --tol 1e-9", ARGPARSE, 2, UNREAD + "--tol 1e-9"),
+    "circle-check-tol": Run("circle-check --input {circle} --tol 1e-9", ARGPARSE, 2, UNREAD + "--tol 1e-9"),
+    "seed-zero": Run("mass-gap --input {one} --seed 0", "integer below 1", 2, "error: --seed must be at least 1"),
+    "n-zero": Run("example-chain --n 0", "integer below 1", 2, "error: --n must be at least 1"),
+    "dim-zero": Run("det2-check --dim 0", "integer below 1", 2, "error: --dim must be at least 1"),
+    "unwritable-report": Run(
+        "mgf-check --input {chain} --out {dir}/nodir/x.csv", "unwritable out", 2,
+        "error: cannot write {dir}/nodir/x.csv: No such file or directory"),
+    # the skew operator's det2 grows like a power of its eigenvalues of order sqrt(dim): it overflows at dim 700
+    "det2-out-of-float-range": Run(
+        "det2-check --dim 700 --seed 1 --samples 100", "numerical failure", 3,
+        "numerical failure: renormalised determinant leaves float range (modulus nan)"),
+    "numerical-error": Run(
+        "mgf-check --input {one}", "numerical failure", 3, "numerical failure: synthetic singularity",
+        _raising("mgf_suite", NumericalError("synthetic singularity"))),
+    "linalg-error-though-a-value-error": Run(
+        "mgf-check --input {one}", "numerical failure", 3, "numerical failure: Singular matrix",
+        _raising("mgf_suite", np.linalg.LinAlgError("Singular matrix")),
+        lambda *_: issubclass(np.linalg.LinAlgError, ValueError)),
+    "walk-over-a-lowered-bound": Run(
+        "verify-iso --input {slow} --samples 200", "numerical failure", 3,
+        "numerical failure: path did not terminate: 1000 expected sojourns from state 0 reach 50",
+        lambda mp: mp.setattr(paths, "MAX_JUMPS", 50)),
+    # refused before any draw, well inside 5 s
+    "walk-over-budget": Run(
+        "verify-iso --input {near} --samples 100000", "numerical failure", 3,
+        "numerical failure: path did not terminate: 1e+06 expected sojourns from state 0 reach 1000000",
+        _draws, lambda out, seconds, draws: seconds < 5.0 and draws == []),
+    "out-of-memory": Run(
+        "circle-check --input {circle} --k-max 1000000", "out of memory", 3, f"numerical failure: out of memory: {OOM}",
+        _raising("circle_suite", MemoryError(OOM))),
+    "out-of-memory-bare": Run(
+        "circle-check --input {circle} --k-max 1000000", "out of memory", 3,
+        "numerical failure: out of memory: allocation failed", _raising("circle_suite", MemoryError())),
+    "levy-sum-overflows": Run(
+        "levy-check --input {levy_overflow}", "non-finite row", 3,
+        "numerical failure: row levy_partial_sum is not finite: inf", _quiet),
+    "circle-sums-nan": Run(
+        "circle-check --k-max 4 --input {circle_nan}", "non-finite row", 3,
+        "numerical failure: row circle_frobenius_vs_frequency_sum is not finite: 84, nan", _quiet),
+}
+
+
+@pytest.mark.parametrize("name", EXITS)
+def test_each_run_exits_with_its_code_and_line(name, tmp_path, monkeypatch, capsys):
+    run = EXITS[name]
+    files = {key: tmp_path / f"{key}.yaml" for key in INPUTS if f"{{{key}}}" in run.argv}
+    for key, path in files.items():
+        path.write_bytes(INPUTS[key] if isinstance(INPUTS[key], bytes) else INPUTS[key].encode())
+    files["dir"] = tmp_path
+    argv = [a.format(**files) for a in run.argv.split()]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "report.csv")]
+    out = Path(argv[argv.index("--out") + 1])
+    patched = run.patch and run.patch(monkeypatch)
+    started = time.perf_counter()
+    try:
+        code, by_main = main(argv), True
+    except SystemExit as exc:
+        code, by_main = exc.code, False
+    seconds = time.perf_counter() - started
+    stdout, stderr = capsys.readouterr()
+    assert (code, by_main) == (run.code, run.cause != ARGPARSE)
+    if run.cause == "failing rows":
+        assert stderr == "" and out.exists()
+        assert stdout.splitlines()[0].split(" lhs=")[0] == run.line
+    else:
+        lines = stderr.splitlines(keepends=True)
+        assert (lines[-1:] if run.cause == ARGPARSE else lines) == [run.line.format(**files) + "\n"]
+        assert not out.exists()
+    assert run.check is None or run.check(out, seconds, patched)
+
+
+def test_every_command_returns_a_refusal_and_every_cause_has_a_run():
+    refused = {r.argv.split()[0] for r in EXITS.values() if r.code == 2 and r.cause not in (CAUSES[0], ARGPARSE)}
+    assert refused == set(COMMANDS)  # main's own exit 2, not argparse's
+    assert {run.cause for run in EXITS.values()} == set(CAUSES)
 
 
 @pytest.mark.parametrize(
@@ -491,8 +459,6 @@ def test_commands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
     ids=["no-command", "help", "unknown-command", "command-help", "unknown-flag", "unread-flag", "bad-int"],
 )
 def test_one_command_parser_prints_what_the_full_one_does(argv, last_line, monkeypatch, capsys):
-    from twistlab import cli
-
     def run():
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -538,22 +504,6 @@ def test_readme_command_lines_parse():
     assert named and named <= accepted, sorted(named - accepted)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "argv, text",
-    [
-        (["levy-check", "--input", "{path}"], "a: [1e-300]\nb: [1e300]\n"),
-        (["circle-check", "--k-max", "4", "--input", "{path}"], "epsilon: 1e300\nb_hat: [[1, 1e300, 0]]\n"),
-    ],
-    ids=["levy-sum-overflows", "circle-sums-nan"],
-)
-def test_rows_that_are_not_finite_exit_three_without_a_report(argv, text, tmp_path, capsys):
-    path, out = tmp_path / "input.yaml", tmp_path / "out.csv"
-    path.write_text(text)
-    assert main([a.format(path=path) for a in argv] + ["--out", str(out)]) == 3
-    assert not out.exists()
-    assert capsys.readouterr().err.strip().splitlines()[-1].startswith("numerical failure: row ")
-
 
 def test_det2_rows_stay_finite_where_the_gram_determinant_overflows(tmp_path, capsys):
     # det(I + B B^T) passes 1.8e308 at dim 300 while its square root, det2(B), is 1.94e270
@@ -575,58 +525,6 @@ def test_moment_oracle_stays_in_float_range_where_a_power_of_m_underflows(tmp_pa
     for k in (1, 2, 3):
         assert q_moment_oracle(dp, [0] * k) == pytest.approx(q_moment(dp, [0] * k), rel=1e-12)
 
-
-def test_numerical_failure_exit_three(tmp_path, monkeypatch, capsys):
-    from twistlab import cli
-    from twistlab.chain import NumericalError
-
-    def boom(dp, seed=0):
-        raise NumericalError("synthetic singularity")
-
-    monkeypatch.setattr(cli, "mgf_suite", boom)
-    path = tmp_path / "one.yaml"
-    path.write_text(ONE_STATE)
-    assert main(["mgf-check", "--input", str(path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
-
-
-def test_linalg_failure_exit_three_though_it_is_a_value_error(tmp_path, monkeypatch, capsys):
-    from twistlab import cli
-
-    def boom(dp, seed=0):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(cli, "mgf_suite", boom)
-    path = tmp_path / "one.yaml"
-    path.write_text(ONE_STATE)
-    assert issubclass(np.linalg.LinAlgError, ValueError)
-    assert main(["mgf-check", "--input", str(path)]) == 3
-    assert "numerical failure: Singular matrix" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "exc, line",
-    [
-        (
-            # numpy's message for circle-check --k-max 1000000, raised here without allocating
-            MemoryError("Unable to allocate 29.1 TiB for an array with shape (4000004000001,) and data type float64"),
-            "out of memory: Unable to allocate 29.1 TiB for an array with shape (4000004000001,) and data type float64",
-        ),
-        (MemoryError(), "out of memory: allocation failed"),
-    ],
-    ids=["numpy", "bare"],
-)
-def test_out_of_memory_exits_three_with_one_line(exc, line, tmp_path, monkeypatch, capsys):
-    from twistlab import cli
-
-    def boom(model, K):
-        raise exc
-
-    monkeypatch.setattr(cli, "circle_suite", boom)
-    path = tmp_path / "circle.yaml"
-    path.write_text("epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n")
-    assert main(["circle-check", "--input", str(path), "--k-max", "1000000"]) == 3
-    assert capsys.readouterr().err == f"numerical failure: {line}\n"
 
 
 def test_failure_count_capped():

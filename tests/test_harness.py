@@ -107,6 +107,20 @@ def test_example_suite_all_pass_small_and_exact_rows():
     assert fact.z <= 1e-12
 
 
+def test_over_budget_walk_is_refused_before_drawing(monkeypatch):
+    from twistlab import harness, paths
+    from twistlab.chain import NumericalError
+
+    draws = []
+    real = harness.sample_twisted_batch
+    monkeypatch.setattr(harness, "sample_twisted_batch", lambda *a, **k: draws.append(a) or real(*a, **k))
+    # every start expects at least one sojourn, so a bound of 1 refuses every walk
+    monkeypatch.setattr(paths, "MAX_JUMPS", 1)
+    with pytest.raises(NumericalError, match="expected sojourns"):
+        example_suite(3, count=1000)
+    assert draws == []
+
+
 def test_suites_draw_the_twisted_field_once(chain4, monkeypatch):
     from twistlab import harness
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistlab import paths
-from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
+from twistlab.chain import ChainSpec, NumericalError, build_dual, nchain, random_chain
 from twistlab.functionals import BumpField, ExpField, MonomialField, ProductField
 from twistlab.paths import BATCH, _walk, bridge_targets, bridge_values, occupation_batch
 from twistlab.seeding import rng_stream
@@ -542,3 +542,25 @@ def test_occupation_batch_rejects_a_bad_start_or_count():
     for start, count, message in out_of_range + ((0, 0, "count"),):
         with pytest.raises(ValueError, match=message):
             occupation_batch(dp, start, count, seed=1)
+
+
+# a path survives each jump with probability 0.999: about 1000 sojourns
+SLOW_KILL = ChainSpec(q=np.ones(2), pi=np.array([[0.0, 0.999], [0.999, 0.0]]), mu=np.array([0.5, 0.5]))
+
+
+def test_path_walks_are_bounded(monkeypatch):
+    dp = build_dual(SLOW_KILL)
+    monkeypatch.setattr(paths, "MAX_JUMPS", 50)
+    with pytest.raises(NumericalError):
+        occupation_batch(dp, 0, 200, seed=1)
+    with pytest.raises(NumericalError):
+        bridge_values(dp, 0, 1, ProductField(), 200, seed=1)
+
+
+def test_walk_within_budget_still_stops_at_the_bound(monkeypatch):
+    # 1000 expected sojourns pass the up-front check at a bound of 2000, and
+    # about 13% of paths outlive it, so the bound in the walk itself raises
+    dp = build_dual(SLOW_KILL)
+    monkeypatch.setattr(paths, "MAX_JUMPS", 2000)
+    with pytest.raises(NumericalError, match="^path did not terminate; jump matrix"):
+        occupation_batch(dp, 0, 200, seed=1)

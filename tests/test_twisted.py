@@ -236,6 +236,27 @@ def test_sampler_draws_the_field_from_its_stream_and_twists_by_the_skew_form():
         assert abs(wi - np.exp(2j * (zi.real @ tm.skew_form @ zi.imag))) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [random_chain(8, rng_stream(41, "twisted-tests")), nchain(24), random_chain(64, rng_stream(42, "twisted-tests"))],
+    ids=["random-8", "march-24", "random-64"],
+)
+def test_build_twisted_gives_the_normalisation_and_green_in_closed_form(spec):
+    # with S = skew_form, F = half_factor and Sigma = F F^T, the twist operator is
+    # B = 2 F^T S F; integrating Im z out gives E[W] and the conditioned correlation C
+    tm = build_twisted(build_dual(spec))
+    dp, s, f = tm.dp, tm.skew_form, tm.half_factor
+    sigma, b = f @ f.T, 2.0 * f.T @ s @ f
+    sigma_c = np.linalg.inv(np.linalg.inv(sigma) + 4.0 * s @ sigma @ s.T)
+    k = 2.0 * sigma @ s.T
+    log_weight = -0.5 * np.linalg.slogdet(np.eye(dp.n) + b @ b.T)[1]
+    log_ratio = np.linalg.slogdet(dp.m[:, None] * -dp.A)[1] - np.linalg.slogdet(dp.m[:, None] * -dp.L)[1]
+    assert abs(log_weight - log_ratio) <= 1e-10  # relative 1e-10 on the determinants
+    c = sigma_c + sigma - k @ sigma_c @ k.T - k @ sigma_c + sigma_c @ k.T
+    g = green(dp)
+    assert np.abs(c - g).max() <= 1e-10 * np.abs(g).max()
+
+
 def two_draw_sample(tm, count, seed):
     """The sampler as one (2, count, n) draw and complex temporaries: the referee."""
     xi = rng_stream(seed, "twisted-field").standard_normal((2, count, tm.dp.n))
