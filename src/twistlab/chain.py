@@ -275,16 +275,12 @@ def trace_chain(dp: DualPair, keep) -> DualPair:
     The traced generator is ``L_YY - L_YC L_CC^{-1} L_CY``; its potential is
     exactly ``V`` restricted to ``keep x keep`` and the reference measure
     restricts as is.  The implied initial law absorbs any mass killed before
-    first reaching ``keep`` and may be a sub-probability.
+    first reaching ``keep`` and may be a sub-probability.  Each kept state
+    must pass `DualPair.state_index`.
     """
-    keep = list(keep)
-    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in keep):
-        raise ChainError(f"keep must hold integer state indices, got {keep!r}")
-    keep = np.asarray(sorted(set(keep)), dtype=int)
+    keep = np.asarray(sorted({dp.state_index(k) for k in keep}), dtype=int)
     if keep.size == 0:
         raise ChainError("keep must be a nonempty set of states")
-    if keep.min() < 0 or keep.max() >= dp.n:
-        raise ChainError("keep contains out-of-range state indices")
     if keep.size == dp.n:
         return dp
     out = np.setdiff1d(np.arange(dp.n), keep)

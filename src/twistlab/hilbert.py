@@ -54,9 +54,10 @@ def det2(T) -> float:
 
     Equals det(I + T) e^{-tr T} in finite dimension; an eigenvalue at -1
     gives 0 (reported, not an error).  T must be real and finite, else
-    `ValueError`; its eigenvalues pair into conjugates and the product is
-    returned as a real number; one out of float range raises
-    `NumericalError`.
+    `ValueError`.  numpy returns the eigenvalues of a real matrix in exact
+    conjugate pairs, so the product is real up to rounding and its real part
+    is returned; one out of float range raises `NumericalError`, which names
+    its log modulus, the sum of log|1 + lambda| - Re lambda.
     """
     t = np.asarray(T)
     if np.any(np.imag(t)) or not np.isfinite(t).all():  # isfinite is false for NaN
@@ -69,9 +70,9 @@ def det2(T) -> float:
         prod = np.prod((1.0 + lam) * np.exp(-lam))
         size = float(np.abs(prod))
     if not np.finfo(float).tiny <= size < math.inf:  # false for NaN
-        raise NumericalError(f"renormalised determinant leaves float range (modulus {size:.3g})")
-    if abs(prod.imag) > 1e-10 * max(1.0, size):
-        raise NumericalError("conjugate eigenvalue pairing failed for a real operator")
+        log_size = float(np.sum(np.log(np.abs(1.0 + lam)) - lam.real))
+        way = "overflows" if log_size > 0 else "underflows"
+        raise NumericalError(f"renormalised determinant leaves float range (it {way}: log modulus {log_size:.1f})")
     return float(prod.real)
 
 

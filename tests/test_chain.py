@@ -5,7 +5,6 @@ from twistlab.chain import (
     ChainError,
     ChainSpec,
     build_dual,
-    dual_pair_from_generator,
     energy_quadratic,
     mass_gap,
     nchain,
@@ -154,57 +153,15 @@ def test_trace_idempotent():
     assert np.allclose(once.m, direct.m, atol=1e-12)
 
 
-@pytest.mark.parametrize("keep", [[0, 1.5], [1.0, 2.0], [True]])
-def test_trace_refuses_non_integer_states(keep):
-    with pytest.raises(ChainError, match="integer state indices"):
-        trace_chain(build_dual(nchain(4)), keep)
-
-
 def test_trace_takes_numpy_integer_states():
     dp = build_dual(nchain(4))
     traced = trace_chain(dp, np.array([2, 0, 2]))
     assert np.array_equal(traced.L, trace_chain(dp, [0, 2]).L)
 
 
-def test_spec_validation_rejects_bad_inputs():
-    with pytest.raises(ChainError):
-        ChainSpec(q=np.array([1.0, -1.0]), pi=np.zeros((2, 2)), mu=np.array([1.0, 0.0]))
-    with pytest.raises(ChainError):  # stochastic row: no killing reachable
-        ChainSpec(q=np.ones(2), pi=np.array([[0.0, 1.0], [1.0, 0.0]]), mu=np.array([1.0, 0.0]))
-    with pytest.raises(ChainError):  # mu not a probability
-        ChainSpec(q=np.ones(2), pi=np.zeros((2, 2)), mu=np.array([0.5, 0.2]))
-    with pytest.raises(ChainError):  # row sum above one
-        ChainSpec(q=np.ones(2), pi=np.array([[0.6, 0.6], [0.0, 0.0]]), mu=np.array([1.0, 0.0]))
-
-
 # row sums 1 + 5e-13 and 1 - 2e-12 pass the row-sum and reach checks; the
 # spectral radius is 1 - 7.5e-13, above the bound 1 - 1e-12
 NEAR_UNIT_RADIUS = np.array([[0.5, 0.5 + 5e-13], [0.5, 0.5 - 2e-12]])
-
-
-def test_spec_refuses_a_spectral_radius_at_the_bound():
-    radius = float(np.max(np.abs(np.linalg.eigvals(NEAR_UNIT_RADIUS))))
-    assert 1 - 1e-12 <= radius < 1
-    with pytest.raises(ChainError, match=r"spectral radius of pi is 0\.999999999999; must be < 1"):
-        ChainSpec(q=np.ones(2), pi=NEAR_UNIT_RADIUS, mu=np.array([1.0, 0.0]))
-
-
-# states 0 and 1 form a closed class whose rows sum to 0.999999999999,
-# inside the 1e-12 row-sum slack, so rho(pi) = 1 - 1e-12 to rounding.  Here
-# the radius test alone accepts this pi (LAPACK's rounding puts it below
-# the bound); the reach check is what refuses it.
-CLOSED_CLASS_AT_THE_BOUND = np.array(
-    [
-        [0.08336944850900674, 0.9166305514899933, 0.0],
-        [0.24099910509675213, 0.7590008949022479, 0.0],
-        [0.0, 0.0, 0.33488522059781833],
-    ]
-)
-
-
-def test_spec_reach_check_refuses_a_closed_class_at_the_radius_bound():
-    with pytest.raises(ChainError, match=r"states \[0, 1\] cannot reach any killing state"):
-        ChainSpec(q=np.ones(3), pi=CLOSED_CLASS_AT_THE_BOUND, mu=np.array([1.0, 0.0, 0.0]))
 
 
 def test_spec_radius_test_agrees_with_the_eigenvalues():
@@ -236,45 +193,10 @@ def test_accepted_spec_computes_no_eigenvalues(monkeypatch):
     def refuse(a):
         raise AssertionError("eigvals was called")
 
+    assert 1 - 1e-12 <= float(np.max(np.abs(np.linalg.eigvals(NEAR_UNIT_RADIUS)))) < 1  # the refused pi below
     pi = random_chain(32, rng_stream(3, "radius-tests")).pi
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     spec = ChainSpec(q=np.ones(32), pi=pi, mu=np.full(32, 1 / 32))
     assert np.array_equal(spec.pi, pi)
     with pytest.raises(AssertionError, match="eigvals was called"):
         ChainSpec(q=np.ones(2), pi=NEAR_UNIT_RADIUS, mu=np.array([1.0, 0.0]))
-
-
-@pytest.mark.parametrize("field", ["q", "pi", "mu"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_spec_rejects_non_finite_entries(field, bad):
-    data = dict(q=[1.0, 1.0], pi=[[0.0, 0.5], [0.3, 0.0]], mu=[0.5, 0.5])
-    ChainSpec(**data)  # the finite chain is valid
-    data[field] = np.array(data[field])
-    data[field].flat[0] = bad
-    with pytest.raises(ChainError, match=f"{field} has a non-finite entry"):
-        ChainSpec(**data)
-
-
-@pytest.mark.parametrize("field", ["L", "m"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_dual_pair_from_generator_rejects_non_finite_entries(field, bad):
-    data = dict(L=-np.eye(2), m=np.ones(2))
-    dual_pair_from_generator(**data)  # the finite pair is valid
-    data[field] = data[field].copy()
-    data[field].flat[1] = bad
-    with pytest.raises(ChainError, match=f"{field} has a non-finite entry"):
-        dual_pair_from_generator(**data)
-
-
-def test_build_dual_rejects_vanishing_reference_measure():
-    # state 1 unreachable from supp(mu): m has a zero coordinate
-    pi = np.zeros((2, 2))
-    spec = ChainSpec(q=np.ones(2), pi=pi, mu=np.array([1.0, 0.0]))
-    with pytest.raises(ChainError):
-        build_dual(spec)
-
-
-def test_dual_pair_from_generator_rejects_bad_measure():
-    dp = build_dual(nchain(3))
-    with pytest.raises(ChainError):
-        dual_pair_from_generator(dp.L, np.array([1.0, 0.0, 1.0]))

@@ -218,10 +218,30 @@ def test_non_finite_numbers_are_rejected_at_their_line(load, text, line, tmp_pat
             "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - - 2\n    - 0.1x\n    - 0.0\n",
             "line 5: b_hat triple entry must be a float, got '0.1x'",
         ),
+        (load_chain_spec, "", "line 1: empty document"),
+        (load_chain_spec, "- 3\n- [1.0]\n", "line 1: chain spec must be a mapping"),
+        (load_chain_spec, GOOD_CHAIN.replace("states: 3", "states: 0"), "line 1: states must be at least 1"),
+        (load_chain_spec, GOOD_CHAIN.replace("  - [0.0, 0.0, 0.0]\n", ""), "line 4: pi must have 3 rows, got 2"),
+        (load_circle_model, "epsilon: 1.0\nb_hat:\n  - [1.5, 0.5, 0.0]\n", "line 3: frequency must be an integer"),
+        (
+            load_circle_model,
+            "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [1, 0.5, 0.0]\n",
+            "line 4: duplicate frequency 1",
+        ),
     ],
-    ids=["pi-text", "pi-nested-list", "b_hat-text"],
+    ids=[
+        "pi-text",
+        "pi-nested-list",
+        "b_hat-text",
+        "empty",
+        "not-a-mapping",
+        "no-states",
+        "pi-short",
+        "fractional-frequency",
+        "duplicate-frequency",
+    ],
 )
-def test_bad_list_entry_is_reported_at_its_own_line(load, text, message, tmp_path, monkeypatch):
+def test_file_refusals_are_reported_at_their_line(load, text, message, tmp_path, monkeypatch):
     err = load_error(monkeypatch, load, write(tmp_path, text))
     assert str(err) == message
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from twistlab import paths
-from twistlab.chain import ChainSpec, NumericalError, build_dual, nchain, random_chain
-from twistlab.functionals import BumpField, ExpField, MonomialField, ProductField
+from twistlab.chain import ChainSpec, build_dual, nchain, random_chain
+from twistlab.functionals import ExpField, MonomialField, ProductField
 from twistlab.paths import BATCH, _walk, bridge_targets, bridge_values, occupation_batch
 from twistlab.seeding import rng_stream
 from twistlab.twisted import green
@@ -238,9 +238,6 @@ def test_exp_sojourn_integral_does_not_cancel_for_short_stays():
 def test_monomial_field_takes_only_nonnegative_integer_exponents():
     assert MonomialField([2, 0, 1])(np.array([3.0, 0.0, 2.0])) == 18.0
     assert MonomialField([0.0, 0.0])(np.zeros(2)) == 1.0
-    for bad in ([-1, 0], [0.5, 1], [np.nan, 0], [np.inf, 0], [65, 0]):
-        with pytest.raises(ValueError):
-            MonomialField(bad)
 
 
 def power_by_multiplication(x, k):
@@ -520,47 +517,3 @@ def test_occupation_batch_matches_the_per_path_loop_bit_for_bit(name):
     want_fields, want_lives = per_path_occupation(dp, start, count, seed=22)
     assert np.array_equal(fields, want_fields) and np.array_equal(lives, want_lives)
     assert np.all(np.count_nonzero(fields, axis=0) > 0)
-
-
-def test_bridge_targets_reject_a_bad_target():
-    dp = build_dual(nchain(3))
-    f = ProductField()
-    good = (1, f, np.zeros((10, 3)))
-    no_closed_form = (1, BumpField(np.zeros(3)), None)
-    bad_states = ((3, f, None), (-1, f, None), (1.5, f, None))
-    for bad in bad_states + ((1, f, np.zeros((10, 2))), (1, f, np.zeros((9, 3))), no_closed_form):
-        with pytest.raises(ValueError):
-            bridge_targets(dp, 0, [good, bad], 10, seed=1)
-    for x in (3, 1.5):
-        with pytest.raises(ValueError, match="states out of range"):
-            bridge_targets(dp, x, [good], 10, seed=1)
-
-
-def test_occupation_batch_rejects_a_bad_start_or_count():
-    dp = build_dual(nchain(3))
-    out_of_range = ((-1, 10, "states out of range"), (3, 10, "states out of range"), (1.5, 10, "states out of range"))
-    for start, count, message in out_of_range + ((0, 0, "count"),):
-        with pytest.raises(ValueError, match=message):
-            occupation_batch(dp, start, count, seed=1)
-
-
-# a path survives each jump with probability 0.999: about 1000 sojourns
-SLOW_KILL = ChainSpec(q=np.ones(2), pi=np.array([[0.0, 0.999], [0.999, 0.0]]), mu=np.array([0.5, 0.5]))
-
-
-def test_path_walks_are_bounded(monkeypatch):
-    dp = build_dual(SLOW_KILL)
-    monkeypatch.setattr(paths, "MAX_JUMPS", 50)
-    with pytest.raises(NumericalError):
-        occupation_batch(dp, 0, 200, seed=1)
-    with pytest.raises(NumericalError):
-        bridge_values(dp, 0, 1, ProductField(), 200, seed=1)
-
-
-def test_walk_within_budget_still_stops_at_the_bound(monkeypatch):
-    # 1000 expected sojourns pass the up-front check at a bound of 2000, and
-    # about 13% of paths outlive it, so the bound in the walk itself raises
-    dp = build_dual(SLOW_KILL)
-    monkeypatch.setattr(paths, "MAX_JUMPS", 2000)
-    with pytest.raises(NumericalError, match="^path did not terminate; jump matrix"):
-        occupation_batch(dp, 0, 200, seed=1)

@@ -8,8 +8,6 @@ import pytest
 
 from twistlab import twisted
 from twistlab.chain import ChainSpec, build_dual, dual_pair_from_generator, nchain, random_chain
-from twistlab.functionals import ExpField
-from twistlab.hilbert import circle_B_matrix, circle_model, eta_kernel
 from twistlab.seeding import rng_stream
 from twistlab.twisted import (
     CM_MAX_STATES,
@@ -74,24 +72,6 @@ def field_correlation_quadrature_oracle(dp, chi, nodes=24):
     return moments / denom
 
 
-def stacked_mgf(dp, row):
-    """mgf on a stack whose last row is ``row``: the stack path's checks."""
-    return mgf(dp, np.stack([np.zeros_like(row, dtype=float), row]))
-
-
-def test_chi_must_be_a_nonnegative_vector_of_the_chain_length():
-    dp = build_dual(nchain(3))
-    for fn in (green, mgf, stacked_mgf, lambda dp, v: ExpField(v, dp.m)):
-        with pytest.raises(ValueError, match="nonnegative"):
-            fn(dp, np.array([0.1, -0.2, 0.3]))
-        for bad in (np.ones(2), np.ones((3, 1)), 0.5):
-            with pytest.raises(ValueError, match="length 3"):
-                fn(dp, bad)
-    for bad in (np.ones((2, 3, 3)), np.ones((0, 2))):
-        with pytest.raises(ValueError, match="length 3"):
-            mgf(dp, bad)
-
-
 @pytest.mark.parametrize("n", [1, 6, 64])
 def test_stacked_mgf_equals_each_one_point_call_bit_for_bit(n):
     rng = rng_stream(31, "twisted-tests")
@@ -118,30 +98,6 @@ def test_stacked_mgf_factors_a_buffer_full_at_a_time(monkeypatch):
     assert calls == [6, 3, 3, 1]  # det(-L), then buffers of 3, 3 and 1
     monkeypatch.setattr(twisted, "STACK_BYTES", 1)  # at least one matrix a buffer
     assert list(mgf(dp, stack)) == list(whole)
-
-
-def damped_circle_kernel(weights):
-    model = circle_model(1.0, {1: 0.5})
-    return eta_kernel(model, circle_B_matrix(model, 4), 0.7, 1.9, chi_points=[0.7], chi_weights=weights)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize(
-    "damp",
-    [
-        lambda dp, v: mgf(dp, v),
-        stacked_mgf,
-        lambda dp, v: green(dp, v),
-        lambda dp, v: ExpField(v, dp.m),
-        lambda dp, v: damped_circle_kernel(v[:1]),
-    ],
-    ids=["mgf", "mgf-stack", "green", "exp-field", "eta-kernel"],
-)
-def test_non_finite_damping_is_rejected(damp, bad):
-    # every comparison with NaN is false, so a sign check alone lets NaN through
-    dp = build_dual(nchain(3))
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        damp(dp, np.array([bad, 0.0, 0.0]))
 
 
 def test_green_march_chain_and_scalar():
@@ -354,8 +310,6 @@ def test_complete_monotonicity_flags_a_transform_of_no_positive_law():
     assert (report.checks, report.violations) == (378, 84)
     assert report.min_signed_value < -1e-12
     assert cm_grid(CM_MAX_STATES).shape == (3**CM_MAX_STATES, CM_MAX_STATES)
-    with pytest.raises(ValueError, match="at most"):
-        cm_grid(CM_MAX_STATES + 1)
 
 
 def cm_referee(dp):
@@ -495,8 +449,6 @@ def test_permanent_small_and_bruteforce():
     for k in range(1, 8):
         m = rng.standard_normal((k, k))
         assert permanent(m) == pytest.approx(permanent_bruteforce(m), rel=1e-10), k
-    with pytest.raises(ValueError):
-        permanent(np.zeros((15, 15)))
 
 
 def test_permanent_of_all_ones_is_k_factorial_exactly():
@@ -615,17 +567,6 @@ def test_q_moment_oracle_meets_the_rows_bound_where_q_is_near_1e300(n):
         for k in (1, 2, 3):
             for pts in itertools.combinations_with_replacement(range(n), k):
                 assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("moment", [q_moment, q_moment_oracle], ids=["permanent", "oracle"])
-@pytest.mark.parametrize("bad", [-1, 4, 1.5, True])
-def test_moments_reject_states_out_of_range(bad, moment):
-    dp = build_dual(random_chain(4, rng_stream(39, "twisted-tests")))
-    with pytest.raises(ValueError, match="states out of range"):
-        moment(dp, [0, bad])
-    for count in (0, 9):
-        with pytest.raises(ValueError, match="between 1 and 8"):
-            moment(dp, [0] * count)
 
 
 def test_oracle_takes_at_most_two_to_the_k_determinants(monkeypatch):
