@@ -86,13 +86,7 @@ def _path_green(dp, x, y, chi=None):
     return visits[x, y] / (rate[y] * dp.m[y])
 
 
-def verify_bridge_identity(
-    dp: DualPair,
-    x: int,
-    y: int,
-    chi=None,
-    name: str | None = None,
-) -> VerificationReport:
+def verify_bridge_identity(dp: DualPair, x: int, y: int, name: str, chi=None) -> VerificationReport:
     """Exact bridge identity for the exponential functional exp(-<chi, l>_m).
 
     F is constant when ``chi`` is None.  Both sides are G_chi(x, y) times
@@ -106,10 +100,10 @@ def verify_bridge_identity(
     phi = mgf(dp, chi)
     lhs = green(dp, chi)[x, y] * phi
     rhs = _path_green(dp, x, y, chi) * phi
-    return exact_report(name or f"bridge_identity[x={x},y={y}]", lhs, rhs, tol=1e-10)
+    return exact_report(name, lhs, rhs, tol=1e-10)
 
 
-def positivity_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
+def positivity_suite(dp: DualPair, count: int, seed: int):
     """Nonnegativity battery for the squared-field law.
 
     Weighted-sample expectations of nonnegative functionals must be real
@@ -165,7 +159,7 @@ def verify_trace(dp: DualPair, keep) -> VerificationReport:
     return exact_report(f"trace_consistency[|Y|={size}]", resid, 0.0, tol=1e-10)
 
 
-def trace_suite(dp: DualPair, seed: int = 0):
+def trace_suite(dp: DualPair, seed: int):
     """Traces onto three random proper subsets; a chain needs two states to have one."""
     if dp.n < 2:
         raise ValueError("tracing needs at least 2 states: a 1-state chain has no proper subset")
@@ -178,7 +172,7 @@ def trace_suite(dp: DualPair, seed: int = 0):
     return rows
 
 
-def mass_gap_suite(dp: DualPair, seed: int = 0):
+def mass_gap_suite(dp: DualPair, seed: int):
     """Gap value plus the energy lower bound on 1000 random complex vectors."""
     gap = mass_gap(dp)
     rng = rng_stream(seed, "mass-gap")
@@ -190,7 +184,7 @@ def mass_gap_suite(dp: DualPair, seed: int = 0):
     return rows, gap
 
 
-def mgf_suite(dp: DualPair, seed: int = 0):
+def mgf_suite(dp: DualPair, seed: int):
     """Laplace-transform rows: log-derivative against the Green diagonal, monotone damping.
 
     det(-L + M_s) is affine in each s_u, with the minor off u as its slope,
@@ -215,7 +209,7 @@ def mgf_suite(dp: DualPair, seed: int = 0):
     return rows
 
 
-def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
+def iso_suite(dp: DualPair, count: int, seed: int):
     """Identity battery on a chain: exact rows, MC brackets, cross-MC rows."""
     rng = rng_stream(seed, "iso-suite")
     n = dp.n
@@ -253,7 +247,7 @@ def iso_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     ]
 
 
-def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
+def q_suite(dp: DualPair, count: int, seed: int):
     """Squared-field law battery: positivity, monotonicity, moment oracle.
 
     The monotonicity sweep runs first, so that a chain beyond its state limit
@@ -274,7 +268,7 @@ def q_suite(dp: DualPair, count: int = 100_000, seed: int = 0):
     return rows
 
 
-def example_suite(n_states: int, count: int = 100_000, seed: int = 1):
+def example_suite(n_states: int, count: int, seed: int):
     """Full battery on the unit-rate march chain of ``n_states`` states.
 
     Exact rows: Laplace-transform factorisation into prod (1 + s_i)^{-1}

@@ -71,12 +71,15 @@ def det2(T) -> float:
         size = float(np.abs(prod))
     if not np.finfo(float).tiny <= size < math.inf:  # false for NaN
         log_size = float(np.sum(np.log(np.abs(1.0 + lam)) - lam.real))
+        # one factor can leave float range where the product does not: then sum its logs
+        if math.log(np.finfo(float).tiny) <= log_size < math.log(np.finfo(float).max):
+            return float(np.exp(np.sum(np.log(1.0 + lam.astype(complex)) - lam)).real)
         way = "overflows" if log_size > 0 else "underflows"
         raise NumericalError(f"renormalised determinant leaves float range (it {way}: log modulus {log_size:.1f})")
     return float(prod.real)
 
 
-def gaussian_char_identities(C, B, f1, f2, count: int = 100_000, seed: int = 0):
+def gaussian_char_identities(C, B, f1, f2, count: int, seed: int):
     """Monte Carlo checks of the Gaussian characteristic-functional identities.
 
     With phi1, phi2 independent standard Gaussian vectors and
@@ -325,7 +328,7 @@ def eta_kernel(model: CircleDriftModel, op, x: float, y: float, chi_points=(), c
     return float(eta_y @ np.linalg.solve(m, eta_x))
 
 
-def det2_suite(dim: int = 6, count: int = 100_000, seed: int = 0):
+def det2_suite(dim: int, count: int, seed: int):
     """Determinant calculus and Gaussian identity battery at one dimension."""
     rng = rng_stream(seed, "det2-suite")
     t_gen = rng.standard_normal((dim, dim)) / math.sqrt(dim)
@@ -373,7 +376,7 @@ def _coupling_square_sum(model: CircleDriftModel, K: int) -> float:
     return float(np.cumsum([0.0, *terms])[-1])
 
 
-def circle_suite(model: CircleDriftModel, K: int = 128):
+def circle_suite(model: CircleDriftModel, K: int):
     """Drift-coupling battery: operator norm, square sum, kernel.
 
     Builds the operator once and makes no dense solve.  The Frobenius row

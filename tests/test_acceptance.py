@@ -117,7 +117,7 @@ def test_criterion_3_bridge_identity():
         x = int(rng.integers(4))
         y = int(rng.integers(4))
         chi = rng.uniform(0.1, 1.0, 4)
-        exact = verify_bridge_identity(dp, x, y, chi=chi)
+        exact = verify_bridge_identity(dp, x, y, "bridge", chi=chi)
         worst_exact = max(worst_exact, exact.z)
         z, w = sample_twisted_batch(build_twisted(dp), 100_000, 2000 + c)
         rho = np.abs(z) ** 2
@@ -144,7 +144,7 @@ def test_criterion_4_occupation_identity():
         dp = build_dual(random_chain(n, rng))
         g = green(dp)
         for x in range(n):
-            rep = verify_bridge_identity(dp, x, x)
+            rep = verify_bridge_identity(dp, x, x, "occupation")
             worst_exact = max(worst_exact, rep.z, abs(rep.lhs - g[x, x]))
     rows = example_suite(3, count=100_000, seed=3)
     sb = [r for r in rows if "size_biased" in r.name]

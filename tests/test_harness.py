@@ -37,7 +37,7 @@ def bridge_mc_row(dp, x, y, func, count, seed):
 
 def test_bridge_identity_constant_reduces_to_green(chain4):
     g = green(chain4)
-    rep = verify_bridge_identity(chain4, 0, 2)
+    rep = verify_bridge_identity(chain4, 0, 2, "bridge")
     assert rep.mode == "exact" and rep.passed
     assert rep.lhs == pytest.approx(g[0, 2], rel=1e-12)
     assert rep.rhs == pytest.approx(g[0, 2], rel=1e-12)
@@ -46,7 +46,7 @@ def test_bridge_identity_constant_reduces_to_green(chain4):
 def test_bridge_identity_exponential_exact_and_bracketed(chain4):
     rng = rng_stream(52, "harness-tests")
     chi = rng.uniform(0.2, 1.0, 4)
-    rep = verify_bridge_identity(chain4, 0, 3, chi=chi)
+    rep = verify_bridge_identity(chain4, 0, 3, "bridge", chi=chi)
     assert rep.mode == "exact" and rep.passed and rep.z <= 1e-10
     # the exact value both sides agree on
     target = green(chain4, chi)[0, 3] * mgf(chain4, chi)
@@ -67,14 +67,14 @@ def test_bridge_identity_cross_mc_generic_functional(chain4):
 def test_occupation_identity_constant_is_green_diagonal(chain4):
     g = green(chain4)
     for x in range(4):
-        rep = verify_bridge_identity(chain4, x, x)
+        rep = verify_bridge_identity(chain4, x, x, "occupation")
         assert rep.passed and rep.lhs == pytest.approx(g[x, x], rel=1e-12)
 
 
 def test_occupation_identity_exponential_exact(chain4):
     rng = rng_stream(53, "harness-tests")
     chi = rng.uniform(0.1, 0.8, 4)
-    rep = verify_bridge_identity(chain4, 2, 2, chi=chi)
+    rep = verify_bridge_identity(chain4, 2, 2, "occupation", chi=chi)
     assert rep.passed and rep.z <= 1e-10
 
 
@@ -111,7 +111,7 @@ def test_over_budget_walk_is_refused_before_drawing(monkeypatch):
     # every start expects at least one sojourn, so a bound of 1 refuses every walk
     monkeypatch.setattr(paths, "MAX_JUMPS", 1)
     with pytest.raises(NumericalError, match="expected sojourns"):
-        example_suite(3, count=1000)
+        example_suite(3, count=1000, seed=1)
     assert draws == []
 
 

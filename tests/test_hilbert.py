@@ -56,6 +56,19 @@ def test_det2_takes_complex_dtype_with_zero_imaginary_part():
     assert det2(t.astype(complex)) == det2(t)
 
 
+@pytest.mark.parametrize(
+    "diagonal, value",
+    [
+        # the factor (1 + lambda) e^{-lambda} at lambda = -800 overflows, and the one at 800 underflows
+        ([-800.0, 800.0], -799.0 * 801.0),
+        # the product of the two factors at 700 underflows, and the factor at -1300 overflows
+        ([700.0, 700.0, -1300.0], -701.0 * 701.0 * 1299.0 * np.exp(-100.0)),
+    ],
+)
+def test_det2_is_returned_where_only_its_factors_leave_float_range(diagonal, value):
+    assert det2(np.diag(diagonal)) == pytest.approx(value, rel=1e-12)
+
+
 def test_det2_matches_det_times_exp_trace():
     rng = rng_stream(61, "hilbert-tests")
     t = rng.standard_normal((5, 5)) / np.sqrt(5)

@@ -1,18 +1,15 @@
+"""Loading model files: the values each one gives, and the flat chain reader against the node walk.
+
+Every refusal of `modelio` is a ``REFUSALS`` entry in `tests/test_refusals.py`, read under both shipped loaders.
+"""
+
 import numpy as np
 import pytest
 import yaml
 
 from twistlab import modelio, random_chain
 from twistlab.hilbert import circle_model
-from twistlab.modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
-
-# the shipped loader and pyyaml's pure-Python one
-LOADERS = [modelio.LOADER, yaml.BaseLoader]
-# each one's twin on the same parser that resolves every tag
-RESOLVING = {
-    LOADERS[0]: yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader,
-    LOADERS[1]: yaml.SafeLoader,
-}
+from twistlab.modelio import load_chain_spec, load_circle_model, load_levy_model
 
 GOOD_CHAIN = """\
 states: 3
@@ -61,27 +58,6 @@ def line_reader(monkeypatch, on):
         monkeypatch.setattr(modelio, "_flat_chain", lambda text: None)
 
 
-def load_error(monkeypatch, load, path, match=None) -> SpecFileError:
-    """Load a malformed file with each YAML parser, with and without tags.
-
-    All must fail on the same line, and each parser with the same message
-    whether or not it resolves tags (libyaml and pyyaml word syntax errors
-    differently).
-    """
-    errors = []
-    for loader in LOADERS:
-        messages = set()
-        for variant in (loader, RESOLVING[loader]):
-            monkeypatch.setattr(modelio, "LOADER", variant)
-            with pytest.raises(SpecFileError, match=match) as err:
-                load(path)
-            messages.add(str(err.value))
-            errors.append(err.value)
-        assert len(messages) == 1, messages
-    assert len({e.line for e in errors}) == 1, [str(e) for e in errors]
-    return errors[0]
-
-
 def test_load_chain_spec(tmp_path):
     spec = load_chain_spec(write(tmp_path, GOOD_CHAIN))
     assert spec.n == 3
@@ -92,67 +68,6 @@ def test_chain_spec_json_also_parses(tmp_path):
     text = '{"states": 2, "q": [1, 1], "pi": [[0, 0.5], [0, 0]], "mu": [1, 0]}'
     spec = load_chain_spec(write(tmp_path, text, "chain.json"))
     assert spec.n == 2
-
-
-def test_wrong_row_length_is_line_anchored(tmp_path, monkeypatch):
-    bad = GOOD_CHAIN.replace("  - [0.0, 0.0, 1.0]", "  - [0.0, 0.0]")
-    err = load_error(monkeypatch, load_chain_spec, write(tmp_path, bad))
-    assert err.line == 5
-    assert "pi row 1" in str(err)
-
-
-def test_wrong_vector_length_and_missing_field(tmp_path, monkeypatch):
-    bad = GOOD_CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, 1.0]")
-    assert load_error(monkeypatch, load_chain_spec, write(tmp_path, bad)).line == 2
-    missing = write(tmp_path, GOOD_CHAIN.replace("mu: [1.0, 0.0, 0.0]\n", ""))
-    load_error(monkeypatch, load_chain_spec, missing, match="missing field 'mu'")
-    load_error(monkeypatch, load_chain_spec, write(tmp_path, GOOD_CHAIN + "extra: 1\n"), match="unknown field")
-
-
-def test_fractional_state_count_is_not_an_integer(tmp_path, monkeypatch):
-    bad = write(tmp_path, GOOD_CHAIN.replace("states: 3", "states: 2.5"))
-    err = load_error(monkeypatch, load_chain_spec, bad)
-    assert str(err) == "line 1: states must be an integer, got '2.5'"
-
-
-def test_non_scalar_field_name_is_rejected_at_its_line(tmp_path, monkeypatch):
-    bad = write(tmp_path, GOOD_CHAIN + "? [q, mu]\n: 1\n")
-    err = load_error(monkeypatch, load_chain_spec, bad)
-    assert str(err) == "line 8: field name must be a scalar"
-
-
-def test_duplicate_field_is_rejected_at_its_line(tmp_path, monkeypatch):
-    twice = GOOD_CHAIN + "q: [2.0, 2.0, 2.0]\n"
-    err = load_error(monkeypatch, load_chain_spec, write(tmp_path, twice), match="duplicate field 'q'")
-    assert err.line == 8
-
-
-def test_yaml_syntax_error_carries_line(tmp_path, monkeypatch):
-    err = load_error(monkeypatch, load_chain_spec, write(tmp_path, "states: 3\nq: [1.0, 1.0\n"))
-    assert err.line is not None
-
-
-@pytest.mark.parametrize(
-    "content, line, message",
-    [
-        # libyaml counts the bytes of the accents, pyyaml the characters
-        ("states: 3  # éééééééééééé\nq: [1.0,\x01 1.0]\nmu: [1.0]\n".encode(), 2, "unacceptable character #x0001"),
-        (b"states: 3\nq: [1.0, \xff]\n", 2, "not UTF-8 text: byte 0xff"),
-        (None, None, "cannot read"),
-    ],
-    ids=["control-character", "not-utf8", "missing-file"],
-)
-def test_unreadable_files_are_spec_errors(content, line, message, tmp_path, monkeypatch):
-    path = tmp_path / "chain.yaml"
-    if content is not None:
-        path.write_bytes(content)
-    err = load_error(monkeypatch, load_chain_spec, path, match=message)
-    assert err.line == line
-
-
-def test_semantically_invalid_chain_rejected(tmp_path, monkeypatch):
-    bad = GOOD_CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, -1.0, 1.0]")
-    load_error(monkeypatch, load_chain_spec, write(tmp_path, bad), match="positive")
 
 
 def test_load_circle_model(tmp_path):
@@ -169,81 +84,9 @@ def test_load_circle_model(tmp_path):
     assert np.array_equal(model.coeffs, built.coeffs)
 
 
-def test_circle_model_conjugate_conflict(tmp_path, monkeypatch):
-    text = "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.2]\n  - [-1, 0.5, 0.2]\n"
-    err = load_error(monkeypatch, load_circle_model, write(tmp_path, text), match="conjugate")
-    assert err.line == 3  # the b_hat list
-    load_error(monkeypatch, load_circle_model, write(tmp_path, "epsilon: -1\nb_hat: []\n"), match="epsilon")
-
-
-def test_load_levy_model(tmp_path, monkeypatch):
+def test_load_levy_model(tmp_path):
     model = load_levy_model(write(tmp_path, "a: [1.0, 4.0]\nb: [1.0, 2.0]\n"))
     assert model.a.size == 2
-    load_error(monkeypatch, load_levy_model, write(tmp_path, "a: [1.0, 4.0]\nb: [1.0]\n"))
-    load_error(monkeypatch, load_levy_model, write(tmp_path, "a: [0.0, 4.0]\nb: [1.0, 2.0]\n"), match="positive")
-
-
-@pytest.mark.parametrize(
-    "load, text, line",
-    [
-        (load_circle_model, "epsilon: 1.0\nb_hat: [[inf, 0.5, 0.0]]\n", 2),
-        (load_circle_model, "epsilon: 1.0\nb_hat:\n  - [nan, 0.5, 0.0]\n", 3),
-        (load_circle_model, "epsilon: nan\nb_hat: []\n", 1),
-        (load_chain_spec, GOOD_CHAIN.replace("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"), 2),
-        (load_levy_model, "a: [1.0, nan]\nb: [1.0, 2.0]\n", 1),
-        (load_levy_model, "a: [1.0, 4.0]\nb: [nan, 2.0]\n", 2),
-    ],
-    ids=["frequency-inf", "frequency-nan", "epsilon-nan", "rate-inf", "levy-a-nan", "levy-b-nan"],
-)
-def test_non_finite_numbers_are_rejected_at_their_line(load, text, line, tmp_path, monkeypatch):
-    err = load_error(monkeypatch, load, write(tmp_path, text), match="must be finite")
-    assert err.line == line
-
-
-@pytest.mark.parametrize(
-    "load, text, message",
-    [
-        (
-            load_chain_spec,
-            GOOD_CHAIN.replace("  - [0.0, 0.0, 1.0]\n", "  - - 0.0\n    - abc\n    - 1.0\n"),
-            "line 6: pi row 1 entry must be a float, got 'abc'",
-        ),
-        (
-            load_chain_spec,
-            GOOD_CHAIN.replace("  - [0.0, 0.0, 1.0]\n", "  - - 0.0\n    - [0.5, 0.5]\n    - 1.0\n"),
-            "line 6: pi row 1 entry must be a scalar",
-        ),
-        (
-            load_circle_model,
-            "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - - 2\n    - 0.1x\n    - 0.0\n",
-            "line 5: b_hat triple entry must be a float, got '0.1x'",
-        ),
-        (load_chain_spec, "", "line 1: empty document"),
-        (load_chain_spec, "- 3\n- [1.0]\n", "line 1: chain spec must be a mapping"),
-        (load_chain_spec, GOOD_CHAIN.replace("states: 3", "states: 0"), "line 1: states must be at least 1"),
-        (load_chain_spec, GOOD_CHAIN.replace("  - [0.0, 0.0, 0.0]\n", ""), "line 4: pi must have 3 rows, got 2"),
-        (load_circle_model, "epsilon: 1.0\nb_hat:\n  - [1.5, 0.5, 0.0]\n", "line 3: frequency must be an integer"),
-        (
-            load_circle_model,
-            "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n  - [1, 0.5, 0.0]\n",
-            "line 4: duplicate frequency 1",
-        ),
-    ],
-    ids=[
-        "pi-text",
-        "pi-nested-list",
-        "b_hat-text",
-        "empty",
-        "not-a-mapping",
-        "no-states",
-        "pi-short",
-        "fractional-frequency",
-        "duplicate-frequency",
-    ],
-)
-def test_file_refusals_are_reported_at_their_line(load, text, message, tmp_path, monkeypatch):
-    err = load_error(monkeypatch, load, write(tmp_path, text))
-    assert str(err) == message
 
 
 def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
-"""Refusal table: every `raise` statement of the library's computing modules, reached by one call.
+"""Refusal table: every `raise` statement of the package, reached by one call or one file.
 
-``REFUSALS`` maps a `src/` function (module.qualname) to entries: a zero-argument call, the exact class, the
-whole message (``*`` matches any run) and an optional patch, run first, that injects an error a numpy call can
-return, lowers a bound or silences numpy's warnings.  The innermost `src/` frame of the traceback must be a
-``raise`` of that function, and the entries must reach exactly the ``raise`` statements ``ast`` finds in
-``MODULES``.  `modelio`'s file refusals stay with ``load_error`` (`tests/test_modelio.py`) and ``EXITS``.
+``REFUSALS`` maps a `src/` function (module.qualname) to entries: a zero-argument call or a ``File`` that a
+`modelio` loader reads, the exact class, the whole message (``*`` matches any run) and an optional patch, run
+first, that injects an error a numpy call can return, lowers a bound, silences numpy's warnings or pins the YAML
+loader.  A file entry is written to a file and loaded under each shipped loader (libyaml's as built, then pyyaml's
+own), once if its patch pins one, and every run must end in the same raise.  The innermost `src/` frame of the
+traceback must be a ``raise`` of that function, the class one that `cli.main` turns into exit 2 or 3, and the
+entries must reach exactly the ``raise`` statements ``ast`` finds in the package.
 """
 
 import ast
@@ -19,27 +21,37 @@ from unittest.mock import Mock
 
 import numpy as np
 import pytest
+import yaml
 
-import twistlab
-from twistlab import paths
+from twistlab import modelio, paths
 from twistlab.chain import ChainError, ChainSpec, NumericalError, build_dual, dual_pair_from_generator, mass_gap
 from twistlab.chain import nchain, random_chain, trace_chain
 from twistlab.functionals import BumpField, ExpField, MonomialField, ProductField
 from twistlab.harness import trace_suite, verify_bridge_identity, verify_trace
 from twistlab.hilbert import CircleDriftModel, LevyModel, circle_B_matrix, circle_model, det2, eta_kernel
 from twistlab.hilbert import gaussian_char_identities, random_symmetric_nonneg
+from twistlab.modelio import SpecFileError, load_chain_spec, load_circle_model, load_levy_model
 from twistlab.paths import bridge_targets, bridge_values, occupation_batch
 from twistlab.reporting import exact_report, info_report
 from twistlab.seeding import rng_stream
 from twistlab.twisted import build_twisted, cm_grid, complete_monotonicity_check, green, mgf, permanent
 from twistlab.twisted import q_moment, q_moment_oracle, sample_twisted_batch
 
-MODULES = ("chain", "functionals", "harness", "hilbert", "paths", "reporting", "twisted")
-SRC = Path(twistlab.__file__).parent
+from test_exports import MODULES, SRC  # the package's modules, read from its directory
+
+# `cli.main` turns these into exit 2 or 3; any other class would end it in a traceback
+EXITING = (ValueError, ChainError, SpecFileError, NumericalError)
+# libyaml's parser as built, and pyyaml's own
+SHIPPED = (modelio.LOADER, yaml.BaseLoader)
+
+
+class File(NamedTuple):
+    load: Callable  # a `modelio` loader
+    text: str | bytes | None  # None: no file
 
 
 class Refusal(NamedTuple):
-    call: Callable
+    call: Callable | File
     error: type
     message: str
     patch: Callable | None = None  # patch(monkeypatch), before the call
@@ -77,6 +89,17 @@ DAMPED = {
 }
 BAD_CHI = {"negative": [0.1, -0.2, 0.3], "nan": [np.nan, 0.0, 0.0], "inf": [np.inf, 0.0, 0.0]}
 CHI_SHAPES = {"short": np.ones(2), "column": np.ones((3, 1)), "scalar": 0.5}
+CHAIN_FILE = """\
+states: 3
+q: [1.0, 1.0, 1.0]
+pi:
+  - [0.0, 1.0, 0.0]
+  - [0.0, 0.0, 1.0]
+  - [0.0, 0.0, 0.0]
+mu: [1.0, 0.0, 0.0]
+"""
+CIRCLE_FILE = "epsilon: 1.0\nb_hat:\n  - [1, 0.5, 0.0]\n"
+LEVY_FILE = "a: [1.0, 4.0]\nb: [1.0, 2.0]\n"
 
 
 def _spec(**fields):
@@ -103,6 +126,10 @@ def _eta(x=0.7, y=1.9, points=(0.7,), weights=(0.5,)):
 
 def _failing(name):  # numpy.linalg's ``name`` raises as on a singular matrix
     return lambda mp: mp.setattr(np.linalg, name, Mock(side_effect=np.linalg.LinAlgError("Singular matrix")))
+
+
+def _chain_file(old, new):
+    return File(load_chain_spec, CHAIN_FILE.replace(old, new))
 
 
 def _out_of_range(bad, n):
@@ -138,7 +165,7 @@ REFUSALS = {
            for keep, bad in (([0, 1.5], 1.5), ([1.0, 2.0], 1.0), ([1, 2.0], 2.0), ([True], True))},
         **{f"{f.__name__}-at-{bad}": R(lambda f=f, bad=bad: f(DP4, [0, bad]), ValueError, _out_of_range(bad, 4))
            for f in (q_moment, q_moment_oracle) for bad in (-1, 4, 1.5, True)},
-        **{f"bridge-identity-at-{x},{y}": R(lambda x=x, y=y: verify_bridge_identity(DP4, x, y), ValueError,
+        **{f"bridge-identity-at-{x},{y}": R(lambda x=x, y=y: verify_bridge_identity(DP4, x, y, "bridge"), ValueError,
                                             _out_of_range(y if x == 0 else x, 4))
            for x, y in ((-1, 0), (0, -1), (4, 0), (0, 4), (1.5, 0), (0, 1.5), (True, 0))},
         **{f"occupation-from-{x}": R(lambda x=x: occupation_batch(DP3, x, 10, seed=1), ValueError, _out_of_range(x, 3))
@@ -181,7 +208,7 @@ REFUSALS = {
         for bad in (-1, 0.5, np.nan, np.inf, 65)
     },
     "harness.trace_suite": {
-        "one-state": R(lambda: trace_suite(build_dual(nchain(1))), ValueError,
+        "one-state": R(lambda: trace_suite(build_dual(nchain(1)), seed=0), ValueError,
                        "tracing needs at least 2 states: a 1-state chain has no proper subset"),
     },
     "reporting._finite": {
@@ -316,6 +343,92 @@ REFUSALS = {
                         "Phi lost positivity on the difference grid",
                         lambda mp: warnings.simplefilter("ignore", RuntimeWarning)),
     },
+    "modelio._read": {
+        "missing-file": R(File(load_chain_spec, None), SpecFileError,
+                          "cannot read */model.yaml: No such file or directory"),
+        "not-utf8": R(File(load_chain_spec, b"states: 3\nq: [1.0, \xff]\n"), SpecFileError,
+                      "line 2: not UTF-8 text: byte 0xff"),
+    },
+    "modelio._compose": {
+        "syntax-error": R(File(load_chain_spec, "states: 3\nq: [1.0, 1.0\n"), SpecFileError,
+                          "line 3: invalid document: *expected ',' or ']'*"),
+        # libyaml counts the bytes of the accents, pyyaml the characters
+        "control-character": R(File(load_chain_spec, "states: 3  # " + "é" * 12 + "\nq: [1.0,\x01 1.0]\n"),
+                               SpecFileError, "line 2: unacceptable character #x0001"),
+        # pyyaml's composer recurses once per level; libyaml's reads the 600 levels
+        "nested-too-deeply": R(_chain_file("[1.0, 1.0, 1.0]", "[" * 600 + "1.0" + "]" * 600), SpecFileError,
+                               "invalid document: nested too deeply",
+                               lambda mp: mp.setattr(modelio, "LOADER", yaml.BaseLoader)),
+        "empty": R(File(load_chain_spec, ""), SpecFileError, "line 1: empty document"),
+    },
+    "modelio._mapping": {
+        "not-a-mapping": R(File(load_chain_spec, "- 3\n- [1.0]\n"), SpecFileError,
+                           "line 1: chain spec must be a mapping"),
+        "unknown-field": R(File(load_chain_spec, CHAIN_FILE + "extra: 1\n"), SpecFileError,
+                           "line 8: unknown field 'extra'"),
+        "duplicate-field": R(File(load_chain_spec, CHAIN_FILE + "q: [2.0, 2.0, 2.0]\n"), SpecFileError,
+                             "line 8: duplicate field 'q'"),
+        "missing-field": R(_chain_file("mu: [1.0, 0.0, 0.0]\n", ""), SpecFileError, "line 1: missing field 'mu'"),
+    },
+    "modelio._scalar": {
+        "field-name": R(File(load_chain_spec, CHAIN_FILE + "? [q, mu]\n: 1\n"), SpecFileError,
+                        "line 8: field name must be a scalar"),
+        "pi-nested-list": R(_chain_file("  - [0.0, 0.0, 1.0]\n", "  - - 0.0\n    - [0.5, 0.5]\n    - 1.0\n"),
+                            SpecFileError, "line 6: pi row 1 entry must be a scalar"),
+        "fractional-states": R(_chain_file("states: 3", "states: 2.5"), SpecFileError,
+                               "line 1: states must be an integer, got '2.5'"),
+        "pi-text": R(_chain_file("  - [0.0, 0.0, 1.0]\n", "  - - 0.0\n    - abc\n    - 1.0\n"), SpecFileError,
+                     "line 6: pi row 1 entry must be a float, got 'abc'"),
+        "b_hat-text": R(File(load_circle_model, CIRCLE_FILE + "  - - 2\n    - 0.1x\n    - 0.0\n"), SpecFileError,
+                        "line 5: b_hat triple entry must be a float, got '0.1x'"),
+        "rate-inf": R(_chain_file("q: [1.0, 1.0, 1.0]", "q: [1.0, inf, 1.0]"), SpecFileError,
+                      "line 2: q entry must be finite, got 'inf'"),
+        "frequency-inf": R(File(load_circle_model, "epsilon: 1.0\nb_hat: [[inf, 0.5, 0.0]]\n"), SpecFileError,
+                           "line 2: b_hat triple entry must be finite, got 'inf'"),
+        "frequency-nan": R(File(load_circle_model, CIRCLE_FILE.replace("[1,", "[nan,")), SpecFileError,
+                           "line 3: b_hat triple entry must be finite, got 'nan'"),
+        "epsilon-nan": R(File(load_circle_model, "epsilon: nan\nb_hat: []\n"), SpecFileError,
+                         "line 1: epsilon must be finite, got 'nan'"),
+        "levy-a-nan": R(File(load_levy_model, LEVY_FILE.replace("4.0", "nan")), SpecFileError,
+                        "line 1: a entry must be finite, got 'nan'"),
+        "levy-b-nan": R(File(load_levy_model, LEVY_FILE.replace("b: [1.0", "b: [nan")), SpecFileError,
+                        "line 2: b entry must be finite, got 'nan'"),
+    },
+    "modelio._sequence": {
+        "q-scalar": R(_chain_file("q: [1.0, 1.0, 1.0]", "q: 1.0"), SpecFileError, "line 2: q must be a sequence"),
+    },
+    "modelio._float_list": {
+        "pi-row-short": R(_chain_file("  - [0.0, 0.0, 1.0]", "  - [0.0, 0.0]"), SpecFileError,
+                          "line 5: pi row 1 must have 3 entries, got 2"),
+        "q-short": R(_chain_file("q: [1.0, 1.0, 1.0]", "q: [1.0, 1.0]"), SpecFileError,
+                     "line 2: q must have 3 entries, got 2"),
+        "levy-b-short": R(File(load_levy_model, LEVY_FILE.replace("b: [1.0, 2.0]", "b: [1.0]")), SpecFileError,
+                          "line 2: b must have 2 entries, got 1"),
+    },
+    # `_flat_chain` catches it and leaves the text to the node walk, so no file ends in it
+    "modelio._flat_floats": {"not-a-list": R(lambda: modelio._flat_floats(" 1.0"), ValueError, "1.0")},
+    "modelio.load_chain_spec": {
+        "no-states": R(_chain_file("states: 3", "states: 0"), SpecFileError, "line 1: states must be at least 1"),
+        "pi-short": R(_chain_file("  - [0.0, 0.0, 0.0]\n", ""), SpecFileError, "line 4: pi must have 3 rows, got 2"),
+        "negative-rate": R(_chain_file("q: [1.0, 1.0, 1.0]", "q: [1.0, -1.0, 1.0]"), SpecFileError,
+                           "line 1: all jump rates q must be positive"),
+    },
+    "modelio.load_circle_model": {
+        "epsilon-negative": R(File(load_circle_model, "epsilon: -1\nb_hat: []\n"), SpecFileError,
+                              "line 1: epsilon must be positive"),
+        "fractional-frequency": R(File(load_circle_model, CIRCLE_FILE.replace("[1,", "[1.5,")), SpecFileError,
+                                  "line 3: frequency must be an integer"),
+        "frequency-beyond-int64": R(File(load_circle_model, CIRCLE_FILE.replace("[1,", "[1e20,")), SpecFileError,
+                                    "line 3: frequency 100000000000000000000 is outside ±(2**63 - 1)"),
+        "duplicate-frequency": R(File(load_circle_model, CIRCLE_FILE + "  - [1, 0.5, 0.0]\n"), SpecFileError,
+                                 "line 4: duplicate frequency 1"),
+        "not-conjugate": R(File(load_circle_model, CIRCLE_FILE + "  - [-1, 0.5, 0.2]\n"), SpecFileError,
+                           "line 3: drift is not real: coefficient at 1 must conjugate the one at -1"),
+    },
+    "modelio.load_levy_model": {
+        "a-zero": R(File(load_levy_model, LEVY_FILE.replace("a: [1.0", "a: [0.0")), SpecFileError,
+                    "line 1: all a_k must be positive"),
+    },
 }
 ENTRIES = {f"{where}:{name}": (where, entry) for where, group in REFUSALS.items() for name, entry in group.items()}
 
@@ -336,33 +449,56 @@ def _raise_statements(module) -> dict:
     return found
 
 
-def _reached(entry, monkeypatch) -> tuple[str, int]:
+def _runs(call, patch, tmp_path) -> list:
+    """(call, patch) of each run of an entry: a ``File``'s text is written and read under each shipped loader."""
+    if not isinstance(call, File):
+        return [(call, patch)]
+    load, text = call
+    path = tmp_path / "model.yaml"
+    path.unlink(missing_ok=True)
+    if text is not None:
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+    pins = [lambda mp, loader=loader: mp.setattr(modelio, "LOADER", loader) for loader in SHIPPED]
+    return [(functools.partial(load, path), pin) for pin in ([patch] if patch else pins)]
+
+
+def _reached(entry, monkeypatch, tmp_path) -> tuple[str, int]:
     """Run ``entry`` and check its class and message; return the function and first line of the raise it ends in."""
-    with warnings.catch_warnings(), pytest.raises(Exception) as info:
-        if entry.patch:
-            entry.patch(monkeypatch)
-        entry.call()
-    monkeypatch.undo()
-    assert info.type is entry.error, repr(info.value)
-    assert re.fullmatch(".*".join(map(re.escape, entry.message.split("*"))), str(info.value)), str(info.value)
-    *_, (frame, line) = (f for f in traceback.walk_tb(info.tb) if Path(f[0].f_code.co_filename).parent == SRC)
-    module = Path(frame.f_code.co_filename).stem
-    spans = [(where, first) for (first, last), where in _raise_statements(module).items() if first <= line <= last]
-    assert spans, f"{module}.py:{line} is not a raise statement"
-    return spans[0]
+    reached = set()
+    for call, patch in _runs(entry.call, entry.patch, tmp_path):
+        with warnings.catch_warnings(), pytest.raises(Exception) as info:
+            if patch:
+                patch(monkeypatch)
+            call()
+        monkeypatch.undo()
+        assert info.type is entry.error and entry.error in EXITING, repr(info.value)
+        assert re.fullmatch(".*".join(map(re.escape, entry.message.split("*"))), str(info.value)), str(info.value)
+        *_, (frame, line) = (f for f in traceback.walk_tb(info.tb) if Path(f[0].f_code.co_filename).parent == SRC)
+        module = Path(frame.f_code.co_filename).stem
+        spans = [(where, first) for (first, last), where in _raise_statements(module).items() if first <= line <= last]
+        assert spans, f"{module}.py:{line} is not a raise statement"
+        reached.add(spans[0])
+    assert len(reached) == 1, f"the loaders end in different raises: {reached}"
+    return reached.pop()
 
 
 @pytest.mark.parametrize("name", ENTRIES)
-def test_each_entry_raises_its_class_and_message_from_its_function(name, monkeypatch):
+def test_each_entry_raises_its_class_and_message_from_its_function(name, monkeypatch, tmp_path):
     where, entry = ENTRIES[name]
-    assert _reached(entry, monkeypatch)[0] == where
+    assert _reached(entry, monkeypatch, tmp_path)[0] == where
 
 
-def test_the_entries_reach_exactly_the_raise_statements_of_the_modules(monkeypatch):
-    reached = {_reached(entry, monkeypatch) for _, entry in ENTRIES.values()}
-    assert reached == {(where, first) for m in MODULES for (first, _), where in _raise_statements(m).items()}
+def test_the_entries_reach_exactly_the_raise_statements_of_the_modules(monkeypatch, tmp_path):
+    reached = {_reached(entry, monkeypatch, tmp_path) for _, entry in ENTRIES.values()}
+    every = {(where, first) for m in ("__init__", *MODULES) for (first, _), where in _raise_statements(m).items()}
+    assert reached == every
 
 
-def test_the_inputs_the_entries_spoil_are_accepted():
+def test_the_inputs_the_entries_spoil_are_accepted(tmp_path, monkeypatch):
     assert ChainSpec(**CHAIN).n == dual_pair_from_generator(**GENERATOR).n == 2
     assert len(_gauss(np.eye(2), SKEW)()) == 3
+    for load, text in ((load_chain_spec, CHAIN_FILE), (load_circle_model, CIRCLE_FILE), (load_levy_model, LEVY_FILE)):
+        for call, patch in _runs(File(load, text), None, tmp_path):
+            patch(monkeypatch)
+            call()
+            monkeypatch.undo()
