@@ -1,4 +1,3 @@
-import argparse
 import csv
 import math
 import re
@@ -14,12 +13,14 @@ import numpy as np
 import pytest
 import yaml
 
-from twistlab import cli, harness, modelio, paths
+from twistlab import cli, modelio, paths
 from twistlab.chain import NumericalError, build_dual
 from twistlab.cli import COMMANDS, _parser, main
 from twistlab.modelio import load_chain_spec
 from twistlab.reporting import VerificationReport, count_failures
 from twistlab.twisted import q_moment, q_moment_oracle
+
+from test_work import counting
 
 CHAIN = """\
 states: 3
@@ -261,10 +262,8 @@ INPUTS = {
 }
 
 
-def _draws(mp):  # records each twisted sample the suites draw
-    draws, real = [], harness.sample_twisted_batch
-    mp.setattr(harness, "sample_twisted_batch", lambda *a, **k: draws.append(a) or real(*a, **k))
-    return draws
+def _draws(mp):  # records each twisted sample the suites draw, with the counting wrapper of `WORK`
+    return counting(mp, ["sample_twisted_batch"])
 
 
 def _quiet(mp):  # numpy warns as the row's value overflows; the run exits 3 on that row
@@ -470,24 +469,6 @@ def test_one_command_parser_prints_what_the_full_one_does(argv, last_line, monke
     full = cli._parser
     monkeypatch.setattr(cli, "_parser", lambda *names: full())
     assert shipped == run()
-
-
-def test_a_named_command_builds_one_sub_parser(tmp_path, monkeypatch, capsys):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    path = tmp_path / "one.yaml"
-    path.write_text(ONE_STATE)
-    assert main(["mass-gap", "--input", str(path)]) == 0
-    assert built == ["mass-gap"]
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    assert built[1:] == list(COMMANDS)
 
 
 def test_readme_command_lines_parse():

@@ -343,36 +343,6 @@ def test_damped_kernel_matches_gaussian_pairing_on_truncation():
     assert pairing.passed
 
 
-def test_circle_suite_builds_the_operator_once(monkeypatch):
-    from twistlab import hilbert
-
-    calls = []
-    real = hilbert.circle_B_matrix
-
-    def counting(model, K):
-        calls.append(K)
-        return real(model, K)
-
-    monkeypatch.setattr(hilbert, "circle_B_matrix", counting)
-    circle_suite(circle_model(1.0, {1: 0.5}), K=32)
-    # one build at K, read only by the Frobenius row
-    assert calls == [32]
-
-
-def test_circle_suite_makes_no_solve(monkeypatch):
-    # the plain kernel is a dot product of evaluation elements
-    calls = []
-    real = np.linalg.solve
-
-    def counting(a, b):
-        calls.append(a.shape)
-        return real(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    circle_suite(circle_model(1.0, {1: 0.5}), K=32)
-    assert calls == []
-
-
 def _dense_circle_B(model, K):
     """Reference build: the dense complex coupling S conjugated by the unitary W."""
     size = 2 * K + 1

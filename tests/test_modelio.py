@@ -1,6 +1,7 @@
 """Loading model files: the values each one gives, and the flat chain reader against the node walk.
 
-Every refusal of `modelio` is a ``REFUSALS`` entry in `tests/test_refusals.py`, read under both shipped loaders.
+Every refusal of `modelio` is a ``REFUSALS`` entry in `tests/test_refusals.py`, read under both shipped loaders,
+and which files are composed as YAML is a ``WORK`` entry in `tests/test_work.py`.
 """
 
 import numpy as np
@@ -121,17 +122,10 @@ def test_shipped_loader_reads_the_values_of_the_resolving_one(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("n", [1, 6, 8, 64, 128])  # the chain sizes the benchmark workloads write
-def test_flat_chain_file_is_not_composed(n, tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a flat chain file was composed")
-
+def test_flat_chain_file_reads_back_exactly(n, tmp_path):
     spec = random_chain(n, np.random.default_rng(11))
-    path = write(tmp_path, chain_yaml(spec))
-    monkeypatch.setattr(yaml, "compose", refuse)
-    loaded = load_chain_spec(path)
+    loaded = load_chain_spec(write(tmp_path, chain_yaml(spec)))
     assert all(np.array_equal(a, b) for a, b in zip((loaded.q, loaded.pi, loaded.mu), (spec.q, spec.pi, spec.mu)))
-    with pytest.raises(AssertionError, match="composed"):
-        load_chain_spec(write(tmp_path, GOOD_CHAIN.replace("states: 3", "states: 3  # a comment")))
 
 
 # what a random edit inserts: the flat layout's characters, and text that leaves the layout

@@ -31,7 +31,7 @@ def _chain(n, seed):
 SUITES = {  # one fixed small input per CLI command
     "verify-iso": lambda: harness.iso_suite(_chain(4, 53), count=2000, seed=3),  # x = 1, y = 2
     "verify-q": lambda: harness.q_suite(_chain(4, 51), count=1000, seed=13),
-    "mass-gap": lambda: harness.mass_gap_suite(_chain(4, 51), seed=11)[0],
+    "mass-gap": lambda: harness.mass_gap_suite(_chain(4, 51), seed=11),
     "mgf-check": lambda: harness.mgf_suite(_chain(4, 51), seed=9),
     "example-chain": lambda: harness.example_suite(3, count=2000, seed=1),
     "trace-check": lambda: [harness.verify_trace(_chain(8, 53), [0, 2, 3, 5, 7])],  # a `trace_suite` row

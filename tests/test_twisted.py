@@ -85,19 +85,14 @@ def test_stacked_mgf_equals_each_one_point_call_bit_for_bit(n):
     assert mgf(dp, np.empty((0, n))).shape == (0,)
 
 
-def test_stacked_mgf_factors_a_buffer_full_at_a_time(monkeypatch):
+def test_stacked_mgf_gives_the_same_values_a_buffer_full_at_a_time(monkeypatch):
     rng = rng_stream(32, "twisted-tests")
     dp = build_dual(random_chain(6, rng))
     stack = rng.uniform(0.0, 2.0, (7, 6))
-    whole = mgf(dp, stack)
-    calls = []
-    real = np.linalg.slogdet
-    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(len(a)) or real(a))
-    monkeypatch.setattr(twisted, "STACK_BYTES", 3 * 6 * 6 * 8 + 7)  # three matrices a buffer
-    assert list(mgf(dp, stack)) == list(whole)
-    assert calls == [6, 3, 3, 1]  # det(-L), then buffers of 3, 3 and 1
-    monkeypatch.setattr(twisted, "STACK_BYTES", 1)  # at least one matrix a buffer
-    assert list(mgf(dp, stack)) == list(whole)
+    whole = list(mgf(dp, stack))
+    for size in (3 * 6 * 6 * 8 + 7, 1):  # three matrices a buffer, and at least one
+        monkeypatch.setattr(twisted, "STACK_BYTES", size)
+        assert list(mgf(dp, stack)) == whole
 
 
 def test_green_march_chain_and_scalar():
@@ -355,16 +350,6 @@ def test_complete_monotonicity_matches_the_nested_loop_referee():
         assert report.min_signed_value == pytest.approx(min_signed, rel=0, abs=1e-14)
 
 
-def test_sweep_refuses_more_than_six_states_before_building_its_differences(monkeypatch):
-    def built(n):
-        raise AssertionError(f"difference matrix built for {n} states")
-
-    monkeypatch.setattr(twisted, "_cm_differences", built)
-    dp = build_dual(random_chain(CM_MAX_STATES + 1, rng_stream(39, "twisted-tests")))
-    with pytest.raises(ValueError, match="at most 6 states"):
-        complete_monotonicity_check(dp)
-
-
 def test_sweep_phi_grid_is_mgf_at_every_point():
     rng = rng_stream(34, "twisted-tests")
     for n in (1, 2, 3, 4):
@@ -410,16 +395,6 @@ def test_sweep_column_products_equal_the_stacked_products_bit_for_bit():
         for grid, shifts in points:
             got, want = _cm_phi(dp, grid, shifts), stacked_cm_phi(dp, grid, shifts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
-
-
-def test_sweep_takes_at_most_two_to_the_n_determinants(monkeypatch):
-    taken = []  # matrices per call, so that a stacked call counts every determinant in it
-    for name in ("det", "slogdet"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, real=real: taken.append(int(np.prod(np.shape(a)[:-2]))) or real(a))
-    dp = build_dual(random_chain(6, rng_stream(36, "twisted-tests")))
-    complete_monotonicity_check(dp)
-    assert 0 < sum(taken) <= 2**6
 
 
 def test_derivative_vs_trace():
@@ -567,16 +542,6 @@ def test_q_moment_oracle_meets_the_rows_bound_where_q_is_near_1e300(n):
         for k in (1, 2, 3):
             for pts in itertools.combinations_with_replacement(range(n), k):
                 assert q_moment_oracle(dp, pts) == pytest.approx(q_moment(dp, pts), rel=1e-12, abs=0)
-
-
-def test_oracle_takes_at_most_two_to_the_k_determinants(monkeypatch):
-    taken = []
-    for name in ("det", "slogdet"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, real=real: taken.append(int(np.prod(np.shape(a)[:-2]))) or real(a))
-    dp = build_dual(random_chain(64, rng_stream(40, "twisted-tests")))
-    q_moment_oracle(dp, [3, 17, 60])
-    assert 0 < sum(taken) <= 2**3
 
 
 def test_q_moment_permutation_invariant():
